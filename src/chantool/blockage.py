@@ -17,7 +17,6 @@ from __future__ import annotations
 import cmath
 import math
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,6 +31,10 @@ GRAZING_TIE_M = 1e-12
 
 class GeometryError(ValueError):
     """Raised when a blockage geometry does not admit the requested model."""
+
+
+class NotShadowingError(GeometryError):
+    """Raised when a blocker does not cut the line of sight."""
 
 
 @dataclass(frozen=True)
@@ -362,14 +365,14 @@ def gtd_cylinder_attenuation(
     closest = tx2 + s_clamped * seg
     dist = float(np.hypot(*(closest - c2)))
     if dist >= a - GRAZING_TIE_M or not (0.0 < s < 1.0):
-        raise GeometryError("cylinder does not shadow LOS")
+        raise NotShadowingError("cylinder does not shadow LOS")
     z_los = tx.z + s * (rx.z - tx.z)
     if not (
         cylinder.center.z - 0.5 * cylinder.height_m - GRAZING_TIE_M
         <= z_los
         <= cylinder.center.z + 0.5 * cylinder.height_m + GRAZING_TIE_M
     ):
-        raise GeometryError("cylinder does not shadow LOS")
+        raise NotShadowingError("cylinder does not shadow LOS")
 
     k = band.wavenumber
     s_src = math.sqrt(b1 * b1 - a * a)  # straight leg tx -> attachment point
@@ -423,11 +426,8 @@ def _sweep_point(scn: BlockageScenario, model: str, position: Point3) -> float:
         if model == "gtd":
             try:
                 total += gtd_cylinder_attenuation(scn.tx, scn.rx, scn.band, moved)
-            except GeometryError as err:
-                if "does not shadow" in str(err):
-                    total += 0.0  # out of shadow: no creeping contribution
-                else:
-                    raise
+            except NotShadowingError:
+                total += 0.0  # out of shadow: no creeping contribution
         elif not _screen_shadows(scn.tx, scn.rx, moved):
             total += 0.0  # out of shadow: no blockage loss at this position
         elif model == "metis":
@@ -441,14 +441,13 @@ def sweep_blocker(
     scn: BlockageScenario,
     model: str,
     trajectory: list[Point3],
-    n_threads: int = 1,
 ) -> list[tuple[Point3, float]]:
     """Attenuation at each trajectory position of the (rigid) blocker set.
 
     Each trajectory point places the first blocker's center; any further
-    blockers keep their original offsets relative to it.  Per-position
-    geometry failures yield NaN and are counted in a single warning; the
-    sweep never aborts.
+    blockers keep their original offsets relative to it.  Positions are
+    evaluated serially in trajectory order.  Per-position geometry failures
+    yield NaN and are counted in a single warning; the sweep never aborts.
     """
     if model not in MODELS:
         raise ValueError(f"unknown model {model!r}; expected one of {MODELS}")
@@ -464,12 +463,7 @@ def sweep_blocker(
         except (GeometryError, ValueError):
             return math.nan
 
-    if n_threads > 1:
-        with ThreadPoolExecutor(max_workers=n_threads) as pool:
-            values = list(pool.map(run, trajectory))
-    else:
-        values = [run(p) for p in trajectory]
-
+    values = [run(p) for p in trajectory]
     failed = sum(1 for v in values if math.isnan(v))
     if failed:
         warnings.warn(f"{failed} sweep position(s) failed geometry checks", stacklevel=2)

@@ -2,8 +2,8 @@
 
 Subcommands: blockage, pathloss-fit, gbsm, sounder, analyze.  Exit codes:
 0 success, 2 input or config error, 3 resource/sizing error.  All output
-files are written atomically; repeated runs with identical inputs produce
-byte-identical files regardless of CHANTOOL_THREADS.
+files are written atomically.  Every computation runs serially in one
+thread, so repeated runs with identical inputs produce byte-identical files.
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ from chantool.config import (
 )
 from chantool.core import DB_FLOOR, FrequencyBand, Point3, PowerDelayProfile, to_db
 from chantool.gbsm import SizingError, run_scenario
-from chantool.pathloss import PathLossSample, abg_fit, ci_fit
+from chantool.pathloss import PathLossSample, RankDeficientError, abg_fit, ci_fit
 from chantool.sounder import (
     deconvolve_cir,
     extract_mpcs,
@@ -59,17 +59,6 @@ EXIT_INPUT = 2
 EXIT_SIZING = 3
 
 _MODEL_ORDER = ("metis", "kirchhoff", "gtd")
-
-
-def thread_count() -> int | None:
-    """CHANTOOL_THREADS: unset or 0 means auto, otherwise the given cap."""
-    raw = os.environ.get("CHANTOOL_THREADS", "").strip()
-    if not raw:
-        return None
-    count = int(raw)
-    if count < 0:
-        raise ValueError(f"CHANTOOL_THREADS must be >= 0, got {count}")
-    return None if count == 0 else count
 
 
 def _fmt(value: float) -> str:
@@ -125,14 +114,13 @@ def cmd_blockage(args) -> int:
         float(settings["cylinder_radius_m"]),
         float(settings["cylinder_height_m"]),
     )
-    threads = thread_count() or 1
     columns = {}
     for model in models:
         blocker = cylinder if model == "gtd" else screen
         scn = BlockageScenario(tx, rx, band, (blocker,))
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            result = sweep_blocker(scn, model, centers, n_threads=threads)
+            result = sweep_blocker(scn, model, centers)
         values = [value for _, value in result]
         nan_count = sum(1 for v in values if math.isnan(v))
         print(f"{model}: {nan_count} NaN point(s)", file=sys.stderr)
@@ -189,12 +177,8 @@ def cmd_pathloss_fit(args) -> int:
             fit = abg_fit(samples)
             params = {"alpha": fit.alpha, "beta_db": fit.beta_db, "gamma": fit.gamma}
             sigma = fit.sigma_db
-    except ValueError as err:
-        if "rank-deficient" in str(err):
-            raise ValueError(
-                f"{err} (use --model fi for single-frequency data)"
-            ) from None
-        raise
+    except RankDeficientError as err:
+        raise ValueError(f"{err} (use --model fi for single-frequency data)") from None
     report = {
         "model": model_name,
         "parameters": params,
@@ -209,7 +193,7 @@ def cmd_pathloss_fit(args) -> int:
 def cmd_gbsm(args) -> int:
     cfg = _require_config(args)
     gcfg = gbsm_config(_require_section(cfg, "gbsm"), seed=args.seed)
-    seq = run_scenario(gcfg, threads=thread_count())
+    seq = run_scenario(gcfg)
     size = write_archive(args.out, seq)
     print(
         f"{seq.n_time} snapshots, mean clusters {seq.mean_cluster_count:.3f}, "

@@ -20,6 +20,10 @@ from chantool.core import RandomStream
 FSPL_1M_DB = 32.4
 
 
+class RankDeficientError(ValueError):
+    """The samples cannot determine every parameter of the requested fit."""
+
+
 @dataclass(frozen=True)
 class PathLossSample:
     """One measured (or synthesized) path loss point."""
@@ -129,7 +133,7 @@ def ci_fit(samples: list[PathLossSample]) -> CiModel:
         raise ValueError("ci_fit needs at least 2 samples")
     d = np.array([s.distance_m for s in samples])
     if np.all(d == d[0]):
-        raise ValueError("rank-deficient fit: all sample distances are equal")
+        raise RankDeficientError("rank-deficient fit: all sample distances are equal")
     f = np.array([s.freq_ghz for s in samples])
     pl = np.array([s.pl_db for s in samples])
     a = pl - FSPL_1M_DB - 20.0 * np.log10(f)
@@ -157,9 +161,9 @@ def abg_fit(samples: list[PathLossSample], fix_gamma: float | None = None) -> Ab
     col_f = 10.0 * np.log10(f)
 
     if np.all(d == d[0]):
-        raise ValueError("rank-deficient fit: distance column is constant")
+        raise RankDeficientError("rank-deficient fit: distance column is constant")
     if fix_gamma is None and np.all(f == f[0]):
-        raise ValueError(
+        raise RankDeficientError(
             "rank-deficient fit: frequency column is constant "
             "(single-frequency data must use fix_gamma=0)"
         )
@@ -172,7 +176,7 @@ def abg_fit(samples: list[PathLossSample], fix_gamma: float | None = None) -> Ab
         design = np.column_stack([col_d, np.ones_like(col_d), col_f])
 
     if np.linalg.matrix_rank(design) < design.shape[1]:
-        raise ValueError("rank-deficient fit: design columns are collinear")
+        raise RankDeficientError("rank-deficient fit: design columns are collinear")
     coef, *_ = np.linalg.lstsq(design, target, rcond=None)
     resid = target - design @ coef
     sigma = float(np.sqrt(np.mean(resid * resid)))

@@ -546,13 +546,13 @@ def test_sweep_per_point_failures_are_nan_with_warning():
     assert out[1][1] == pytest.approx(15.840411, abs=1e-5)
 
 
-def test_sweep_thread_count_does_not_change_output():
+def test_sweep_rerun_does_not_change_output():
     scn = BlockageScenario(TX, RX, BAND_28, (default_screen(MID),))
     traj = crossing_trajectory()
-    single = sweep_blocker(scn, "kirchhoff", traj, n_threads=1)
-    multi = sweep_blocker(scn, "kirchhoff", traj, n_threads=8)
-    assert [p for p, _ in single] == [p for p, _ in multi]
-    assert [v for _, v in single] == [v for _, v in multi]
+    first = sweep_blocker(scn, "kirchhoff", traj)
+    second = sweep_blocker(scn, "kirchhoff", traj)
+    assert [p for p, _ in first] == [p for p, _ in second]
+    assert [v for _, v in first] == [v for _, v in second]
 
 
 def test_sweep_model_validation():

@@ -12,6 +12,7 @@ from chantool.pathloss import (
     AbgModel,
     CiModel,
     PathLossSample,
+    RankDeficientError,
     abg_eval,
     abg_fit,
     ci_eval,
@@ -93,7 +94,7 @@ def test_ci_fit_two_point_interpolation():
 def test_ci_fit_rank_errors():
     with pytest.raises(ValueError):
         ci_fit(make_ci_samples(2.0, np.array([50.0])))
-    with pytest.raises(ValueError, match="distances"):
+    with pytest.raises(RankDeficientError, match="distances"):
         ci_fit(make_ci_samples(2.0, np.array([50.0, 50.0, 50.0])))
 
 
@@ -163,7 +164,7 @@ def test_abg_fit_single_frequency_rank_error():
     dists = np.array([10.0, 30.0, 100.0, 300.0])
     pl = 70.0 + 25.0 * np.log10(dists)
     samples = [PathLossSample(float(d), 28.0, float(p)) for d, p in zip(dists, pl)]
-    with pytest.raises(ValueError, match="frequency column.*fix_gamma"):
+    with pytest.raises(RankDeficientError, match="frequency column.*fix_gamma"):
         abg_fit(samples)
     fit = abg_fit(samples, fix_gamma=0.0)
     assert fit.alpha == pytest.approx(2.5, abs=1e-9)
@@ -171,7 +172,7 @@ def test_abg_fit_single_frequency_rank_error():
 
 def test_abg_fit_distance_rank_error():
     samples = [PathLossSample(50.0, f, 100.0) for f in (28.0, 32.0, 39.0)]
-    with pytest.raises(ValueError, match="distance column"):
+    with pytest.raises(RankDeficientError, match="distance column"):
         abg_fit(samples)
 
 
@@ -180,7 +181,7 @@ def test_abg_fit_collinear_columns_error():
     samples = [
         PathLossSample(d, d, 100.0 + 0.1 * i) for i, d in enumerate((10.0, 100.0, 1000.0))
     ]
-    with pytest.raises(ValueError, match="collinear"):
+    with pytest.raises(RankDeficientError, match="collinear"):
         abg_fit(samples)
 
 
