@@ -446,8 +446,9 @@ def sweep_blocker(
 
     Each trajectory point places the first blocker's center; any further
     blockers keep their original offsets relative to it.  Positions are
-    evaluated serially in trajectory order.  Per-position geometry failures
-    yield NaN and are counted in a single warning; the sweep never aborts.
+    evaluated serially in trajectory order.  A position whose geometry the
+    model rejects (GeometryError) yields NaN, and such positions are counted
+    in a single warning; any other error propagates to the caller.
     """
     if model not in MODELS:
         raise ValueError(f"unknown model {model!r}; expected one of {MODELS}")
@@ -460,7 +461,7 @@ def sweep_blocker(
     def run(position: Point3) -> float:
         try:
             return _sweep_point(scn, model, position)
-        except (GeometryError, ValueError):
+        except GeometryError:
             return math.nan
 
     values = [run(p) for p in trajectory]

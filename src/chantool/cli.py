@@ -83,7 +83,14 @@ def _require_section(cfg: Config, name: str) -> dict[str, object]:
 
 def cmd_blockage(args) -> int:
     cfg = _require_config(args)
-    settings = blockage_settings(_require_section(cfg, "blockage"))
+    section = _require_section(cfg, "blockage")
+    settings = blockage_settings(section)
+    # A scenario sweeps one coordinate of the blocker path and reads the
+    # other from its key; a key for the swept coordinate would be ignored.
+    scenario = settings["scenario"]
+    ignored = {"crossing": "lateral_offset_m", "along": "along_position_m"}[scenario]
+    if ignored in section:
+        raise ConfigError(cfg.path, 0, f"{ignored} does not apply to scenario = {scenario}")
     models = list(_MODEL_ORDER) if "all" in args.model else [
         m for m in _MODEL_ORDER if m in args.model
     ]
@@ -94,7 +101,7 @@ def cmd_blockage(args) -> int:
     rx = Point3(length, 0.0, h)
     zc = float(settings["blocker_center_z_m"])
 
-    if settings["scenario"] == "crossing":
+    if scenario == "crossing":
         positions = [round(-1.0 + 0.1 * i, 10) for i in range(21)]
         centers = [
             Point3(float(settings["along_position_m"]), lat, zc) for lat in positions
@@ -218,7 +225,7 @@ def cmd_sounder(args) -> int:
     section = {}
     if args.config:
         section = load_config(args.config).section("sounder") or {}
-    _, budget, policy, band_fraction = sounder_settings(section)
+    budget, policy, band_fraction = sounder_settings(section)
     sample_rate = 1.0 / rx.sample_period_s
 
     mpc_lines = ["snapshot,delay_ns,power_db"]

@@ -1,15 +1,15 @@
 """Strict INI-style configuration.
 
-Sections [blockage], [pathloss], [gbsm], [sounder], [analysis]; every
-tunable default is overridable here.  Unknown sections, unknown keys,
-duplicate keys, and malformed values are hard errors carrying the file
-line number, so typos never pass silently.  All dimensioned keys carry a
-unit suffix (_m, _ghz, _db, _s, ...).
+Sections [blockage], [pathloss], [gbsm], [sounder]; each holds exactly the
+keys its subcommand reads.  Unknown sections, unknown keys, duplicate keys,
+and malformed values are hard errors carrying the file line number, so
+typos never pass silently.  All dimensioned keys carry a unit suffix
+(_m, _ghz, _db, _s, ...).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 
 from chantool.blockage import (
     DEFAULT_ANTENNA_HEIGHT_M,
@@ -21,7 +21,7 @@ from chantool.blockage import (
 )
 from chantool.core import FrequencyBand, Point3
 from chantool.gbsm import GbsmConfig
-from chantool.sounder import LinkBudget, MpcExtractionPolicy, WaveformSpec
+from chantool.sounder import DEFAULT_BAND_FRACTION, LinkBudget, MpcExtractionPolicy
 
 
 class ConfigError(ValueError):
@@ -66,11 +66,9 @@ SCHEMA: dict[str, dict[str, object]] = {
     },
     "pathloss": {
         "model": _choice("ci", "fi", "abg"),
-        "fix_gamma": _float,
     },
     "gbsm": {
         "carrier_ghz": _float,
-        "bandwidth_ghz": _float,
         "n_tx": _int,
         "n_rx": _int,
         "antenna_spacing_m": _float,
@@ -101,12 +99,6 @@ SCHEMA: dict[str, dict[str, object]] = {
         "delay_resolution_s": _float,
     },
     "sounder": {
-        "pn_order": _int,
-        "pad_head": _int,
-        "pad_tail": _int,
-        "interp_factor": _int,
-        "rrc_rolloff": _float,
-        "sample_rate_ghz": _float,
         "band_fraction": _float,
         "gt_dbi": _float,
         "gr_dbi": _float,
@@ -118,9 +110,6 @@ SCHEMA: dict[str, dict[str, object]] = {
         "rel_threshold_db": _float,
         "noise_margin_db": _float,
         "noise_tail_fraction": _float,
-    },
-    "analysis": {
-        "threshold": _float,
     },
 }
 
@@ -202,10 +191,13 @@ def blockage_settings(section: dict[str, object]) -> dict[str, object]:
     return out
 
 
+def _overrides(cls, section: dict[str, object]) -> dict[str, object]:
+    """The section's values for keys that name fields of dataclass cls."""
+    return {f.name: section[f.name] for f in fields(cls) if f.name in section}
+
+
 def gbsm_config(section: dict[str, object], seed: int | None = None) -> GbsmConfig:
     base = GbsmConfig()
-    carrier = section.get("carrier_ghz", base.band.carrier_hz / 1e9)
-    bandwidth = section.get("bandwidth_ghz", base.band.bandwidth_hz / 1e9)
 
     def vec(prefix: str, unit: str, default: Point3) -> Point3:
         keys = [f"{prefix}_{axis}_{unit}" for axis in "xyz"]
@@ -217,61 +209,24 @@ def gbsm_config(section: dict[str, object], seed: int | None = None) -> GbsmConf
             float(section.get(keys[2], default.z)),
         )
 
-    return GbsmConfig(
-        band=FrequencyBand.preset(float(carrier), float(bandwidth)),
-        n_tx=section.get("n_tx", base.n_tx),
-        n_rx=section.get("n_rx", base.n_rx),
-        antenna_spacing_m=section.get("antenna_spacing_m", base.antenna_spacing_m),
-        k_factor_db=section.get("k_factor_db", base.k_factor_db),
-        mean_clusters=section.get("mean_clusters", base.mean_clusters),
-        rays_per_cluster=section.get("rays_per_cluster", base.rays_per_cluster),
-        delay_scale_s=section.get("delay_scale_s", base.delay_scale_s),
-        per_cluster_shadow_db=section.get(
-            "per_cluster_shadow_db", base.per_cluster_shadow_db
-        ),
-        birth_rate_hz=section.get("birth_rate_hz", base.birth_rate_hz),
-        death_rate_hz=section.get("death_rate_hz", base.death_rate_hz),
-        snapshot_interval_s=section.get(
-            "snapshot_interval_s", base.snapshot_interval_s
-        ),
+    values = _overrides(GbsmConfig, section)
+    if "carrier_ghz" in section:
+        values["band"] = FrequencyBand.preset(float(section["carrier_ghz"]))
+    if seed is not None:
+        values["seed"] = seed
+    return replace(
+        base,
+        **values,
         tx_velocity=vec("tx_velocity", "mps", base.tx_velocity),
         rx_velocity=vec("rx_velocity", "mps", base.rx_velocity),
-        duration_s=section.get("duration_s", base.duration_s),
-        seed=seed if seed is not None else section.get("seed", base.seed),
         tx_position=vec("tx_position", "m", base.tx_position),
         rx_position=vec("rx_position", "m", base.rx_position),
-        ray_angle_spread_rad=section.get(
-            "ray_angle_spread_rad", base.ray_angle_spread_rad
-        ),
-        ray_delay_scale_s=section.get("ray_delay_scale_s", base.ray_delay_scale_s),
-        delay_resolution_s=section.get("delay_resolution_s", base.delay_resolution_s),
     )
 
 
 def sounder_settings(
     section: dict[str, object],
-) -> tuple[WaveformSpec, LinkBudget, MpcExtractionPolicy, float]:
-    spec = WaveformSpec(
-        pn_order=section.get("pn_order", 12),
-        pad_head=section.get("pad_head", 104),
-        pad_tail=section.get("pad_tail", 800),
-        interp_factor=section.get("interp_factor", 4),
-        rrc_rolloff=section.get("rrc_rolloff", 0.5),
-        sample_rate_hz=section.get("sample_rate_ghz", 1.28) * 1e9,
-    )
-    budget = LinkBudget(
-        gt_dbi=section.get("gt_dbi", 20.0),
-        gr_dbi=section.get("gr_dbi", 20.0),
-        p_pa_dbm=section.get("p_pa_dbm", 24.0),
-        p_cal_dbm=section.get("p_cal_dbm", 5.0),
-        g_lna_db=section.get("g_lna_db", 30.0),
-        l_cable_db=section.get("l_cable_db", 4.0),
-    )
-    policy = MpcExtractionPolicy(
-        max_paths=section.get("max_paths", 30),
-        rel_threshold_db=section.get("rel_threshold_db", 25.0),
-        noise_margin_db=section.get("noise_margin_db", 6.0),
-        noise_tail_fraction=section.get("noise_tail_fraction", 0.1),
-    )
-    band_fraction = section.get("band_fraction", 0.6)
-    return spec, budget, policy, float(band_fraction)
+) -> tuple[LinkBudget, MpcExtractionPolicy, float]:
+    budget = LinkBudget(**_overrides(LinkBudget, section))
+    policy = MpcExtractionPolicy(**_overrides(MpcExtractionPolicy, section))
+    return budget, policy, float(section.get("band_fraction", DEFAULT_BAND_FRACTION))

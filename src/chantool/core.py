@@ -66,16 +66,13 @@ class Point3:
 
 @dataclass(frozen=True)
 class FrequencyBand:
-    """Carrier frequency and two-sided occupied bandwidth, both Hz."""
+    """Carrier frequency, Hz."""
 
     carrier_hz: float
-    bandwidth_hz: float
 
     def __post_init__(self) -> None:
         if not (self.carrier_hz > 0.0 and math.isfinite(self.carrier_hz)):
             raise ValueError(f"carrier_hz must be positive, got {self.carrier_hz}")
-        if not (self.bandwidth_hz > 0.0 and math.isfinite(self.bandwidth_hz)):
-            raise ValueError(f"bandwidth_hz must be positive, got {self.bandwidth_hz}")
 
     @property
     def wavelength_m(self) -> float:
@@ -87,8 +84,8 @@ class FrequencyBand:
         return 2.0 * math.pi * self.carrier_hz / SPEED_OF_LIGHT
 
     @classmethod
-    def preset(cls, carrier_ghz: float, bandwidth_ghz: float = 1.0) -> "FrequencyBand":
-        return cls(carrier_ghz * 1e9, bandwidth_ghz * 1e9)
+    def preset(cls, carrier_ghz: float) -> "FrequencyBand":
+        return cls(carrier_ghz * 1e9)
 
 
 # Measurement-campaign carriers this toolkit was validated against.

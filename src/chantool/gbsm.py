@@ -39,7 +39,9 @@ class GbsmConfig:
     """Scenario parameters for the cluster channel generator.
 
     Velocities affect ray Doppler phases and delay drift; the configured
-    positions are the time-zero reference geometry.
+    positions are the time-zero reference geometry.  Velocities must be
+    horizontal (z = 0): the Doppler term uses azimuth angles only, so a
+    vertical component would move the delay drift but not the Doppler.
     """
 
     band: FrequencyBand = BAND_28
@@ -87,6 +89,8 @@ class GbsmConfig:
             raise ValueError("ray_angle_spread_rad must be >= 0")
         if not self.delay_resolution_s > 0.0:
             raise ValueError("delay_resolution_s must be positive")
+        if self.tx_velocity.z != 0.0 or self.rx_velocity.z != 0.0:
+            raise ValueError("velocities must be horizontal: z components must be 0")
         if self.tx_position == self.rx_position:
             raise ValueError("tx and rx positions must differ")
 

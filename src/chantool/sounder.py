@@ -56,6 +56,10 @@ _ZERO_FLOOR_REL = 1e-6
 # (smoothed) calibration bin count as carrying signal.
 _OCCUPANCY_DB = -40.0
 
+# Default cap on the deconvolution band, as a fraction of the sampling
+# bandwidth.
+DEFAULT_BAND_FRACTION = 0.6
+
 
 @dataclass(frozen=True)
 class WaveformSpec:
@@ -231,7 +235,7 @@ def build_tx_waveform(spec: WaveformSpec) -> np.ndarray:
 def deconvolve_cir(
     y_rx: np.ndarray,
     y_cal: np.ndarray,
-    band_fraction: float = 0.6,
+    band_fraction: float = DEFAULT_BAND_FRACTION,
     sample_rate_hz: float = 1.28e9,
 ) -> CirSnapshot:
     """Channel impulse response by frequency-domain division of a capture

@@ -208,7 +208,7 @@ def test_metis_reciprocity_property():
             float(rng.uniform(0.2, 1.5)),
             float(rng.uniform(0.5, 2.5)),
         )
-        band = FrequencyBand(float(rng.uniform(20e9, 45e9)), 1e9)
+        band = FrequencyBand(float(rng.uniform(20e9, 45e9)))
         fwd = metis_screen_attenuation(tx, rx, band, scr)
         rev = metis_screen_attenuation(rx, tx, band, scr)
         assert abs(fwd - rev) <= 1e-9
@@ -233,7 +233,7 @@ def test_metis_nonnegative_when_blocked_property():
             w,
             h,
         )
-        band = FrequencyBand(float(rng.uniform(20e9, 45e9)), 1e9)
+        band = FrequencyBand(float(rng.uniform(20e9, 45e9)))
         seen += 1
         assert metis_screen_attenuation(tx, rx, band, scr) >= 0.0
     assert seen == 200
@@ -317,7 +317,7 @@ def test_kirchhoff_finite_on_random_geometry():
             float(rng.uniform(0.2, 2.0)),
             float(rng.uniform(0.5, 2.5)),
         )
-        band = FrequencyBand(float(rng.uniform(20e9, 45e9)), 1e9)
+        band = FrequencyBand(float(rng.uniform(20e9, 45e9)))
         att = kirchhoff_screen_attenuation(tx, rx, band, scr)
         assert math.isfinite(att)
 
@@ -408,7 +408,7 @@ def test_gtd_matches_series_oracle_property():
             a,
             10.0,
         )
-        band = FrequencyBand(float(rng.uniform(20e9, 45e9)), 1e9)
+        band = FrequencyBand(float(rng.uniform(20e9, 45e9)))
         try:
             att = gtd_cylinder_attenuation(tx, rx, band, cyl, 20)
         except GeometryError:
@@ -437,7 +437,7 @@ def test_gtd_truncation_bound_in_deep_shadow():
             a,
             10.0,
         )
-        band = FrequencyBand(float(rng.uniform(20e9, 45e9)), 1e9)
+        band = FrequencyBand(float(rng.uniform(20e9, 45e9)))
         try:
             terms, arcs = creeping_terms(tx, rx, band, cyl, 20)
         except (GeometryError, ValueError):
@@ -544,6 +544,17 @@ def test_sweep_per_point_failures_are_nan_with_warning():
         out = sweep_blocker(scn, "gtd", traj)
     assert math.isnan(out[0][1])
     assert out[1][1] == pytest.approx(15.840411, abs=1e-5)
+
+
+def test_sweep_non_geometry_error_reaches_caller(monkeypatch):
+    # only GeometryError becomes NaN; any other ValueError is a bug
+    def broken(*args, **kwargs):
+        raise ValueError("negative path excess -1.0: d1 + d2 < r")
+
+    monkeypatch.setattr("chantool.blockage.metis_screen_attenuation", broken)
+    scn = BlockageScenario(TX, RX, BAND_28, (default_screen(MID),))
+    with pytest.raises(ValueError, match="negative path excess"):
+        sweep_blocker(scn, "metis", crossing_trajectory())
 
 
 def test_sweep_rerun_does_not_change_output():

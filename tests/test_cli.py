@@ -9,6 +9,7 @@ import pytest
 
 from chantool.archive import capture_sequence, read_archive, write_archive
 from chantool.cli import main
+from chantool.config import SCHEMA
 from chantool.core import Mpc, derive_substream
 from chantool.sounder import WaveformSpec, simulate_capture
 
@@ -64,6 +65,31 @@ class TestBlockage:
         cfg = write(tmp_path / "c.ini", "[blockage]\nscenaroi = crossing\n")
         assert main(["blockage", "--config", cfg, "--out", str(tmp_path / "x.csv")]) == 2
         assert ":2: unknown key" in capsys.readouterr().err
+        # keys no command read, removed from the schema
+        removed = [
+            ("pathloss", "fix_gamma"), ("gbsm", "bandwidth_ghz"),
+            *(("sounder", key) for key in (
+                "pn_order", "pad_head", "pad_tail", "interp_factor",
+                "rrc_rolloff", "sample_rate_ghz",
+            )),
+        ]
+        for section, key in removed:
+            cfg = write(tmp_path / "c.ini", f"{BLOCKAGE_INI}[{section}]\n{key} = 1\n")
+            assert main(["blockage", "--config", cfg, "--out", str(tmp_path / "x.csv")]) == 2
+            assert f"{cfg}:5: unknown key '{key}'" in capsys.readouterr().err
+        cfg = write(tmp_path / "c.ini", f"{BLOCKAGE_INI}[analysis]\nthreshold = 0.8\n")
+        assert main(["blockage", "--config", cfg, "--out", str(tmp_path / "x.csv")]) == 2
+        assert f"{cfg}:4: unknown section [analysis]" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "scenario, key",
+        [("along", "along_position_m"), ("crossing", "lateral_offset_m")],
+    )
+    def test_key_the_scenario_sweeps_exit_2(self, tmp_path, capsys, scenario, key):
+        cfg = write(tmp_path / "c.ini", f"[blockage]\nscenario = {scenario}\n{key} = 2.0\n")
+        assert main(["blockage", "--config", cfg, "--out", str(tmp_path / "x.csv")]) == 2
+        assert f"{key} does not apply to scenario = {scenario}" in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
 
 
 def make_ci_samples(path, n=400, sigma=5.47):
@@ -318,3 +344,120 @@ class TestDeterminism:
             assert main(["gbsm", "--config", cfg, "--out", arc]) == 0
             outputs[run] = (open(blk, "rb").read(), open(arc, "rb").read())
         assert outputs["a"] == outputs["b"]
+
+
+# Base config per section for the key table below.  The gbsm base is a
+# moving 2x2 run, so the angle, spacing and velocity keys bind.
+BASE_KEYS = {
+    "blockage": {"scenario": "crossing"},
+    "pathloss": {},
+    "gbsm": {
+        "seed": "9", "duration_s": "0.000625", "n_tx": "2", "n_rx": "2",
+        "rx_velocity_x_mps": "1.5",
+    },
+    "sounder": {},
+}
+
+NOISE_BOUND = {"rel_threshold_db": "80.0", "max_paths": "1000"}
+
+# Every config key: (extra base keys it needs to bind, a non-default value).
+KEY_TABLE = {
+    ("blockage", "scenario"): ({}, "along"),
+    ("blockage", "carrier_ghz"): ({}, "39.0"),
+    ("blockage", "link_length_m"): ({}, "12.0"),
+    ("blockage", "antenna_height_m"): ({}, "1.2"),
+    ("blockage", "screen_width_m"): ({}, "0.6"),
+    ("blockage", "screen_height_m"): ({}, "1.0"),
+    ("blockage", "cylinder_radius_m"): ({}, "0.3"),
+    ("blockage", "cylinder_height_m"): ({}, "1.0"),
+    ("blockage", "blocker_center_z_m"): ({}, "0.6"),
+    ("blockage", "along_position_m"): ({}, "3.0"),
+    ("blockage", "lateral_offset_m"): ({"scenario": "along"}, "0.1"),
+    ("pathloss", "model"): ({}, "fi"),
+    ("gbsm", "carrier_ghz"): ({}, "39.0"),
+    ("gbsm", "n_tx"): ({}, "1"),
+    ("gbsm", "n_rx"): ({}, "1"),
+    ("gbsm", "antenna_spacing_m"): ({}, "0.05"),
+    ("gbsm", "k_factor_db"): ({}, "0.0"),
+    ("gbsm", "mean_clusters"): ({}, "12.0"),
+    ("gbsm", "rays_per_cluster"): ({}, "7"),
+    ("gbsm", "delay_scale_s"): ({}, "1e-07"),
+    ("gbsm", "per_cluster_shadow_db"): ({}, "6.0"),
+    ("gbsm", "birth_rate_hz"): ({}, "20000.0"),
+    ("gbsm", "death_rate_hz"): ({}, "20000.0"),
+    ("gbsm", "snapshot_interval_s"): ({}, "0.0001"),
+    ("gbsm", "duration_s"): ({}, "0.00125"),
+    ("gbsm", "seed"): ({}, "10"),
+    ("gbsm", "tx_velocity_x_mps"): ({}, "1.0"),
+    ("gbsm", "tx_velocity_y_mps"): ({}, "1.0"),
+    ("gbsm", "tx_velocity_z_mps"): ({}, "1.0"),
+    ("gbsm", "rx_velocity_x_mps"): ({}, "3.0"),
+    ("gbsm", "rx_velocity_y_mps"): ({}, "1.0"),
+    ("gbsm", "rx_velocity_z_mps"): ({}, "1.0"),
+    ("gbsm", "tx_position_x_m"): ({}, "1.0"),
+    ("gbsm", "tx_position_y_m"): ({}, "1.0"),
+    ("gbsm", "tx_position_z_m"): ({}, "2.0"),
+    ("gbsm", "rx_position_x_m"): ({}, "20.0"),
+    ("gbsm", "rx_position_y_m"): ({}, "1.0"),
+    ("gbsm", "rx_position_z_m"): ({}, "2.0"),
+    ("gbsm", "ray_angle_spread_rad"): ({}, "0.5"),
+    ("gbsm", "ray_delay_scale_s"): ({}, "2e-08"),
+    ("gbsm", "delay_resolution_s"): ({}, "5e-10"),
+    ("sounder", "band_fraction"): ({}, "0.3"),
+    ("sounder", "gt_dbi"): ({}, "25.0"),
+    ("sounder", "gr_dbi"): ({}, "25.0"),
+    ("sounder", "p_pa_dbm"): ({}, "30.0"),
+    ("sounder", "p_cal_dbm"): ({}, "0.0"),
+    ("sounder", "g_lna_db"): ({}, "20.0"),
+    ("sounder", "l_cable_db"): ({}, "6.0"),
+    ("sounder", "max_paths"): ({}, "1"),
+    ("sounder", "rel_threshold_db"): ({}, "80.0"),
+    # The noise-floor rule decides only under a low relative threshold, and
+    # shows only when max_paths does not cap the count of noise peaks.
+    ("sounder", "noise_margin_db"): (NOISE_BOUND, "20.0"),
+    ("sounder", "noise_tail_fraction"): (NOISE_BOUND, "0.3"),
+}
+
+# Velocities must be horizontal: 0.0 is accepted and changes nothing, any
+# other value is rejected.
+ZERO_ONLY = {("gbsm", "tx_velocity_z_mps"), ("gbsm", "rx_velocity_z_mps")}
+
+
+def command_for(tmp_path, section):
+    if section == "pathloss":
+        return ["pathloss-fit", make_ci_samples(tmp_path / "s.csv")]
+    if section == "sounder":
+        rx, cal = make_captures(tmp_path)
+        return ["sounder", "--rx", rx, "--cal", cal]
+    return [section]
+
+
+class TestConfigContract:
+    def test_key_table_is_the_schema(self):
+        assert set(KEY_TABLE) == {(s, k) for s, keys in SCHEMA.items() for k in keys}
+
+    @pytest.mark.parametrize(
+        "section, key", list(KEY_TABLE), ids=[f"{s}.{k}" for s, k in KEY_TABLE]
+    )
+    def test_every_key_changes_output(self, tmp_path, capsys, section, key):
+        extra, value = KEY_TABLE[section, key]
+        base = {**BASE_KEYS[section], **extra}
+        argv = command_for(tmp_path, section)
+
+        def run(keys, tag):
+            text = f"[{section}]\n" + "".join(f"{k} = {v}\n" for k, v in keys.items())
+            out = tmp_path / f"{tag}.out"
+            code = main([*argv, "--config", write(tmp_path / f"{tag}.ini", text),
+                         "--out", str(out)])
+            return code, out.read_bytes() if code == 0 else None
+
+        code, before = run(base, "base")
+        assert code == 0
+        if (section, key) in ZERO_ONLY:
+            assert run({**base, key: "0.0"}, "zero") == (0, before)
+            assert run({**base, key: value}, "set") == (2, None)
+            assert "velocities must be horizontal" in capsys.readouterr().err
+        else:
+            code, after = run({**base, key: value}, "set")
+            assert code == 0
+            assert after != before

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from chantool.config import (
+    SCHEMA,
     ConfigError,
     blockage_settings,
     gbsm_config,
@@ -26,11 +27,8 @@ tx_velocity_x_mps = 1.5
 rx_position_x_m = 25.0
 
 [sounder]
-pn_order = 10
+max_paths = 10
 gr_dbi = 25.0
-
-[analysis]
-threshold = 0.9
 """
 
 
@@ -41,18 +39,33 @@ class TestParsing:
         assert cfg.section("blockage")["carrier_ghz"] == 39.0
         assert cfg.section("gbsm")["seed"] == 21
         assert isinstance(cfg.section("gbsm")["seed"], int)
-        assert cfg.section("sounder")["pn_order"] == 10
-        assert cfg.section("analysis")["threshold"] == 0.9
+        assert cfg.section("sounder")["max_paths"] == 10
+        assert isinstance(cfg.section("sounder")["max_paths"], int)
         assert cfg.section("pathloss") is None
 
     def test_unknown_key_reports_line(self):
-        text = "[gbsm]\nseed = 1\nmean_clutsers = 5\n"
-        with pytest.raises(ConfigError, match=r"x\.ini:3: unknown key 'mean_clutsers'"):
-            parse_config(text, "x.ini")
+        cases = [
+            ("[gbsm]\nseed = 1\nmean_clutsers = 5\n", 3, "mean_clutsers"),
+            # keys no command read, removed from the schema
+            ("[pathloss]\nmodel = ci\nfix_gamma = 0.0\n", 3, "fix_gamma"),
+            ("[gbsm]\nbandwidth_ghz = 1.0\n", 2, "bandwidth_ghz"),
+            ("[sounder]\npn_order = 12\n", 2, "pn_order"),
+            ("[sounder]\ngr_dbi = 25.0\npad_head = 104\n", 3, "pad_head"),
+            ("[sounder]\npad_tail = 800\n", 2, "pad_tail"),
+            ("\n[sounder]\ninterp_factor = 4\n", 3, "interp_factor"),
+            ("[sounder]\nrrc_rolloff = 0.5\n", 2, "rrc_rolloff"),
+            ("[sounder]\n\n\nsample_rate_ghz = 1.28\n", 4, "sample_rate_ghz"),
+        ]
+        for text, line, key in cases:
+            with pytest.raises(ConfigError, match=rf"x\.ini:{line}: unknown key '{key}'"):
+                parse_config(text, "x.ini")
 
     def test_unknown_section_reports_line(self):
         with pytest.raises(ConfigError, match=r":2: unknown section \[gbms\]"):
             parse_config("\n[gbms]\n", "x.ini")
+        # removed: no command read its one key
+        with pytest.raises(ConfigError, match=r":2: unknown section \[analysis\]"):
+            parse_config("\n[analysis]\nthreshold = 0.8\n", "x.ini")
 
     def test_duplicate_key_rejected(self):
         text = "[gbsm]\nseed = 1\nseed = 2\n"
@@ -80,7 +93,7 @@ class TestParsing:
     def test_fuzzed_unknown_keys_always_rejected(self):
         # no unknown key may ever pass, wherever it lands
         rng = np.random.default_rng(77)
-        sections = ["blockage", "pathloss", "gbsm", "sounder", "analysis"]
+        sections = sorted(SCHEMA)
         letters = "abcdefghijklmnopqrstuvwxyz_"
         for trial in range(200):
             section = sections[rng.integers(len(sections))]
@@ -119,10 +132,9 @@ class TestBuilders:
 
     def test_sounder_builder(self):
         section = parse_config(GOOD, "demo.ini").section("sounder")
-        spec, budget, policy, band_fraction = sounder_settings(section)
-        assert spec.pn_order == 10
-        assert spec.interp_factor == 4
+        budget, policy, band_fraction = sounder_settings(section)
         assert budget.gr_dbi == 25.0
         assert budget.gt_dbi == 20.0
-        assert policy.max_paths == 30
+        assert policy.max_paths == 10
+        assert policy.rel_threshold_db == 25.0
         assert band_fraction == 0.6

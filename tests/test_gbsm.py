@@ -72,6 +72,8 @@ class TestConfig:
             {"ray_angle_spread_rad": -0.1},
             {"delay_resolution_s": 0.0},
             {"rx_position": Point3(0.0, 0.0, 1.5)},
+            {"tx_velocity": Point3(0.0, 0.0, 1.0)},
+            {"rx_velocity": Point3(1.5, 0.0, -0.5)},
         ],
     )
     def test_rejects_bad_values(self, kwargs):
