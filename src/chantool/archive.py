@@ -102,9 +102,7 @@ def read_archive(path: str) -> CirSequence:
         raise ArchiveError(f"{path}: dt_s must be positive, got {dt}")
     flat = np.frombuffer(blob, dtype="<c8", offset=_HEADER.size)
     cir = flat.astype(np.complex128).reshape(n_time, n_tx, n_rx, n_delay)
-    return CirSequence(
-        config=None, t0_s=t0, dt_s=dt, sample_period_s=period, cir=cir
-    )
+    return CirSequence(t0_s=t0, dt_s=dt, sample_period_s=period, cir=cir)
 
 
 def capture_sequence(
@@ -117,7 +115,6 @@ def capture_sequence(
     if waveforms.ndim != 2:
         raise ArchiveError("capture waveforms must be 1-D or 2-D")
     return CirSequence(
-        config=None,
         t0_s=0.0,
         dt_s=dt_s,
         sample_period_s=1.0 / sample_rate_hz,

@@ -15,8 +15,6 @@ import os
 import sys
 import warnings
 
-import numpy as np
-
 from chantool.analysis import (
     los_power_track,
     pdp_correlation_matrix,
@@ -43,7 +41,7 @@ from chantool.config import (
     load_config,
     sounder_settings,
 )
-from chantool.core import DB_FLOOR, FrequencyBand, Point3, PowerDelayProfile, to_db
+from chantool.core import DB_FLOOR, FrequencyBand, Point3, pdp_from_cir
 from chantool.gbsm import SizingError, run_scenario
 from chantool.pathloss import PathLossSample, RankDeficientError, abg_fit, ci_fit
 from chantool.sounder import (
@@ -77,7 +75,7 @@ def _require_config(args) -> Config:
 def _require_section(cfg: Config, name: str) -> dict[str, object]:
     section = cfg.section(name)
     if section is None:
-        raise ConfigError(cfg.path, 0, f"missing [{name}] section")
+        raise cfg.error(name, None, f"missing [{name}] section")
     return section
 
 
@@ -90,7 +88,9 @@ def cmd_blockage(args) -> int:
     scenario = settings["scenario"]
     ignored = {"crossing": "lateral_offset_m", "along": "along_position_m"}[scenario]
     if ignored in section:
-        raise ConfigError(cfg.path, 0, f"{ignored} does not apply to scenario = {scenario}")
+        raise cfg.error(
+            "blockage", ignored, f"{ignored} does not apply to scenario = {scenario}"
+        )
     models = list(_MODEL_ORDER) if "all" in args.model else [
         m for m in _MODEL_ORDER if m in args.model
     ]
@@ -175,22 +175,16 @@ def cmd_pathloss_fit(args) -> int:
         if model_name == "ci":
             fit = ci_fit(samples)
             params = {"n": fit.n}
-            sigma = fit.sigma_db
-        elif model_name == "fi":
-            fit = abg_fit(samples, fix_gamma=0.0)
-            params = {"alpha": fit.alpha, "beta_db": fit.beta_db, "gamma": fit.gamma}
-            sigma = fit.sigma_db
         else:
-            fit = abg_fit(samples)
+            fit = abg_fit(samples, fix_gamma=0.0 if model_name == "fi" else None)
             params = {"alpha": fit.alpha, "beta_db": fit.beta_db, "gamma": fit.gamma}
-            sigma = fit.sigma_db
     except RankDeficientError as err:
         raise ValueError(f"{err} (use --model fi for single-frequency data)") from None
     report = {
         "model": model_name,
         "parameters": params,
-        "sigma_db": sigma,
-        "residual_rms_db": sigma,
+        "sigma_db": fit.sigma_db,
+        "residual_rms_db": fit.sigma_db,
         "sample_count": len(samples),
     }
     atomic_write_text(args.out, json.dumps(report, indent=2, sort_keys=True) + "\n")
@@ -199,7 +193,11 @@ def cmd_pathloss_fit(args) -> int:
 
 def cmd_gbsm(args) -> int:
     cfg = _require_config(args)
-    gcfg = gbsm_config(_require_section(cfg, "gbsm"), seed=args.seed)
+    section = _require_section(cfg, "gbsm")
+    try:
+        gcfg = gbsm_config(section, seed=args.seed)
+    except ValueError as err:
+        raise cfg.error("gbsm", None, str(err)) from None
     seq = run_scenario(gcfg)
     size = write_archive(args.out, seq)
     print(
@@ -210,6 +208,13 @@ def cmd_gbsm(args) -> int:
 
 
 def cmd_sounder(args) -> int:
+    # The config is settled before either capture is read, so a config
+    # error costs no archive decode.
+    cfg = load_config(args.config) if args.config else None
+    try:
+        budget, policy, band_fraction = sounder_settings(cfg and cfg.section("sounder") or {})
+    except ValueError as err:
+        raise cfg.error("sounder", None, str(err)) from None
     rx = read_archive(args.rx)
     cal = read_archive(args.cal)
     for name, seq in (("rx", rx), ("cal", cal)):
@@ -222,10 +227,6 @@ def cmd_sounder(args) -> int:
         )
     if rx.sample_period_s != cal.sample_period_s:
         raise ArchiveError("rx and cal sample periods differ")
-    section = {}
-    if args.config:
-        section = load_config(args.config).section("sounder") or {}
-    budget, policy, band_fraction = sounder_settings(section)
     sample_rate = 1.0 / rx.sample_period_s
 
     mpc_lines = ["snapshot,delay_ns,power_db"]
@@ -261,10 +262,7 @@ def cmd_analyze(args) -> int:
     seq = read_archive(args.archive)
     if seq.n_time < 2:
         raise ArchiveError(f"{args.archive}: need at least 2 snapshots to analyze")
-    pdps = [
-        PowerDelayProfile(seq.sample_period_s, to_db(np.abs(seq.cir[t, 0, 0]) ** 2))
-        for t in range(seq.n_time)
-    ]
+    pdps = [pdp_from_cir(seq.snapshot(t)) for t in range(seq.n_time)]
     corr = pdp_correlation_matrix(pdps)
     matrix_lines = [
         ",".join(_fmt(v) for v in row) for row in corr.values

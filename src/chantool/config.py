@@ -116,17 +116,26 @@ SCHEMA: dict[str, dict[str, object]] = {
 
 @dataclass(frozen=True)
 class Config:
-    """Validated configuration: section name -> key -> typed value."""
+    """Validated configuration: section name -> key -> typed value, and in
+    lines the file line of each header, keyed (section, None), and of each
+    key, keyed (section, key), for errors found after parsing."""
 
     path: str
     sections: dict[str, dict[str, object]]
+    lines: dict[tuple[str, str | None], int]
 
     def section(self, name: str) -> dict[str, object] | None:
         return self.sections.get(name)
 
+    def error(self, section: str, key: str | None, message: str) -> ConfigError:
+        """A ConfigError at the line of the key, or of the section header
+        when key is None; line 0 when the file does not have it."""
+        return ConfigError(self.path, self.lines.get((section, key), 0), message)
+
 
 def parse_config(text: str, path: str = "<config>") -> Config:
     sections: dict[str, dict[str, object]] = {}
+    lines: dict[tuple[str, str | None], int] = {}
     current: str | None = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].split(";", 1)[0].strip()
@@ -143,6 +152,7 @@ def parse_config(text: str, path: str = "<config>") -> Config:
             if name in sections:
                 raise ConfigError(path, lineno, f"duplicate section [{name}]")
             sections[name] = {}
+            lines[name, None] = lineno
             current = name
             continue
         if "=" not in line:
@@ -159,7 +169,8 @@ def parse_config(text: str, path: str = "<config>") -> Config:
             sections[current][key] = section_schema[key](value)
         except ValueError as err:
             raise ConfigError(path, lineno, f"bad value for {key!r}: {err}") from None
-    return Config(path=path, sections=sections)
+        lines[current, key] = lineno
+    return Config(path=path, sections=sections, lines=lines)
 
 
 def load_config(path: str) -> Config:

@@ -6,13 +6,17 @@ memoryless birth-death process; snapshots combine a Ricean line-of-sight
 term with the cluster rays on a uniform delay grid, including per-antenna
 array phases and velocity-driven Doppler and delay drift.  Everything is
 deterministic under the configured seed.
+
+Each step's clusters are one record array (cluster_dtype): a record per
+live cluster holding its id, delay, power, birth weight and a RAY_DTYPE
+subarray of its rays, so birth, death, drift and synthesis are column
+operations rather than per-cluster objects.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
-from typing import Sequence
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -108,82 +112,79 @@ RAY_DTYPE = np.dtype(
 )
 
 
-# eq=False: rays is an array, so clusters compare by identity; compare
-# fields with np.array_equal instead.
-@dataclass(frozen=True, eq=False)
-class Cluster:
-    id: int
-    delay_s: float
-    power_linear: float
-    # Read-only RAY_DTYPE array, one entry per ray.
-    rays: np.ndarray
-    # Unnormalized power weight fixed at birth; power_linear is this weight
-    # divided by the current total over all live clusters.
-    weight: float
+def cluster_dtype(rays_per_cluster: int) -> np.dtype:
+    """One record per cluster: its id, delay, normalized power, the
+    unnormalized weight fixed at birth, and its rays as a RAY_DTYPE
+    subarray.  power_linear is weight divided by the total weight of all
+    live clusters."""
+    return np.dtype([
+        ("id", np.int64), ("delay_s", np.float64), ("power_linear", np.float64),
+        ("weight", np.float64), ("rays", RAY_DTYPE, (rays_per_cluster,)),
+    ])
 
 
 @dataclass(frozen=True)
 class ClusterState:
-    clusters: tuple[Cluster, ...]
+    """The live clusters at time t_s, and the id the next birth takes.
+
+    clusters holds one cluster_dtype record per live cluster, stored as a
+    read-only np.recarray so that a record reads as c.id, c.delay_s,
+    c.power_linear and c.rays.  The generator itself indexes columns of
+    its plain ndarray view, which is several times cheaper per access.
+    """
+
+    clusters: np.ndarray
     t_s: float
     next_id: int
 
     def __post_init__(self) -> None:
-        total = sum(c.power_linear for c in self.clusters)
-        if self.clusters and abs(total - 1.0) > 1e-9:
+        recs = np.asarray(self.clusters)
+        total = float(recs["power_linear"].sum())
+        if recs.size and abs(total - 1.0) > 1e-9:
             raise ValueError(f"cluster powers must sum to 1, got {total}")
-        ids = [c.id for c in self.clusters]
-        if len(set(ids)) != len(ids):
+        if len(set(recs["id"].tolist())) != recs.size:
             raise ValueError("cluster ids must be unique")
-        if any(c.delay_s < 0.0 for c in self.clusters):
+        if np.any(recs["delay_s"] < 0.0):
             raise ValueError("cluster delays must be >= 0")
-
-
-def cluster_powers_from_delays(
-    delays_s: np.ndarray, shadows_db: np.ndarray, delay_scale_s: float
-) -> np.ndarray:
-    """Normalized cluster powers: shadowed exponential delay decay."""
-    delays_s = np.asarray(delays_s, dtype=float)
-    shadows_db = np.asarray(shadows_db, dtype=float)
-    weights = np.exp(-delays_s / delay_scale_s) * 10.0 ** (-shadows_db / 10.0)
-    return weights / weights.sum()
+        clusters = recs.view(np.recarray)
+        clusters.flags.writeable = False
+        object.__setattr__(self, "clusters", clusters)
 
 
 def _make_clusters(
     cfg: GbsmConfig, stream: RandomStream, count: int, first_id: int
-) -> list[Cluster]:
-    """Draw `count` fresh clusters; power_linear is left unnormalized (equal
-    to the raw weight) for the caller to renormalize."""
+) -> np.ndarray:
+    """Draw `count` fresh cluster records; power_linear is left at zero for
+    the caller to normalize."""
     rng = stream.rng
-    out = []
+    m = cfg.rays_per_cluster
+    recs = np.zeros(count, cluster_dtype(m))
     for i in range(count):
         delay = float(rng.exponential(cfg.delay_scale_s))
         shadow = float(rng.normal(0.0, cfg.per_cluster_shadow_db))
+        # Scalar math.exp and **, not np.exp/np.power: those differ in the
+        # last bit on some inputs, and the weights fix every output byte.
         weight = math.exp(-delay / cfg.delay_scale_s) * 10.0 ** (-shadow / 10.0)
         mean_aoa = float(rng.uniform(0.0, 2.0 * math.pi))
         mean_aod = float(rng.uniform(0.0, 2.0 * math.pi))
-        m = cfg.rays_per_cluster
         aoas = np.mod(mean_aoa + rng.normal(0.0, cfg.ray_angle_spread_rad, m), 2.0 * math.pi)
         aods = np.mod(mean_aod + rng.normal(0.0, cfg.ray_angle_spread_rad, m), 2.0 * math.pi)
         phases = rng.uniform(0.0, 2.0 * math.pi, m)
         subs = rng.exponential(cfg.ray_delay_scale_s, m)
         rays = np.column_stack((aoas, aods, phases, subs)).ravel().view(RAY_DTYPE)
-        rays.flags.writeable = False
-        out.append(Cluster(first_id + i, delay, weight, rays, weight))
-    return out
-
-
-def _renormalize(clusters: Sequence[Cluster]) -> tuple[Cluster, ...]:
-    total = sum(c.weight for c in clusters)
-    return tuple(replace(c, power_linear=c.weight / total) for c in clusters)
+        recs[i] = (first_id + i, delay, 0.0, weight, rays)
+    return recs
 
 
 def init_clusters(cfg: GbsmConfig, stream: RandomStream) -> ClusterState:
     """Initial cluster population: Poisson count (at least one), exponential
     delays, shadowed-exponential powers normalized to unit sum."""
     count = max(1, int(stream.rng.poisson(cfg.mean_clusters)))
-    clusters = _make_clusters(cfg, stream, count, first_id=0)
-    return ClusterState(_renormalize(clusters), t_s=0.0, next_id=count)
+    recs = _make_clusters(cfg, stream, count, first_id=0)
+    # sum() adds left to right as a per-cluster loop does; np.sum's
+    # pairwise order can differ in the last bit.
+    recs["power_linear"] = recs["weight"] / sum(recs["weight"].tolist())
+    return ClusterState(recs, t_s=0.0, next_id=count)
 
 
 def _radial_velocity(cfg: GbsmConfig) -> float:
@@ -205,25 +206,20 @@ def evolve_clusters(
     rng = stream.rng
     p_survive = math.exp(-cfg.death_rate_hz * dt_s)
     drift = _radial_velocity(cfg) / SPEED_OF_LIGHT * dt_s
-    survivors = []
-    for cluster in state.clusters:
-        if rng.uniform() < p_survive:
-            survivors.append(
-                replace(cluster, delay_s=max(cluster.delay_s + drift, 0.0))
-            )
+    recs = state.clusters.view(np.ndarray)
+    # The survivors: one vector draw gives the same values as one uniform()
+    # per cluster.
+    recs = recs[rng.uniform(size=recs.size) < p_survive]
+    recs["delay_s"] = np.maximum(recs["delay_s"] + drift, 0.0)
     n_births = int(rng.poisson(cfg.birth_rate_hz * dt_s))
-    if not survivors and n_births == 0:
+    if recs.size == 0 and n_births == 0:
         n_births = 1
-    born = _make_clusters(cfg, stream, n_births, first_id=state.next_id)
-    return ClusterState(
-        _renormalize(survivors + born),
-        t_s=state.t_s + dt_s,
-        next_id=state.next_id + n_births,
-    )
-
-
-def _k_linear(cfg: GbsmConfig) -> float:
-    return 10.0 ** (cfg.k_factor_db / 10.0)
+    # Record-array concatenation costs more than the rest of a step; skip it
+    # when none are born.
+    if n_births:
+        recs = np.concatenate((recs, _make_clusters(cfg, stream, n_births, state.next_id)))
+    recs["power_linear"] = recs["weight"] / sum(recs["weight"].tolist())
+    return ClusterState(recs, t_s=state.t_s + dt_s, next_id=state.next_id + n_births)
 
 
 def _los_delay(cfg: GbsmConfig, t_s: float) -> float:
@@ -254,20 +250,16 @@ def synthesize_snapshot(
         raise ValueError(f"rx_idx {rx_idx} outside [0, {cfg.n_rx})")
 
     lam = cfg.band.wavelength_m
-    k_lin = _k_linear(cfg)
+    k_lin = 10.0 ** (cfg.k_factor_db / 10.0)
     res = cfg.delay_resolution_s
     fc = cfg.band.carrier_hz
 
     los_delay = _los_delay(cfg, t_s)
     los_amp = math.sqrt(k_lin / (k_lin + 1.0)) * np.exp(-2j * math.pi * fc * los_delay)
-    # Concatenating float64 views gives the same bytes several times faster
-    # than concatenating the structured arrays themselves.
-    rays = np.concatenate(
-        [c.rays.view(np.float64) for c in state.clusters] or [np.empty(0)]
-    ).view(RAY_DTYPE)
-    per_cluster = [len(c.rays) for c in state.clusters]
-    cluster_delay = np.repeat([c.delay_s for c in state.clusters], per_cluster)
-    powers = np.repeat([c.power_linear for c in state.clusters], per_cluster)
+    recs = state.clusters.view(np.ndarray)
+    rays = recs["rays"].ravel()
+    cluster_delay = np.repeat(recs["delay_s"], cfg.rays_per_cluster)
+    powers = np.repeat(recs["power_linear"], cfg.rays_per_cluster)
     ray_amp = np.sqrt(powers / (cfg.rays_per_cluster * (k_lin + 1.0)))
 
     # Each expression keeps the operation order of the scalar formula, so
@@ -300,12 +292,10 @@ class CirSequence:
     """A run's worth of CIR snapshots on a common delay grid.
 
     cir is indexed (time, tx, rx, delay); snapshot() wraps one entry as a
-    CirSnapshot without copying.  config is None for sequences loaded from
-    an archive; mean_cluster_count is NaN unless the sequence came out of
-    run_scenario.
+    CirSnapshot without copying.  mean_cluster_count is NaN unless the
+    sequence came out of run_scenario.
     """
 
-    config: GbsmConfig | None
     t0_s: float
     dt_s: float
     sample_period_s: float
@@ -362,15 +352,13 @@ def run_scenario(cfg: GbsmConfig) -> CirSequence:
         )
     states = _evolution(cfg, n_steps)
 
-    max_delay = 0.0
-    for i, state in enumerate(states):
-        t = i * cfg.snapshot_interval_s
-        max_delay = max(max_delay, _los_delay(cfg, t))
-        for cluster in state.clusters:
-            max_delay = max(
-                max_delay, cluster.delay_s + float(cluster.rays["sub_delay_s"].max())
-            )
-    n_bins = int(round(max_delay / cfg.delay_resolution_s)) + 11
+    dt = cfg.snapshot_interval_s
+    los_max = max(_los_delay(cfg, i * dt) for i in range(n_steps))
+    ray_max = max(
+        float(np.max(recs["delay_s"] + recs["rays"]["sub_delay_s"].max(axis=1)))
+        for recs in (state.clusters.view(np.ndarray) for state in states)
+    )
+    n_bins = int(round(max(los_max, ray_max) / cfg.delay_resolution_s)) + 11
 
     cir = np.zeros((n_steps, cfg.n_tx, cfg.n_rx, n_bins), dtype=np.complex128)
     for t_idx, state in enumerate(states):
@@ -380,7 +368,6 @@ def run_scenario(cfg: GbsmConfig) -> CirSequence:
                 cir[t_idx, q, p] = synthesize_snapshot(state, cfg, t, q, p, n_bins).samples
 
     return CirSequence(
-        config=cfg,
         t0_s=0.0,
         dt_s=cfg.snapshot_interval_s,
         sample_period_s=cfg.delay_resolution_s,

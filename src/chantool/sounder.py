@@ -60,6 +60,9 @@ _OCCUPANCY_DB = -40.0
 # bandwidth.
 DEFAULT_BAND_FRACTION = 0.6
 
+# Length of the root-raised-cosine shaping filter, in chips.
+_RRC_SPAN_CHIPS = 16
+
 
 @dataclass(frozen=True)
 class WaveformSpec:
@@ -179,8 +182,8 @@ def generate_pn(order: int = 12, taps: Sequence[int] | None = None) -> np.ndarra
 
 
 @functools.lru_cache(maxsize=16)
-def _rrc_taps_cached(interp_factor: int, rolloff: float, span_chips: int) -> np.ndarray:
-    n = span_chips * interp_factor
+def _rrc_taps_cached(interp_factor: int, rolloff: float) -> np.ndarray:
+    n = _RRC_SPAN_CHIPS * interp_factor
     t = (np.arange(n + 1) - n / 2.0) / interp_factor
     h = np.empty(t.size)
     for i, ti in enumerate(t):
@@ -202,7 +205,7 @@ def _rrc_taps_cached(interp_factor: int, rolloff: float, span_chips: int) -> np.
     return h
 
 
-def rrc_filter_taps(spec: WaveformSpec, span_chips: int = 16) -> np.ndarray:
+def rrc_filter_taps(spec: WaveformSpec) -> np.ndarray:
     """Unit-energy root-raised-cosine taps at the waveform's interpolation rate.
 
     At interp_factor 1 the shaping degenerates to a unit impulse (chips are
@@ -210,7 +213,7 @@ def rrc_filter_taps(spec: WaveformSpec, span_chips: int = 16) -> np.ndarray:
     """
     if spec.interp_factor == 1:
         return np.array([1.0])
-    return _rrc_taps_cached(spec.interp_factor, spec.rrc_rolloff, span_chips)
+    return _rrc_taps_cached(spec.interp_factor, spec.rrc_rolloff)
 
 
 def _convolve_same(x: np.ndarray, h: np.ndarray) -> np.ndarray:

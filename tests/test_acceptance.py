@@ -298,7 +298,7 @@ def test_criterion_10_stationarity_detection(tmp_path):
     cir[change:, 0, 0, 40] = 1.0 * wobble[change:]
     cir[change:, 0, 0, 55] = 0.5 * wobble[change:]
     path = str(tmp_path / "regimes.cirb")
-    write_archive(path, CirSequence(None, 0.0, 62.5e-6, 1.0 / FS, cir))
+    write_archive(path, CirSequence(0.0, 62.5e-6, 1.0 / FS, cir))
 
     seq = read_archive(path)
     pdps = [

@@ -199,7 +199,6 @@ class TestXpr:
 
 def sequence_from_amps(amp_grid: np.ndarray, dt: float = 1e-3) -> CirSequence:
     return CirSequence(
-        config=GbsmConfig(),
         t0_s=0.0,
         dt_s=dt,
         sample_period_s=1.0 / FS,

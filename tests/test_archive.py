@@ -18,9 +18,7 @@ from chantool.gbsm import CirSequence
 def make_sequence(shape=(3, 2, 4, 16), seed=0, dt=1e-3, period=1.0 / 1.28e9):
     rng = np.random.default_rng(seed)
     cir = rng.normal(size=shape) + 1j * rng.normal(size=shape)
-    return CirSequence(
-        config=None, t0_s=0.25, dt_s=dt, sample_period_s=period, cir=cir
-    )
+    return CirSequence(t0_s=0.25, dt_s=dt, sample_period_s=period, cir=cir)
 
 
 class TestRoundTrip:
@@ -35,7 +33,6 @@ class TestRoundTrip:
         assert back.t0_s == seq.t0_s
         assert back.dt_s == seq.dt_s
         assert back.sample_period_s == seq.sample_period_s
-        assert back.config is None
 
     def test_quantization_noise_is_tiny(self, tmp_path):
         seq = make_sequence(shape=(2, 1, 1, 64), seed=3)
@@ -117,7 +114,6 @@ class TestValidation:
     def test_antenna_count_limits(self, tmp_path):
         seq = make_sequence(shape=(1, 1, 1, 4))
         big = CirSequence(
-            config=None,
             t0_s=0.0,
             dt_s=1.0,
             sample_period_s=1.0,

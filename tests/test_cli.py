@@ -88,7 +88,8 @@ class TestBlockage:
     def test_key_the_scenario_sweeps_exit_2(self, tmp_path, capsys, scenario, key):
         cfg = write(tmp_path / "c.ini", f"[blockage]\nscenario = {scenario}\n{key} = 2.0\n")
         assert main(["blockage", "--config", cfg, "--out", str(tmp_path / "x.csv")]) == 2
-        assert f"{key} does not apply to scenario = {scenario}" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"{cfg}:3: {key} does not apply to scenario = {scenario}" in err
         assert not (tmp_path / "x.csv").exists()
 
 
@@ -256,6 +257,24 @@ class TestSounder:
         assert main(["sounder", "--rx", rx, "--cal", dead, "--out", out]) == 2
         assert "calibration" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("[sounder]\ngr_dbi = 25.0\nmax_path = 5\n", ":3: unknown key 'max_path'"),
+            ("\n[sounder]\nmax_paths = 0\n", ":2: max_paths must be >= 1"),
+        ],
+        ids=["unknown-key", "bad-value"],
+    )
+    def test_config_error_reported_before_captures_read(
+        self, tmp_path, capsys, text, message
+    ):
+        cfg = write(tmp_path / "s.ini", text)
+        missing = str(tmp_path / "missing.cirb")
+        code = main(["sounder", "--rx", missing, "--cal", missing, "--config", cfg,
+                     "--out", str(tmp_path / "x.csv")])
+        assert code == 2
+        assert f"{cfg}{message}" in capsys.readouterr().err
+
     def test_multi_antenna_capture_rejected(self, tmp_path, capsys):
         rx, cal = make_captures(tmp_path)
         wide = str(tmp_path / "wide.cirb")
@@ -265,7 +284,6 @@ class TestSounder:
         write_archive(
             wide,
             CirSequence(
-                config=None,
                 t0_s=0.0,
                 dt_s=1.0,
                 sample_period_s=seq.sample_period_s,
@@ -285,9 +303,7 @@ def two_regime_archive(path, change_at=20, n_time=30, n_delay=64):
     cir[change_at:, 0, 0, 55] = 0.5
     from chantool.gbsm import CirSequence
 
-    seq = CirSequence(
-        config=None, t0_s=0.0, dt_s=1e-3, sample_period_s=1.0 / FS, cir=cir
-    )
+    seq = CirSequence(t0_s=0.0, dt_s=1e-3, sample_period_s=1.0 / FS, cir=cir)
     write_archive(path, seq)
     return path
 
@@ -456,7 +472,8 @@ class TestConfigContract:
         if (section, key) in ZERO_ONLY:
             assert run({**base, key: "0.0"}, "zero") == (0, before)
             assert run({**base, key: value}, "set") == (2, None)
-            assert "velocities must be horizontal" in capsys.readouterr().err
+            err = capsys.readouterr().err
+            assert f"{tmp_path / 'set.ini'}:1: velocities must be horizontal" in err
         else:
             code, after = run({**base, key: value}, "set")
             assert code == 0

@@ -43,6 +43,15 @@ class TestParsing:
         assert isinstance(cfg.section("sounder")["max_paths"], int)
         assert cfg.section("pathloss") is None
 
+    def test_errors_after_parsing_cite_lines(self):
+        cfg = parse_config(GOOD, "demo.ini")
+        assert str(cfg.error("gbsm", None, "m")) == "demo.ini:7: m"
+        assert str(cfg.error("gbsm", "rx_position_x_m", "m")) == "demo.ini:11: m"
+        assert str(cfg.error("sounder", "gr_dbi", "m")) == "demo.ini:15: m"
+        # absent from the file: no line to cite
+        assert str(cfg.error("pathloss", None, "m")) == "demo.ini:0: m"
+        assert str(cfg.error("gbsm", "n_tx", "m")) == "demo.ini:0: m"
+
     def test_unknown_key_reports_line(self):
         cases = [
             ("[gbsm]\nseed = 1\nmean_clutsers = 5\n", 3, "mean_clutsers"),

@@ -7,12 +7,11 @@ import pytest
 
 from chantool.core import Point3, derive_substream
 from chantool.gbsm import (
-    Cluster,
     ClusterState,
     GbsmConfig,
     RAY_DTYPE,
     SizingError,
-    cluster_powers_from_delays,
+    cluster_dtype,
     evolve_clusters,
     init_clusters,
     run_scenario,
@@ -36,14 +35,16 @@ def states_equal(a: ClusterState, b: ClusterState) -> bool:
     return (
         a.t_s == b.t_s
         and a.next_id == b.next_id
-        and len(a.clusters) == len(b.clusters)
-        and all(
-            (x.id, x.delay_s, x.power_linear, x.weight)
-            == (y.id, y.delay_s, y.power_linear, y.weight)
-            and rays_equal(x.rays, y.rays)
-            for x, y in zip(a.clusters, b.clusters)
-        )
+        and a.clusters.dtype == b.clusters.dtype
+        and a.clusters.tobytes() == b.clusters.tobytes()
     )
+
+
+def cluster_records(ids, delays, powers) -> np.ndarray:
+    recs = np.zeros(len(ids), cluster_dtype(1))
+    recs["id"], recs["delay_s"] = ids, delays
+    recs["power_linear"] = recs["weight"] = powers
+    return recs
 
 
 class TestConfig:
@@ -79,25 +80,6 @@ class TestConfig:
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ValueError):
             GbsmConfig(**kwargs)
-
-
-class TestClusterPowers:
-    def test_equal_delays_equal_powers(self):
-        p = cluster_powers_from_delays(np.full(4, 5e-8), np.zeros(4), 5e-8)
-        assert np.allclose(p, 0.25, atol=1e-15)
-
-    def test_sums_to_one(self):
-        rng = np.random.default_rng(9)
-        p = cluster_powers_from_delays(
-            rng.exponential(5e-8, 12), rng.normal(0.0, 3.0, 12), 5e-8
-        )
-        assert p.sum() == pytest.approx(1.0, abs=1e-12)
-        assert np.all(p > 0.0)
-
-    def test_no_shadow_decays_with_delay(self):
-        delays = np.array([0.0, 2e-8, 5e-8, 2e-7])
-        p = cluster_powers_from_delays(delays, np.zeros(4), 5e-8)
-        assert np.all(np.diff(p) < 0.0)
 
 
 class TestInitClusters:
@@ -140,23 +122,41 @@ class TestInitClusters:
                 assert np.all((0.0 <= c.rays[name]) & (c.rays[name] < 2.0 * math.pi))
             assert np.all(c.rays["sub_delay_s"] >= 0.0)
 
+    def test_no_shadow_decays_with_delay(self):
+        cfg = GbsmConfig(seed=9, mean_clusters=12.0, per_cluster_shadow_db=0.0)
+        recs = init_for(cfg).clusters
+        assert len(recs) > 4
+        order = np.argsort(recs.delay_s)
+        assert np.all(np.diff(recs.power_linear[order]) < 0.0)
+        assert recs.power_linear == pytest.approx(recs.weight / recs.weight.sum(), rel=1e-12)
+
     def test_state_invariants_enforced(self):
-        ray = np.zeros(1, dtype=RAY_DTYPE)
-        good = Cluster(0, 1e-8, 1.0, ray, 1.0)
         with pytest.raises(ValueError, match="sum to 1"):
-            ClusterState((Cluster(0, 1e-8, 0.5, ray, 0.5),), 0.0, 1)
+            ClusterState(cluster_records([0], [1e-8], [0.5]), 0.0, 1)
         with pytest.raises(ValueError, match="unique"):
-            ClusterState(
-                (
-                    Cluster(0, 1e-8, 0.5, ray, 0.5),
-                    Cluster(0, 2e-8, 0.5, ray, 0.5),
-                ),
-                0.0,
-                1,
-            )
+            ClusterState(cluster_records([0, 0], [1e-8, 2e-8], [0.5, 0.5]), 0.0, 1)
         with pytest.raises(ValueError, match=">= 0"):
-            ClusterState((Cluster(0, -1e-9, 1.0, ray, 1.0),), 0.0, 1)
-        ClusterState((good,), 0.0, 1)
+            ClusterState(cluster_records([0], [-1e-9], [1.0]), 0.0, 1)
+        ClusterState(cluster_records([0], [1e-8], [1.0]), 0.0, 1)
+
+    def test_cluster_records_contract(self):
+        # Records read by attribute, as the generator's callers read them.
+        cfg = GbsmConfig(seed=42, rays_per_cluster=7)
+        state = init_for(cfg)
+        assert isinstance(state.clusters, np.recarray)
+        assert len(state.clusters) == state.next_id == 8
+        for i, c in enumerate(state.clusters):
+            assert c.id == i
+            assert c.delay_s == state.clusters["delay_s"][i] > 0.0
+            assert c.power_linear == state.clusters["power_linear"][i] > 0.0
+            assert len(c.rays) == 7
+            assert c.rays.dtype == RAY_DTYPE
+        with pytest.raises(ValueError, match="read-only"):
+            state.clusters.delay_s[0] = 0.0
+        with pytest.raises(ValueError, match="read-only"):
+            state.clusters[0] = state.clusters[1]
+        with pytest.raises(ValueError, match="read-only"):
+            state.clusters[0].rays["phase_rad"][0] = 0.0
 
 
 class TestEvolveClusters:
