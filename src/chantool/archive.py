@@ -7,8 +7,10 @@ Layout, all little endian:
 
 The payload is float32 (re, im) pairs in (time, tx, rx, delay) row-major
 order; its length must be exactly 8 * n_time * n_tx * n_rx * n_delay
-bytes.  Values are stored at float32 precision (about -150 dB quantization
-noise); readers get complex128 back.
+bytes, and only n_time may be 0.  Values are stored at float32 precision
+(about -150 dB quantization noise); readers get complex128 back.  Files
+stream in blocks of whole time steps of about BLOCK_BYTES, and readers
+check every size against the header before reading the payload.
 
 Raw capture waveforms reuse the same container with n_tx = n_rx = 1 and
 the sample axis in the delay slot.
@@ -16,9 +18,11 @@ the sample axis in the delay slot.
 
 from __future__ import annotations
 
+import itertools
 import os
 import struct
 import tempfile
+from collections.abc import Iterable
 
 import numpy as np
 
@@ -26,6 +30,7 @@ from chantool.gbsm import CirSequence
 
 MAGIC = b"CIRB"
 VERSION = 1
+BLOCK_BYTES = 1 << 20
 _HEADER = struct.Struct("<4sHIBBIddd")
 
 
@@ -33,14 +38,15 @@ class ArchiveError(ValueError):
     """The file does not conform to the archive format."""
 
 
-def atomic_write_bytes(path: str, data: bytes) -> None:
-    """Write via a temp file in the target directory plus rename, so a
-    crash never leaves a partial file at the destination."""
+def atomic_write_bytes(path: str, chunks: Iterable[bytes]) -> None:
+    """Write C-contiguous buffers in order, lazily, via a temp file in the
+    target directory plus rename, so a crash never leaves a partial file."""
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
     try:
         with os.fdopen(fd, "wb") as handle:
-            handle.write(data)
+            for chunk in chunks:
+                handle.write(chunk)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -49,7 +55,7 @@ def atomic_write_bytes(path: str, data: bytes) -> None:
 
 
 def atomic_write_text(path: str, text: str) -> None:
-    atomic_write_bytes(path, text.encode("utf-8"))
+    atomic_write_bytes(path, (text.encode("utf-8"),))
 
 
 def write_archive(path: str, seq: CirSequence) -> int:
@@ -59,49 +65,51 @@ def write_archive(path: str, seq: CirSequence) -> int:
     n_time, n_tx, n_rx, n_delay = seq.cir.shape
     if not 1 <= n_tx <= 255 or not 1 <= n_rx <= 255:
         raise ArchiveError(f"antenna counts {n_tx}x{n_rx} do not fit the format")
-    if n_time >= 2**32 or n_delay >= 2**32:
-        raise ArchiveError("time or delay axis too long for the format")
-    header = _HEADER.pack(
-        MAGIC,
-        VERSION,
-        n_time,
-        n_tx,
-        n_rx,
-        n_delay,
-        seq.sample_period_s,
-        seq.t0_s,
-        seq.dt_s,
+    if n_time >= 2**32 or not 1 <= n_delay < 2**32:
+        raise ArchiveError(f"time x delay {n_time}x{n_delay} does not fit the format")
+    header = _HEADER.pack(MAGIC, VERSION, n_time, n_tx, n_rx, n_delay,
+                          seq.sample_period_s, seq.t0_s, seq.dt_s)
+    step = max(1, BLOCK_BYTES // (8 * n_tx * n_rx * n_delay))
+    blocks = (
+        seq.cir[t : t + step].astype("<c8", order="C") for t in range(0, n_time, step)
     )
-    payload = np.ascontiguousarray(seq.cir).astype("<c8").tobytes()
-    atomic_write_bytes(path, header + payload)
-    return len(header) + len(payload)
+    atomic_write_bytes(path, itertools.chain((header,), blocks))
+    return _HEADER.size + 8 * seq.cir.size
 
 
 def read_archive(path: str) -> CirSequence:
-    """Parse and validate an archive; every size field is checked exactly."""
+    """Parse and validate an archive, checking every size before the payload."""
     with open(path, "rb") as handle:
-        blob = handle.read()
-    if len(blob) < _HEADER.size:
-        raise ArchiveError(f"{path}: truncated header ({len(blob)} bytes)")
-    magic, version, n_time, n_tx, n_rx, n_delay, period, t0, dt = _HEADER.unpack(
-        blob[: _HEADER.size]
-    )
-    if magic != MAGIC:
-        raise ArchiveError(f"{path}: bad magic {magic!r}")
-    if version != VERSION:
-        raise ArchiveError(f"{path}: unsupported version {version}")
-    expected = 8 * n_time * n_tx * n_rx * n_delay
-    actual = len(blob) - _HEADER.size
-    if actual != expected:
-        raise ArchiveError(
-            f"{path}: payload is {actual} bytes, header implies {expected}"
+        head = handle.read(_HEADER.size)
+        if len(head) < _HEADER.size:
+            raise ArchiveError(f"{path}: truncated header ({len(head)} bytes)")
+        magic, version, n_time, n_tx, n_rx, n_delay, period, t0, dt = (
+            _HEADER.unpack(head)
         )
-    if not period > 0.0:
-        raise ArchiveError(f"{path}: sample_period_s must be positive, got {period}")
-    if not dt > 0.0:
-        raise ArchiveError(f"{path}: dt_s must be positive, got {dt}")
-    flat = np.frombuffer(blob, dtype="<c8", offset=_HEADER.size)
-    cir = flat.astype(np.complex128).reshape(n_time, n_tx, n_rx, n_delay)
+        if magic != MAGIC:
+            raise ArchiveError(f"{path}: bad magic {magic!r}")
+        if version != VERSION:
+            raise ArchiveError(f"{path}: unsupported version {version}")
+        if 0 in (n_tx, n_rx, n_delay):
+            raise ArchiveError(f"{path}: empty axis in {n_time}x{n_tx}x{n_rx}x{n_delay}")
+        expected = 8 * n_time * n_tx * n_rx * n_delay
+        actual = os.fstat(handle.fileno()).st_size - _HEADER.size
+        if actual != expected:
+            raise ArchiveError(
+                f"{path}: payload is {actual} bytes, header implies {expected}"
+            )
+        if not period > 0.0:
+            raise ArchiveError(f"{path}: sample_period_s must be positive, got {period}")
+        if not dt > 0.0:
+            raise ArchiveError(f"{path}: dt_s must be positive, got {dt}")
+        cir = np.empty((n_time, n_tx, n_rx, n_delay), dtype=np.complex128)
+        step = max(1, BLOCK_BYTES // (8 * n_tx * n_rx * n_delay))
+        buffer = np.empty((min(step, n_time), n_tx, n_rx, n_delay), dtype="<c8")
+        for t in range(0, n_time, step):
+            block = buffer[: n_time - t]
+            if handle.readinto(block) != block.nbytes:
+                raise ArchiveError(f"{path}: payload ended before {expected} bytes")
+            cir[t : t + len(block)] = block
     return CirSequence(t0_s=t0, dt_s=dt, sample_period_s=period, cir=cir)
 
 

@@ -60,9 +60,7 @@ _MODEL_ORDER = ("metis", "kirchhoff", "gtd")
 
 
 def _fmt(value: float) -> str:
-    """Shortest round-trip decimal; NaN spelled out for CSV stability."""
-    if isinstance(value, float) and math.isnan(value):
-        return "nan"
+    """Shortest round-trip decimal; repr already spells NaN as nan."""
     return repr(float(value))
 
 
@@ -121,7 +119,7 @@ def cmd_blockage(args) -> int:
         float(settings["cylinder_radius_m"]),
         float(settings["cylinder_height_m"]),
     )
-    columns = {}
+    columns = []
     for model in models:
         blocker = cylinder if model == "gtd" else screen
         scn = BlockageScenario(tx, rx, band, (blocker,))
@@ -131,13 +129,11 @@ def cmd_blockage(args) -> int:
         values = [value for _, value in result]
         nan_count = sum(1 for v in values if math.isnan(v))
         print(f"{model}: {nan_count} NaN point(s)", file=sys.stderr)
-        columns[model] = values
+        columns.append(values)
 
-    lines = ["position_m," + ",".join(f"{m}_att_db" for m in models)]
-    for i, pos in enumerate(positions):
-        row = [_fmt(pos)] + [_fmt(columns[m][i]) for m in models]
-        lines.append(",".join(row))
-    atomic_write_text(args.out, "\n".join(lines) + "\n")
+    header = "position_m," + ",".join(f"{m}_att_db" for m in models) + "\n"
+    rows = [",".join(map(_fmt, row)) + "\n" for row in zip(positions, *columns)]
+    atomic_write_text(args.out, "".join([header, *rows]))
     return EXIT_OK
 
 
@@ -179,7 +175,9 @@ def cmd_pathloss_fit(args) -> int:
             fit = abg_fit(samples, fix_gamma=0.0 if model_name == "fi" else None)
             params = {"alpha": fit.alpha, "beta_db": fit.beta_db, "gamma": fit.gamma}
     except RankDeficientError as err:
-        raise ValueError(f"{err} (use --model fi for single-frequency data)") from None
+        fi_helps = model_name == "abg" and len({s.distance_m for s in samples}) > 1
+        hint = " (use --model fi for single-frequency data)" if fi_helps else ""
+        raise ValueError(f"{err}{hint}") from None
     report = {
         "model": model_name,
         "parameters": params,
@@ -229,8 +227,8 @@ def cmd_sounder(args) -> int:
         raise ArchiveError("rx and cal sample periods differ")
     sample_rate = 1.0 / rx.sample_period_s
 
-    mpc_lines = ["snapshot,delay_ns,power_db"]
-    stat_lines = ["snapshot,received_power_db,path_loss_db,rms_ds_ns"]
+    mpc_rows = ["snapshot,delay_ns,power_db\n"]
+    stat_rows = ["snapshot,received_power_db,path_loss_db,rms_ds_ns\n"]
     for t in range(rx.n_time):
         y_rx = rx.cir[t, 0, 0]
         y_cal = cal.cir[min(t, cal.n_time - 1), 0, 0]
@@ -238,21 +236,16 @@ def cmd_sounder(args) -> int:
             y_rx, y_cal, band_fraction=band_fraction, sample_rate_hz=sample_rate
         )
         mpcs = extract_mpcs(cir, policy)
-        for m in mpcs:
-            mpc_lines.append(
-                f"{t},{_fmt(m.delay_s * 1e9)},{_fmt(m.power_db)}"
-            )
+        mpc_rows += [f"{t},{_fmt(m.delay_s * 1e9)},{_fmt(m.power_db)}\n" for m in mpcs]
         if mpcs:
             p_rx = received_power(mpcs)
             ds_ns = rms_delay_spread(mpcs) * 1e9
         else:
             p_rx = DB_FLOOR
             ds_ns = math.nan
-        stat_lines.append(
-            f"{t},{_fmt(p_rx)},{_fmt(path_loss_from_power(p_rx, budget))},"
-            f"{_fmt(ds_ns)}"
-        )
-    atomic_write_text(args.out, "\n".join(mpc_lines + stat_lines) + "\n")
+        pl_db = path_loss_from_power(p_rx, budget)
+        stat_rows.append(f"{t},{_fmt(p_rx)},{_fmt(pl_db)},{_fmt(ds_ns)}\n")
+    atomic_write_text(args.out, "".join(mpc_rows + stat_rows))
     return EXIT_OK
 
 
@@ -264,24 +257,21 @@ def cmd_analyze(args) -> int:
         raise ArchiveError(f"{args.archive}: need at least 2 snapshots to analyze")
     pdps = [pdp_from_cir(seq.snapshot(t)) for t in range(seq.n_time)]
     corr = pdp_correlation_matrix(pdps)
-    matrix_lines = [
-        ",".join(_fmt(v) for v in row) for row in corr.values
-    ]
-    atomic_write_text(args.out, "\n".join(matrix_lines) + "\n")
+    atomic_write_text(
+        args.out, "".join(",".join(map(repr, row.tolist())) + "\n" for row in corr.values)
+    )
 
     stem, ext = os.path.splitext(args.out)
     if args.stationarity:
         report = stationary_intervals(corr, args.threshold)
-        lines = ["start_index,end_index"] + [
-            f"{start},{end}" for start, end in report.intervals
-        ]
-        atomic_write_text(f"{stem}_intervals{ext or '.csv'}", "\n".join(lines) + "\n")
+        rows = [f"{start},{end}\n" for start, end in report.intervals]
+        text = "".join(["start_index,end_index\n", *rows])
+        atomic_write_text(f"{stem}_intervals{ext or '.csv'}", text)
     if args.los_track:
         track = los_power_track(seq)
-        lines = ["t_s,power_db"] + [
-            f"{_fmt(t)},{_fmt(level)}" for t, level in track
-        ]
-        atomic_write_text(f"{stem}_los{ext or '.csv'}", "\n".join(lines) + "\n")
+        rows = [f"{_fmt(t)},{_fmt(level)}\n" for t, level in track]
+        text = "".join(["t_s,power_db\n", *rows])
+        atomic_write_text(f"{stem}_los{ext or '.csv'}", text)
     return EXIT_OK
 
 

@@ -2,11 +2,15 @@
 
 import os
 import struct
+import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from chantool import archive
 from chantool.archive import (
+    BLOCK_BYTES,
     ArchiveError,
     capture_sequence,
     read_archive,
@@ -19,6 +23,22 @@ def make_sequence(shape=(3, 2, 4, 16), seed=0, dt=1e-3, period=1.0 / 1.28e9):
     rng = np.random.default_rng(seed)
     cir = rng.normal(size=shape) + 1j * rng.normal(size=shape)
     return CirSequence(t0_s=0.25, dt_s=dt, sample_period_s=period, cir=cir)
+
+
+def header_only(path, shape, period=1.0, dt=1e-3):
+    with open(path, "wb") as handle:
+        handle.write(struct.pack("<4sHIBBIddd", b"CIRB", 1, *shape, period, 0.0, dt))
+    return path
+
+
+def traced_peak(fn, *args):
+    """Peak bytes allocated while fn runs; numpy reports its buffers."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 class TestRoundTrip:
@@ -59,6 +79,17 @@ class TestRoundTrip:
         path = str(tmp_path / "t.cirb")
         write_archive(path, make_sequence())
         assert sorted(os.listdir(tmp_path)) == ["t.cirb"]
+
+    @pytest.mark.parametrize("shape", [(0, 2, 3, 5), (1000, 1, 1, 300), (3, 2, 2, 70000)])
+    def test_block_boundaries(self, tmp_path, shape):
+        # No snapshots, many steps per block with a partial last block, and
+        # steps larger than a block.
+        seq = make_sequence(shape=shape, seed=5)
+        path = str(tmp_path / "b.cirb")
+        assert write_archive(path, seq) == 40 + 8 * seq.cir.size
+        back = read_archive(path)
+        assert back.cir.shape == shape
+        assert np.array_equal(back.cir, seq.cir.astype(np.complex64))
 
 
 class TestValidation:
@@ -103,12 +134,30 @@ class TestValidation:
             read_archive(path)
 
     def test_nonpositive_period_rejected(self, tmp_path):
-        header = struct.Struct("<4sHIBBIddd").pack(
-            b"CIRB", 1, 0, 1, 1, 4, 0.0, 0.0, 1e-3
-        )
-        path = str(tmp_path / "z.cirb")
-        open(path, "wb").write(header)
+        path = header_only(str(tmp_path / "z.cirb"), (0, 1, 1, 4), period=0.0)
         with pytest.raises(ArchiveError, match="sample_period"):
+            read_archive(path)
+
+    @pytest.mark.parametrize("shape", [(2, 0, 1, 4), (2, 1, 0, 4), (2, 1, 1, 0)])
+    def test_empty_axis_rejected(self, tmp_path, shape):
+        path = header_only(str(tmp_path / "e.cirb"), shape)
+        with pytest.raises(ArchiveError, match="empty axis"):
+            read_archive(path)
+        empty = CirSequence(
+            t0_s=0.0, dt_s=1.0, sample_period_s=1.0, cir=np.zeros(shape, dtype=complex)
+        )
+        with pytest.raises(ArchiveError, match="fit the format"):
+            write_archive(str(tmp_path / "w.cirb"), empty)
+
+    def test_payload_shrinking_after_size_check_rejected(self, tmp_path, monkeypatch):
+        path = str(tmp_path / "s.cirb")
+        write_archive(path, make_sequence())
+        full = os.path.getsize(path)
+        with open(path, "r+b") as handle:
+            handle.truncate(full - 8)
+        fake_os = SimpleNamespace(fstat=lambda fd: SimpleNamespace(st_size=full))
+        monkeypatch.setattr(archive, "os", fake_os)
+        with pytest.raises(ArchiveError, match="ended"):
             read_archive(path)
 
     def test_antenna_count_limits(self, tmp_path):
@@ -122,6 +171,21 @@ class TestValidation:
         with pytest.raises(ArchiveError, match="antenna"):
             write_archive(str(tmp_path / "big.cirb"), big)
         write_archive(str(tmp_path / "ok.cirb"), seq)
+
+
+class TestMemory:
+    SHAPE = (64, 1, 1, 32768)  # 16 MiB of payload, four steps a block
+
+    def test_read_holds_the_result_and_one_block(self, tmp_path):
+        path = str(tmp_path / "r.cirb")
+        write_archive(path, make_sequence(shape=self.SHAPE))
+        payload = os.path.getsize(path) - 40
+        assert traced_peak(read_archive, path) < 2 * payload + 2 * BLOCK_BYTES
+
+    def test_write_holds_about_one_block(self, tmp_path):
+        seq = make_sequence(shape=self.SHAPE)
+        peak = traced_peak(write_archive, str(tmp_path / "w.cirb"), seq)
+        assert peak < 8 * seq.cir.size / 4
 
 
 class TestCaptureSequence:

@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import struct
 
 import numpy as np
 import pytest
@@ -125,6 +126,17 @@ class TestPathlossFit:
                      "--out", str(tmp_path / "f.json")])
         assert code == 2
         assert "use --model fi for single-frequency data" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("model", ["ci", "fi", "abg"])
+    def test_equal_distances_exit_2_without_remedy(self, tmp_path, capsys, model):
+        rows = "".join(f"50.0,{f},{90.0 + f / 10}\n" for f in (28.0, 73.0, 140.0))
+        samples = write(tmp_path / "s.csv", "distance_m,freq_ghz,pl_db\n" + rows)
+        code = main(["pathloss-fit", samples, "--model", model,
+                     "--out", str(tmp_path / "f.json")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "distance" in err
+        assert "--model fi" not in err
 
     def test_noiseless_sigma_vanishes(self, tmp_path):
         samples = make_ci_samples(tmp_path / "s.csv", sigma=0.0)
@@ -347,6 +359,14 @@ class TestAnalyze:
         code = main(["analyze", arc, "--out", str(tmp_path / "c.csv")])
         assert code == 2
         assert "payload" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("shape", [(4, 0, 1, 8), (4, 1, 1, 0)])
+    def test_empty_axis_archive_exit_2(self, tmp_path, capsys, shape):
+        arc = tmp_path / "empty.cirb"
+        arc.write_bytes(struct.pack("<4sHIBBIddd", b"CIRB", 1, *shape, 1.0 / FS, 0.0, 1e-3))
+        code = main(["analyze", str(arc), "--out", str(tmp_path / "c.csv")])
+        assert code == 2
+        assert "empty axis" in capsys.readouterr().err
 
 
 class TestDeterminism:
