@@ -11,7 +11,8 @@ from typing import Sequence
 
 import numpy as np
 
-from chantool.core import DB_FLOOR, Mpc, PowerDelayProfile
+from chantool.archive import BLOCK_BYTES
+from chantool.core import DB_FLOOR, Mpc, from_db
 from chantool.gbsm import CirSequence
 from chantool.sounder import MpcExtractionPolicy, extract_mpcs, received_power
 
@@ -29,8 +30,11 @@ class CorrelationMatrix:
         n = self.snapshot_count
         if values.shape != (n, n):
             raise ValueError(f"values must be {n}x{n}, got {values.shape}")
-        if not np.allclose(values, values.T, atol=1e-12, rtol=0.0):
-            raise ValueError("correlation matrix must be symmetric")
+        step = max(1, BLOCK_BYTES // (8 * max(n, 1)))  # row blocks bound the temporaries
+        for i in range(0, n, step):
+            rows, cols = values[i : i + step], values[:, i : i + step].T
+            if not np.allclose(rows, cols, atol=1e-12, rtol=0.0):
+                raise ValueError("correlation matrix must be symmetric")
         if np.abs(np.diag(values) - 1.0).max() > 1e-12:
             raise ValueError("correlation matrix diagonal must be 1")
         if values.min() < -1.0 - 1e-12 or values.max() > 1.0 + 1e-12:
@@ -46,18 +50,18 @@ class StationaryReport:
     threshold: float
 
 
-def pdp_correlation_matrix(pdps: Sequence[PowerDelayProfile]) -> CorrelationMatrix:
-    """Pearson correlation of linear-power PDP vectors, all pairs.
+def pdp_correlation_matrix(pdp_db: np.ndarray) -> CorrelationMatrix:
+    """Pearson correlation of linear-power PDPs, all pairs of rows.
 
-    Degenerate constant vectors correlate 1 with other constants and 0
-    with everything else.
+    pdp_db is a (snapshots, delay bins) array in dB, as pdp_from_cir gives
+    for a (time, delay) block of CIR samples.  Degenerate constant vectors
+    correlate 1 with other constants and 0 with everything else.
     """
-    if len(pdps) < 2:
+    if np.ndim(pdp_db) != 2:
+        raise ValueError(f"PDPs must be 2-D (snapshots, bins), got {np.ndim(pdp_db)}-D")
+    if len(pdp_db) < 2:
         raise ValueError("need at least 2 PDPs")
-    lengths = {p.power_db.size for p in pdps}
-    if len(lengths) != 1:
-        raise ValueError(f"PDPs must have equal length, got {sorted(lengths)}")
-    x = np.stack([p.linear() for p in pdps])
+    x = from_db(pdp_db)
     centered = x - x.mean(axis=1, keepdims=True)
     norms = np.sqrt(np.sum(centered**2, axis=1))
     constant = norms == 0.0
@@ -68,9 +72,11 @@ def pdp_correlation_matrix(pdps: Sequence[PowerDelayProfile]) -> CorrelationMatr
     corr[constant, :] = 0.0
     corr[:, constant] = 0.0
     corr[np.ix_(constant, constant)] = 1.0
-    corr = np.clip((corr + corr.T) / 2.0, -1.0, 1.0)
+    corr = corr + corr.T  # rebinding frees the unsymmetrised matrix
+    corr /= 2.0
+    np.clip(corr, -1.0, 1.0, out=corr)
     np.fill_diagonal(corr, 1.0)
-    return CorrelationMatrix(values=corr, snapshot_count=len(pdps))
+    return CorrelationMatrix(values=corr, snapshot_count=len(pdp_db))
 
 
 def stationary_intervals(

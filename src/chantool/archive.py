@@ -7,10 +7,10 @@ Layout, all little endian:
 
 The payload is float32 (re, im) pairs in (time, tx, rx, delay) row-major
 order; its length must be exactly 8 * n_time * n_tx * n_rx * n_delay
-bytes, and only n_time may be 0.  Values are stored at float32 precision
-(about -150 dB quantization noise); readers get complex128 back.  Files
-stream in blocks of whole time steps of about BLOCK_BYTES, and readers
-check every size against the header before reading the payload.
+bytes, and only n_time may be 0.  Values must be finite and are stored at
+float32 precision (about -150 dB quantization noise); readers get complex128
+back.  Files stream in blocks of whole time steps of about BLOCK_BYTES, and
+readers check every size against the header before reading the payload.
 
 Raw capture waveforms reuse the same container with n_tx = n_rx = 1 and
 the sample axis in the delay slot.
@@ -58,6 +58,14 @@ def atomic_write_text(path: str, text: str) -> None:
     atomic_write_bytes(path, (text.encode("utf-8"),))
 
 
+def _finite(block: np.ndarray, t: int, path: str) -> np.ndarray:
+    """Return a <c8 block of the time steps from t; raise at a NaN or infinity."""
+    bad = ~np.isfinite(block.view("<f4")).reshape(len(block), -1).all(axis=1)
+    if bad.any():
+        raise ArchiveError(f"{path}: non-finite value at time step {t + bad.argmax()}")
+    return block
+
+
 def write_archive(path: str, seq: CirSequence) -> int:
     """Serialize a sequence; returns the byte count written."""
     if seq.cir.ndim != 4:
@@ -71,7 +79,8 @@ def write_archive(path: str, seq: CirSequence) -> int:
                           seq.sample_period_s, seq.t0_s, seq.dt_s)
     step = max(1, BLOCK_BYTES // (8 * n_tx * n_rx * n_delay))
     blocks = (
-        seq.cir[t : t + step].astype("<c8", order="C") for t in range(0, n_time, step)
+        _finite(seq.cir[t : t + step].astype("<c8", order="C"), t, path)
+        for t in range(0, n_time, step)
     )
     atomic_write_bytes(path, itertools.chain((header,), blocks))
     return _HEADER.size + 8 * seq.cir.size
@@ -109,7 +118,7 @@ def read_archive(path: str) -> CirSequence:
             block = buffer[: n_time - t]
             if handle.readinto(block) != block.nbytes:
                 raise ArchiveError(f"{path}: payload ended before {expected} bytes")
-            cir[t : t + len(block)] = block
+            cir[t : t + len(block)] = _finite(block, t, path)
     return CirSequence(t0_s=t0, dt_s=dt, sample_period_s=period, cir=cir)
 
 

@@ -21,12 +21,15 @@ from chantool.analysis import (
     stationary_intervals,
 )
 from chantool.archive import (
+    BLOCK_BYTES,
     ArchiveError,
+    atomic_write_bytes,
     atomic_write_text,
     read_archive,
     write_archive,
 )
 from chantool.blockage import (
+    MODELS,
     BlockageScenario,
     Cylinder,
     GeometryError,
@@ -55,8 +58,6 @@ from chantool.sounder import (
 EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_SIZING = 3
-
-_MODEL_ORDER = ("metis", "kirchhoff", "gtd")
 
 
 def _fmt(value: float) -> str:
@@ -89,8 +90,8 @@ def cmd_blockage(args) -> int:
         raise cfg.error(
             "blockage", ignored, f"{ignored} does not apply to scenario = {scenario}"
         )
-    models = list(_MODEL_ORDER) if "all" in args.model else [
-        m for m in _MODEL_ORDER if m in args.model
+    models = list(MODELS) if "all" in args.model else [
+        m for m in MODELS if m in args.model
     ]
     band = FrequencyBand.preset(float(settings["carrier_ghz"]))
     h = float(settings["antenna_height_m"])
@@ -255,11 +256,12 @@ def cmd_analyze(args) -> int:
     seq = read_archive(args.archive)
     if seq.n_time < 2:
         raise ArchiveError(f"{args.archive}: need at least 2 snapshots to analyze")
-    pdps = [pdp_from_cir(seq.snapshot(t)) for t in range(seq.n_time)]
-    corr = pdp_correlation_matrix(pdps)
-    atomic_write_text(
-        args.out, "".join(",".join(map(repr, row.tolist())) + "\n" for row in corr.values)
-    )
+    corr = pdp_correlation_matrix(pdp_from_cir(seq.cir[:, 0, 0]))
+    # Chunks of whole rows (~BLOCK_BYTES at ~20 characters a value) bound the text.
+    step = max(1, BLOCK_BYTES // (20 * seq.n_time))
+    blocks = (corr.values[i : i + step].tolist() for i in range(0, seq.n_time, step))
+    chunks = ("".join(",".join(map(repr, r)) + "\n" for r in b).encode() for b in blocks)
+    atomic_write_bytes(args.out, chunks)
 
     stem, ext = os.path.splitext(args.out)
     if args.stationarity:
@@ -287,7 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--model",
         action="append",
-        choices=[*_MODEL_ORDER, "all"],
+        choices=[*MODELS, "all"],
         default=None,
         help="repeatable; default all",
     )

@@ -1,8 +1,8 @@
 """Shared value types and helpers for the channel toolkit.
 
 Everything downstream (blockage, path loss, channel synthesis, sounder
-processing) builds on the small immutable types defined here plus a
-deterministic substream scheme for random number generation.
+processing) builds on the small immutable types and array helpers (dB, PDP)
+defined here plus a deterministic substream scheme for random numbers.
 """
 
 from __future__ import annotations
@@ -141,28 +141,10 @@ class Mpc:
         return cls(delay_s, amplitude, power_db)
 
 
-@dataclass(frozen=True)
-class PowerDelayProfile:
-    """Per-bin power in dB on a uniform delay grid."""
-
-    sample_period_s: float
-    power_db: np.ndarray
-
-    def __post_init__(self) -> None:
-        if self.sample_period_s <= 0.0:
-            raise ValueError("sample_period_s must be positive")
-        object.__setattr__(
-            self, "power_db", np.asarray(self.power_db, dtype=float)
-        )
-
-    def linear(self) -> np.ndarray:
-        return np.asarray(from_db(self.power_db), dtype=float)
-
-
-def pdp_from_cir(snapshot: CirSnapshot) -> PowerDelayProfile:
-    """Power delay profile 10*log10(|s|^2); zero bins map to DB_FLOOR."""
-    power = np.abs(snapshot.samples) ** 2
-    return PowerDelayProfile(snapshot.sample_period_s, to_db(power))
+def pdp_from_cir(samples: np.ndarray) -> np.ndarray:
+    """Power delay profile 10*log10(|s|^2) in dB (zero bins at DB_FLOOR) along
+    the delay axis, the last; a (time, delay) block gives one PDP per row."""
+    return to_db(np.abs(samples) ** 2)
 
 
 @dataclass(frozen=True)

@@ -33,9 +33,8 @@ from chantool.core import (
     BAND_39,
     Mpc,
     Point3,
-    PowerDelayProfile,
     derive_substream,
-    to_db,
+    pdp_from_cir,
 )
 from chantool.gbsm import CirSequence, GbsmConfig, init_clusters, synthesize_snapshot
 from chantool.pathloss import (
@@ -301,11 +300,7 @@ def test_criterion_10_stationarity_detection(tmp_path):
     write_archive(path, CirSequence(0.0, 62.5e-6, 1.0 / FS, cir))
 
     seq = read_archive(path)
-    pdps = [
-        PowerDelayProfile(seq.sample_period_s, to_db(np.abs(seq.cir[t, 0, 0]) ** 2))
-        for t in range(seq.n_time)
-    ]
-    corr = pdp_correlation_matrix(pdps)
+    corr = pdp_correlation_matrix(pdp_from_cir(seq.cir[:, 0, 0]))
     intervals = stationary_intervals(corr, 0.8).intervals
     elapsed = time.perf_counter() - t0
     boundary = intervals[1][0] if len(intervals) >= 2 else -1

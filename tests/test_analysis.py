@@ -17,8 +17,8 @@ from chantool.core import (
     DB_FLOOR,
     Mpc,
     Point3,
-    PowerDelayProfile,
     derive_substream,
+    pdp_from_cir,
     to_db,
 )
 from chantool.gbsm import CirSequence, GbsmConfig, run_scenario
@@ -27,63 +27,61 @@ from chantool.sounder import WaveformSpec, deconvolve_cir, extract_mpcs, simulat
 FS = 1.28e9
 
 
-def pdp_of(linear: np.ndarray) -> PowerDelayProfile:
-    return PowerDelayProfile(1.0 / FS, to_db(np.asarray(linear, dtype=float)))
+def pdp_of(linear) -> np.ndarray:
+    """PDPs in dB from linear powers, one row per snapshot."""
+    return to_db(np.asarray(linear, dtype=float))
 
 
 class TestCorrelationMatrix:
     def test_identical_pdps_all_ones(self):
         rng = np.random.default_rng(1)
-        p = pdp_of(rng.uniform(0.1, 1.0, 64))
-        corr = pdp_correlation_matrix([p, p, p])
+        p = rng.uniform(0.1, 1.0, 64)
+        corr = pdp_correlation_matrix(pdp_of([p, p, p]))
         assert corr.snapshot_count == 3
         assert np.allclose(corr.values, 1.0, atol=1e-12)
 
     def test_orthogonal_spikes_small_negative(self):
         n = 10
-        pdps = [pdp_of(np.eye(n)[i]) for i in range(4)]
-        corr = pdp_correlation_matrix(pdps)
+        corr = pdp_correlation_matrix(pdp_of(np.eye(n)[:4]))
         off = corr.values[~np.eye(4, dtype=bool)]
         assert np.allclose(off, -1.0 / (n - 1), atol=1e-12)
         # large vectors push the same value toward zero
-        big = [pdp_of(np.eye(1000)[i]) for i in range(3)]
-        off_big = pdp_correlation_matrix(big).values[0, 1]
+        off_big = pdp_correlation_matrix(pdp_of(np.eye(1000)[:3])).values[0, 1]
         assert abs(off_big) < 0.0011
 
     def test_opposite_spikes_fully_anticorrelated(self):
-        corr = pdp_correlation_matrix([pdp_of([1.0, 0.0]), pdp_of([0.0, 1.0])])
+        corr = pdp_correlation_matrix(pdp_of([[1.0, 0.0], [0.0, 1.0]]))
         assert corr.values[0, 1] == pytest.approx(-1.0, abs=1e-12)
 
     def test_diagonal_and_symmetry(self):
         rng = np.random.default_rng(2)
-        pdps = [pdp_of(rng.uniform(0.01, 1.0, 32)) for _ in range(6)]
-        corr = pdp_correlation_matrix(pdps)
+        corr = pdp_correlation_matrix(pdp_of(rng.uniform(0.01, 1.0, (6, 32))))
         assert np.abs(np.diag(corr.values) - 1.0).max() <= 1e-12
         assert np.abs(corr.values - corr.values.T).max() <= 1e-12
         assert corr.values.min() >= -1.0 and corr.values.max() <= 1.0
 
     def test_constant_vector_rules(self):
-        flat = pdp_of(np.full(16, 0.25))
-        flat2 = pdp_of(np.full(16, 3.0))
-        varying = pdp_of(np.linspace(0.1, 1.0, 16))
-        corr = pdp_correlation_matrix([flat, flat2, varying])
+        flat = np.full(16, 0.25)
+        flat2 = np.full(16, 3.0)
+        varying = np.linspace(0.1, 1.0, 16)
+        corr = pdp_correlation_matrix(pdp_of([flat, flat2, varying]))
         assert corr.values[0, 1] == pytest.approx(1.0, abs=1e-12)
         assert corr.values[0, 2] == pytest.approx(0.0, abs=1e-12)
         assert corr.values[1, 2] == pytest.approx(0.0, abs=1e-12)
 
     def test_scale_invariance(self):
         rng = np.random.default_rng(3)
-        base = [rng.uniform(0.01, 1.0, 48) for _ in range(5)]
-        a = pdp_correlation_matrix([pdp_of(v) for v in base])
-        b = pdp_correlation_matrix([pdp_of(v * 1234.5) for v in base])
+        base = rng.uniform(0.01, 1.0, (5, 48))
+        a = pdp_correlation_matrix(pdp_of(base))
+        b = pdp_correlation_matrix(pdp_of(base * 1234.5))
         assert np.abs(a.values - b.values).max() <= 1e-12
 
     def test_input_validation(self):
-        p = pdp_of(np.ones(8))
         with pytest.raises(ValueError, match="at least 2"):
-            pdp_correlation_matrix([p])
-        with pytest.raises(ValueError, match="equal length"):
-            pdp_correlation_matrix([p, pdp_of(np.ones(9))])
+            pdp_correlation_matrix(pdp_of(np.ones((1, 8))))
+        for shape in [(8,), (2, 2, 8)]:
+            with pytest.raises(ValueError, match="2-D"):
+                pdp_correlation_matrix(pdp_of(np.ones(shape)))
 
     def test_matrix_type_validation(self):
         with pytest.raises(ValueError, match="symmetric"):
@@ -94,6 +92,26 @@ class TestCorrelationMatrix:
             CorrelationMatrix(np.ones((3, 3)), 2)
         with pytest.raises(ValueError, match=r"\[-1, 1\]"):
             CorrelationMatrix(np.array([[1.0, -1.5], [-1.5, 1.0]]), 2)
+
+
+class TestMemory:
+    # The chain's analyze size: 1500 snapshots of 205 delay bins.
+    N, BINS = 1500, 205
+
+    def test_correlation_holds_about_two_matrices(self, traced_peak):
+        rng = np.random.default_rng(4)
+        linear = rng.exponential(size=(self.N, self.BINS))
+        linear[rng.random(linear.shape) < 0.3] = 0.0
+        pdp_db = pdp_of(linear)
+        result = 8 * self.N**2
+        assert traced_peak(pdp_correlation_matrix, pdp_db) <= 2.75 * result
+
+    def test_matrix_checks_hold_row_blocks(self, traced_peak):
+        rng = np.random.default_rng(5)
+        values = rng.uniform(-1.0, 1.0, (self.N, self.N))
+        values = (values + values.T) / 2.0
+        np.fill_diagonal(values, 1.0)
+        assert traced_peak(CorrelationMatrix, values, self.N) <= 0.25 * values.nbytes
 
 
 def block_matrix(sizes: list[int]) -> CorrelationMatrix:
@@ -125,8 +143,7 @@ class TestStationaryIntervals:
     def test_interval_count_monotone_in_threshold(self):
         rng = np.random.default_rng(8)
         base = rng.uniform(0.1, 1.0, 64)
-        pdps = [pdp_of(base + rng.uniform(0.0, 0.45, 64)) for _ in range(40)]
-        corr = pdp_correlation_matrix(pdps)
+        corr = pdp_correlation_matrix(pdp_of(base + rng.uniform(0.0, 0.45, (40, 64))))
         counts = [
             len(stationary_intervals(corr, th).intervals)
             for th in (0.3, 0.6, 0.9, 0.999)
@@ -136,8 +153,7 @@ class TestStationaryIntervals:
 
     def test_intervals_partition_snapshots(self):
         rng = np.random.default_rng(9)
-        pdps = [pdp_of(rng.uniform(0.01, 1.0, 32)) for _ in range(25)]
-        corr = pdp_correlation_matrix(pdps)
+        corr = pdp_correlation_matrix(pdp_of(rng.uniform(0.01, 1.0, (25, 32))))
         for th in (0.1, 0.5, 0.9):
             report = stationary_intervals(corr, th)
             covered = []
@@ -267,15 +283,8 @@ class TestLosPowerTrack:
 
 
 class TestGbsmSmoothness:
-    def pdps_of(self, cfg: GbsmConfig) -> list[PowerDelayProfile]:
-        seq = run_scenario(cfg)
-        return [
-            PowerDelayProfile(
-                seq.sample_period_s,
-                to_db(np.abs(seq.cir[t, 0, 0]) ** 2),
-            )
-            for t in range(seq.n_time)
-        ]
+    def pdps_of(self, cfg: GbsmConfig) -> np.ndarray:
+        return pdp_from_cir(run_scenario(cfg).cir[:, 0, 0])
 
     def test_vanishing_interval_correlation_above_99(self):
         cfg = GbsmConfig(

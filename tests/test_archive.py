@@ -1,8 +1,8 @@
 """Tests for the binary CIR archive format."""
 
+import math
 import os
 import struct
-import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -29,16 +29,6 @@ def header_only(path, shape, period=1.0, dt=1e-3):
     with open(path, "wb") as handle:
         handle.write(struct.pack("<4sHIBBIddd", b"CIRB", 1, *shape, period, 0.0, dt))
     return path
-
-
-def traced_peak(fn, *args):
-    """Peak bytes allocated while fn runs; numpy reports its buffers."""
-    tracemalloc.start()
-    try:
-        fn(*args)
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
 
 
 class TestRoundTrip:
@@ -160,6 +150,28 @@ class TestValidation:
         with pytest.raises(ArchiveError, match="ended"):
             read_archive(path)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize("shape, step", [((3, 2, 4, 16), 2), ((1000, 1, 1, 300), 900)])
+    def test_nonfinite_payload_rejected(self, tmp_path, value, shape, step):
+        path = str(tmp_path / "n.cirb")
+        write_archive(path, make_sequence(shape=shape))
+        step_bytes = 8 * shape[1] * shape[2] * shape[3]
+        with open(path, "r+b") as handle:
+            handle.seek(40 + step * step_bytes + 12)  # an imaginary part
+            handle.write(struct.pack("<f", value))
+        with pytest.raises(ArchiveError, match=f"non-finite value at time step {step}$"):
+            read_archive(path)
+
+    @pytest.mark.filterwarnings("ignore:overflow")
+    @pytest.mark.parametrize("value", [math.nan, -math.inf, 1e39])
+    def test_nonfinite_sequence_not_written(self, tmp_path, value):
+        # 1e39 is finite in complex128 but overflows the stored float32.
+        seq = make_sequence(shape=(3, 1, 1, 8))
+        seq.cir[1, 0, 0, 5] = value
+        with pytest.raises(ArchiveError, match="non-finite value at time step 1$"):
+            write_archive(str(tmp_path / "n.cirb"), seq)
+        assert os.listdir(tmp_path) == []
+
     def test_antenna_count_limits(self, tmp_path):
         seq = make_sequence(shape=(1, 1, 1, 4))
         big = CirSequence(
@@ -176,13 +188,13 @@ class TestValidation:
 class TestMemory:
     SHAPE = (64, 1, 1, 32768)  # 16 MiB of payload, four steps a block
 
-    def test_read_holds_the_result_and_one_block(self, tmp_path):
+    def test_read_holds_the_result_and_one_block(self, tmp_path, traced_peak):
         path = str(tmp_path / "r.cirb")
         write_archive(path, make_sequence(shape=self.SHAPE))
         payload = os.path.getsize(path) - 40
         assert traced_peak(read_archive, path) < 2 * payload + 2 * BLOCK_BYTES
 
-    def test_write_holds_about_one_block(self, tmp_path):
+    def test_write_holds_about_one_block(self, tmp_path, traced_peak):
         seq = make_sequence(shape=self.SHAPE)
         peak = traced_peak(write_archive, str(tmp_path / "w.cirb"), seq)
         assert peak < 8 * seq.cir.size / 4

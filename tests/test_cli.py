@@ -8,10 +8,13 @@ import struct
 import numpy as np
 import pytest
 
-from chantool.archive import capture_sequence, read_archive, write_archive
+from chantool import cli
+from chantool.analysis import pdp_correlation_matrix
+from chantool.archive import BLOCK_BYTES, capture_sequence, read_archive, write_archive
 from chantool.cli import main
 from chantool.config import SCHEMA
-from chantool.core import Mpc, derive_substream
+from chantool.core import Mpc, derive_substream, pdp_from_cir
+from chantool.gbsm import CirSequence
 from chantool.sounder import WaveformSpec, simulate_capture
 
 FS = 1.28e9
@@ -20,6 +23,15 @@ FS = 1.28e9
 def write(path, text):
     path.write_text(text)
     return str(path)
+
+
+def poke_nan(path, step):
+    """Overwrite the first real part of time step `step` with a float32 NaN."""
+    with open(path, "r+b") as handle:
+        n_tx, n_rx, n_delay = struct.unpack("<4sHIBBIddd", handle.read(40))[3:6]
+        handle.seek(40 + 8 * n_tx * n_rx * n_delay * step)
+        handle.write(struct.pack("<f", math.nan))
+    return path
 
 
 def read_rows(path):
@@ -287,12 +299,19 @@ class TestSounder:
         assert code == 2
         assert f"{cfg}{message}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("which", ["rx", "cal"])
+    def test_nonfinite_capture_exit_2(self, tmp_path, capsys, which):
+        rx, cal = make_captures(tmp_path)
+        poke_nan({"rx": rx, "cal": cal}[which], 0)
+        out = str(tmp_path / "x.csv")
+        assert main(["sounder", "--rx", rx, "--cal", cal, "--out", out]) == 2
+        assert "non-finite value at time step 0" in capsys.readouterr().err
+        assert not os.path.exists(out)
+
     def test_multi_antenna_capture_rejected(self, tmp_path, capsys):
         rx, cal = make_captures(tmp_path)
         wide = str(tmp_path / "wide.cirb")
         seq = read_archive(rx)
-        from chantool.gbsm import CirSequence
-
         write_archive(
             wide,
             CirSequence(
@@ -313,8 +332,6 @@ def two_regime_archive(path, change_at=20, n_time=30, n_delay=64):
     cir[:change_at, 0, 0, 20] = 0.5
     cir[change_at:, 0, 0, 40] = 1.0
     cir[change_at:, 0, 0, 55] = 0.5
-    from chantool.gbsm import CirSequence
-
     seq = CirSequence(t0_s=0.0, dt_s=1e-3, sample_period_s=1.0 / FS, cir=cir)
     write_archive(path, seq)
     return path
@@ -334,6 +351,30 @@ class TestAnalyze:
         header, rows = read_rows(tmp_path / "corr_intervals.csv")
         assert header == ["start_index", "end_index"]
         assert rows == [["0", "19"], ["20", "29"]]
+
+    def test_matrix_streams_in_row_chunks(self, tmp_path, monkeypatch):
+        rng = np.random.default_rng(12)
+        cir = rng.normal(size=(300, 1, 1, 64)) + 1j * rng.normal(size=(300, 1, 1, 64))
+        arc = str(tmp_path / "noise.cirb")
+        write_archive(arc, CirSequence(0.0, 1e-3, 1.0 / FS, cir))
+        sizes = []
+        write_bytes = cli.atomic_write_bytes
+
+        def recording(path, chunks):
+            chunks = list(chunks)
+            assert all(chunk.endswith(b"\n") for chunk in chunks)
+            sizes.extend(len(chunk) for chunk in chunks)
+            write_bytes(path, chunks)
+
+        monkeypatch.setattr(cli, "atomic_write_bytes", recording)
+        out = str(tmp_path / "corr.csv")
+        assert main(["analyze", arc, "--out", out]) == 0
+        assert len(sizes) >= 2
+        assert max(sizes) < 2 * BLOCK_BYTES
+        corr = pdp_correlation_matrix(pdp_from_cir(read_archive(arc).cir[:, 0, 0]))
+        expected = "".join(",".join(map(repr, r)) + "\n" for r in corr.values.tolist())
+        with open(out, "rb") as handle:
+            assert handle.read() == expected.encode()
 
     def test_los_track_output(self, tmp_path):
         arc = two_regime_archive(str(tmp_path / "two.cirb"))
@@ -359,6 +400,13 @@ class TestAnalyze:
         code = main(["analyze", arc, "--out", str(tmp_path / "c.csv")])
         assert code == 2
         assert "payload" in capsys.readouterr().err
+
+    def test_nonfinite_archive_exit_2(self, tmp_path, capsys):
+        arc = poke_nan(two_regime_archive(str(tmp_path / "two.cirb")), 7)
+        out = str(tmp_path / "c.csv")
+        assert main(["analyze", arc, "--stationarity", "--out", out]) == 2
+        assert "non-finite value at time step 7" in capsys.readouterr().err
+        assert not os.path.exists(out)
 
     @pytest.mark.parametrize("shape", [(4, 0, 1, 8), (4, 1, 1, 0)])
     def test_empty_axis_archive_exit_2(self, tmp_path, capsys, shape):

@@ -11,7 +11,6 @@ from chantool.core import (
     BAND_39,
     DB_FLOOR,
     SPEED_OF_LIGHT,
-    CirSnapshot,
     FrequencyBand,
     Mpc,
     Point3,
@@ -75,23 +74,28 @@ def test_mpc_power_consistency():
 
 
 def test_pdp_from_cir_examples():
-    cir = CirSnapshot(0.0, 1e-9, np.array([1.0 + 0.0j]))
-    assert pdp_from_cir(cir).power_db[0] == 0.0
-
-    cir = CirSnapshot(0.0, 1e-9, np.array([0.0 + 0.0j]))
-    assert pdp_from_cir(cir).power_db[0] == -300.0
-
-    cir = CirSnapshot(0.0, 1e-9, np.array([0.1 + 0.0j]))
-    assert pdp_from_cir(cir).power_db[0] == pytest.approx(-20.0, abs=1e-12)
+    assert pdp_from_cir(np.array([1.0 + 0.0j]))[0] == 0.0
+    assert pdp_from_cir(np.array([0.0 + 0.0j]))[0] == -300.0
+    assert pdp_from_cir(np.array([0.1 + 0.0j]))[0] == pytest.approx(-20.0, abs=1e-12)
 
 
-def test_pdp_length_and_period_carry_over():
+def test_pdp_shape_carries_over():
     rng = np.random.default_rng(7)
     samples = rng.standard_normal(64) + 1j * rng.standard_normal(64)
-    cir = CirSnapshot(0.25, 2e-9, samples)
-    pdp = pdp_from_cir(cir)
-    assert len(pdp.power_db) == 64
-    assert pdp.sample_period_s == 2e-9
+    assert len(pdp_from_cir(samples)) == 64
+    block = rng.standard_normal((5, 2, 64)) + 1j * rng.standard_normal((5, 2, 64))
+    assert pdp_from_cir(block).shape == (5, 2, 64)
+
+
+@pytest.mark.parametrize("shape", [(3, 1), (300, 205), (6, 2, 3, 17)])
+def test_pdp_block_rows_match_single_rows(shape):
+    # the PDP of a block is, bit for bit, the PDPs of its rows
+    rng = np.random.default_rng(11)
+    samples = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    samples[rng.random(shape) < 0.2] = 0.0
+    block = pdp_from_cir(samples)
+    for index in np.ndindex(shape[:-1]):
+        assert block[index].tobytes() == pdp_from_cir(samples[index]).tobytes()
 
 
 def test_pdp_scale_covariance_property():
@@ -103,8 +107,8 @@ def test_pdp_scale_covariance_property():
         zero_mask = rng.random(n) < 0.2
         samples[zero_mask] = 0.0
         g = float(rng.uniform(0.01, 100.0))
-        base = pdp_from_cir(CirSnapshot(0.0, 1e-9, samples)).power_db
-        scaled = pdp_from_cir(CirSnapshot(0.0, 1e-9, g * samples)).power_db
+        base = pdp_from_cir(samples)
+        scaled = pdp_from_cir(g * samples)
         shift = 20.0 * math.log10(g)
         finite = base > -300.0
         np.testing.assert_allclose(scaled[finite], base[finite] + shift, atol=1e-9)
@@ -149,3 +153,13 @@ def test_substream_independence_statistics():
     y = derive_substream(9, "b", 0).rng.standard_normal(4000)
     r = float(np.corrcoef(x, y)[0, 1])
     assert abs(r) < 0.05
+
+
+def test_public_names_resolve():
+    import chantool
+
+    missing = [name for name in chantool.__all__ if not hasattr(chantool, name)]
+    assert missing == []
+    namespace = {}
+    exec("from chantool import *", namespace)
+    assert set(chantool.__all__) <= set(namespace)
