@@ -61,13 +61,15 @@ def pdp_correlation_matrix(pdp_db: np.ndarray) -> CorrelationMatrix:
         raise ValueError(f"PDPs must be 2-D (snapshots, bins), got {np.ndim(pdp_db)}-D")
     if len(pdp_db) < 2:
         raise ValueError("need at least 2 PDPs")
+    # x is centred and scaled in place: the same values as new arrays would
+    # hold, without two more (snapshots, bins) temporaries.
     x = from_db(pdp_db)
-    centered = x - x.mean(axis=1, keepdims=True)
-    norms = np.sqrt(np.sum(centered**2, axis=1))
+    x -= x.mean(axis=1, keepdims=True)
+    norms = np.sqrt(np.sum(x**2, axis=1))
     constant = norms == 0.0
-    safe = np.where(constant, 1.0, norms)
-    unit = centered / safe[:, None]
-    corr = unit @ unit.T
+    x /= np.where(constant, 1.0, norms)[:, None]
+    corr = x @ x.T
+    del x
     # constant vs constant pins to 1, constant vs varying to 0
     corr[constant, :] = 0.0
     corr[:, constant] = 0.0

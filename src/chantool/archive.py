@@ -8,9 +8,11 @@ Layout, all little endian:
 The payload is float32 (re, im) pairs in (time, tx, rx, delay) row-major
 order; its length must be exactly 8 * n_time * n_tx * n_rx * n_delay
 bytes, and only n_time may be 0.  Values must be finite and are stored at
-float32 precision (about -150 dB quantization noise); readers get complex128
-back.  Files stream in blocks of whole time steps of about BLOCK_BYTES, and
-readers check every size against the header before reading the payload.
+float32 precision (about -150 dB quantization noise); the header's times
+must be finite and both spacings positive.  Files are written in blocks of
+whole time steps of about BLOCK_BYTES.  open_archive checks every size
+against the file before the payload, then yields it in such blocks through
+one reused <c8 buffer; read_archive collects them into complex128.
 
 Raw capture waveforms reuse the same container with n_tx = n_rx = 1 and
 the sample axis in the delay slot.
@@ -19,10 +21,13 @@ the sample axis in the delay slot.
 from __future__ import annotations
 
 import itertools
+import math
 import os
 import struct
 import tempfile
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
+from contextlib import contextmanager
+from typing import NamedTuple
 
 import numpy as np
 
@@ -38,15 +43,31 @@ class ArchiveError(ValueError):
     """The file does not conform to the archive format."""
 
 
+class ArchiveHeader(NamedTuple):
+    """The header after magic and version: (time, tx, rx, delay), then times."""
+
+    shape: tuple[int, int, int, int]
+    sample_period_s: float
+    t0_s: float
+    dt_s: float
+
+    def check_times(self, path: str) -> None:
+        """The one check of the times, for writer and reader alike."""
+        for name, value in zip(self._fields[1:], self[1:]):
+            if not math.isfinite(value) or (name != "t0_s" and value <= 0.0):
+                kind = "finite" if name == "t0_s" else "finite and positive"
+                raise ArchiveError(f"{path}: {name} must be {kind}, got {value}")
+
+
 def atomic_write_bytes(path: str, chunks: Iterable[bytes]) -> None:
     """Write C-contiguous buffers in order, lazily, via a temp file in the
-    target directory plus rename, so a crash never leaves a partial file."""
+    target directory plus rename, so a crash never leaves a partial file.
+    Each buffer is released before the next one is drawn from chunks."""
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
     try:
         with os.fdopen(fd, "wb") as handle:
-            for chunk in chunks:
-                handle.write(chunk)
+            handle.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -75,8 +96,9 @@ def write_archive(path: str, seq: CirSequence) -> int:
         raise ArchiveError(f"antenna counts {n_tx}x{n_rx} do not fit the format")
     if n_time >= 2**32 or not 1 <= n_delay < 2**32:
         raise ArchiveError(f"time x delay {n_time}x{n_delay} does not fit the format")
-    header = _HEADER.pack(MAGIC, VERSION, n_time, n_tx, n_rx, n_delay,
-                          seq.sample_period_s, seq.t0_s, seq.dt_s)
+    times = seq.sample_period_s, seq.t0_s, seq.dt_s
+    ArchiveHeader(seq.cir.shape, *times).check_times(path)
+    header = _HEADER.pack(MAGIC, VERSION, n_time, n_tx, n_rx, n_delay, *times)
     step = max(1, BLOCK_BYTES // (8 * n_tx * n_rx * n_delay))
     blocks = (
         _finite(seq.cir[t : t + step].astype("<c8", order="C"), t, path)
@@ -86,40 +108,51 @@ def write_archive(path: str, seq: CirSequence) -> int:
     return _HEADER.size + 8 * seq.cir.size
 
 
-def read_archive(path: str) -> CirSequence:
-    """Parse and validate an archive, checking every size before the payload."""
+@contextmanager
+def open_archive(path: str) -> Iterator[tuple[ArchiveHeader, Iterator[tuple[int, np.ndarray]]]]:
+    """Check the header against the file; yield it and an iterator of (t, block),
+    block being the <c8 (time, tx, rx, delay) steps from t.  Blocks share one
+    buffer, allocated when iteration starts and overwritten by the next block."""
     with open(path, "rb") as handle:
         head = handle.read(_HEADER.size)
         if len(head) < _HEADER.size:
             raise ArchiveError(f"{path}: truncated header ({len(head)} bytes)")
-        magic, version, n_time, n_tx, n_rx, n_delay, period, t0, dt = (
-            _HEADER.unpack(head)
-        )
+        magic, version, *fields = _HEADER.unpack(head)
         if magic != MAGIC:
             raise ArchiveError(f"{path}: bad magic {magic!r}")
         if version != VERSION:
             raise ArchiveError(f"{path}: unsupported version {version}")
-        if 0 in (n_tx, n_rx, n_delay):
-            raise ArchiveError(f"{path}: empty axis in {n_time}x{n_tx}x{n_rx}x{n_delay}")
-        expected = 8 * n_time * n_tx * n_rx * n_delay
+        header = ArchiveHeader(tuple(fields[:4]), *fields[4:])
+        if 0 in header.shape[1:]:
+            raise ArchiveError(f"{path}: empty axis in {'x'.join(map(str, header.shape))}")
+        expected = 8 * math.prod(header.shape)
         actual = os.fstat(handle.fileno()).st_size - _HEADER.size
         if actual != expected:
             raise ArchiveError(
                 f"{path}: payload is {actual} bytes, header implies {expected}"
             )
-        if not period > 0.0:
-            raise ArchiveError(f"{path}: sample_period_s must be positive, got {period}")
-        if not dt > 0.0:
-            raise ArchiveError(f"{path}: dt_s must be positive, got {dt}")
-        cir = np.empty((n_time, n_tx, n_rx, n_delay), dtype=np.complex128)
-        step = max(1, BLOCK_BYTES // (8 * n_tx * n_rx * n_delay))
-        buffer = np.empty((min(step, n_time), n_tx, n_rx, n_delay), dtype="<c8")
-        for t in range(0, n_time, step):
-            block = buffer[: n_time - t]
-            if handle.readinto(block) != block.nbytes:
-                raise ArchiveError(f"{path}: payload ended before {expected} bytes")
-            cir[t : t + len(block)] = _finite(block, t, path)
-    return CirSequence(t0_s=t0, dt_s=dt, sample_period_s=period, cir=cir)
+        header.check_times(path)
+
+        def blocks() -> Iterator[tuple[int, np.ndarray]]:
+            n_time, step_shape = header.shape[0], header.shape[1:]
+            step = max(1, BLOCK_BYTES // (8 * math.prod(step_shape)))
+            buffer = np.empty((min(step, n_time), *step_shape), dtype="<c8")
+            for t in range(0, n_time, step):
+                block = buffer[: n_time - t]
+                if handle.readinto(block) != block.nbytes:
+                    raise ArchiveError(f"{path}: payload ended before {expected} bytes")
+                yield t, _finite(block, t, path)
+
+        yield header, blocks()
+
+
+def read_archive(path: str) -> CirSequence:
+    """Parse and validate a whole archive into complex128."""
+    with open_archive(path) as (header, blocks):
+        cir = np.empty(header.shape, dtype=np.complex128)
+        for t, block in blocks:
+            cir[t : t + len(block)] = block
+    return CirSequence(header.t0_s, header.dt_s, header.sample_period_s, cir)
 
 
 def capture_sequence(

@@ -15,6 +15,8 @@ import os
 import sys
 import warnings
 
+import numpy as np
+
 from chantool.analysis import (
     los_power_track,
     pdp_correlation_matrix,
@@ -25,6 +27,7 @@ from chantool.archive import (
     ArchiveError,
     atomic_write_bytes,
     atomic_write_text,
+    open_archive,
     read_archive,
     write_archive,
 )
@@ -45,9 +48,10 @@ from chantool.config import (
     sounder_settings,
 )
 from chantool.core import DB_FLOOR, FrequencyBand, Point3, pdp_from_cir
-from chantool.gbsm import SizingError, run_scenario
+from chantool.gbsm import CirSequence, SizingError, run_scenario
 from chantool.pathloss import PathLossSample, RankDeficientError, abg_fit, ci_fit
 from chantool.sounder import (
+    calibrate,
     deconvolve_cir,
     extract_mpcs,
     path_loss_from_power,
@@ -90,9 +94,8 @@ def cmd_blockage(args) -> int:
         raise cfg.error(
             "blockage", ignored, f"{ignored} does not apply to scenario = {scenario}"
         )
-    models = list(MODELS) if "all" in args.model else [
-        m for m in MODELS if m in args.model
-    ]
+    chosen = args.model or ["all"]
+    models = list(MODELS) if "all" in chosen else [m for m in MODELS if m in chosen]
     band = FrequencyBand.preset(float(settings["carrier_ghz"]))
     h = float(settings["antenna_height_m"])
     length = float(settings["link_length_m"])
@@ -214,52 +217,64 @@ def cmd_sounder(args) -> int:
         budget, policy, band_fraction = sounder_settings(cfg and cfg.section("sounder") or {})
     except ValueError as err:
         raise cfg.error("sounder", None, str(err)) from None
-    rx = read_archive(args.rx)
-    cal = read_archive(args.cal)
-    for name, seq in (("rx", rx), ("cal", cal)):
-        if seq.cir.shape[1] != 1 or seq.cir.shape[2] != 1:
-            raise ArchiveError(f"{name} capture must have n_tx = n_rx = 1")
-    if cal.n_time not in (1, rx.n_time):
-        raise ArchiveError(
-            f"cal has {cal.n_time} snapshots, rx has {rx.n_time}; "
-            "need 1 or a matching count"
-        )
-    if rx.sample_period_s != cal.sample_period_s:
-        raise ArchiveError("rx and cal sample periods differ")
-    sample_rate = 1.0 / rx.sample_period_s
+    # Both headers are checked before any rx payload is decoded; the rx
+    # captures then stream through one block buffer, one capture at a time.
+    with open_archive(args.rx) as (rx, blocks):
+        cal = read_archive(args.cal)
+        for name, shape in (("rx", rx.shape), ("cal", cal.cir.shape)):
+            if shape[1:3] != (1, 1):
+                raise ArchiveError(f"{name} capture must have n_tx = n_rx = 1")
+        if cal.n_time != 1:
+            raise ArchiveError(f"cal has {cal.n_time} captures; need exactly 1")
+        if rx.sample_period_s != cal.sample_period_s:
+            raise ArchiveError("rx and cal sample periods differ")
+        if rx.shape[3] != cal.cir.shape[3]:
+            raise ArchiveError(
+                f"rx captures have {rx.shape[3]} samples, cal has {cal.cir.shape[3]}"
+            )
+        calibration = calibrate(cal.cir[0, 0, 0], band_fraction, 1.0 / rx.sample_period_s)
 
-    mpc_rows = ["snapshot,delay_ns,power_db\n"]
-    stat_rows = ["snapshot,received_power_db,path_loss_db,rms_ds_ns\n"]
-    for t in range(rx.n_time):
-        y_rx = rx.cir[t, 0, 0]
-        y_cal = cal.cir[min(t, cal.n_time - 1), 0, 0]
-        cir = deconvolve_cir(
-            y_rx, y_cal, band_fraction=band_fraction, sample_rate_hz=sample_rate
-        )
-        mpcs = extract_mpcs(cir, policy)
-        mpc_rows += [f"{t},{_fmt(m.delay_s * 1e9)},{_fmt(m.power_db)}\n" for m in mpcs]
-        if mpcs:
-            p_rx = received_power(mpcs)
-            ds_ns = rms_delay_spread(mpcs) * 1e9
-        else:
-            p_rx = DB_FLOOR
-            ds_ns = math.nan
-        pl_db = path_loss_from_power(p_rx, budget)
-        stat_rows.append(f"{t},{_fmt(p_rx)},{_fmt(pl_db)},{_fmt(ds_ns)}\n")
+        mpc_rows = ["snapshot,delay_ns,power_db\n"]
+        stat_rows = ["snapshot,received_power_db,path_loss_db,rms_ds_ns\n"]
+        captures = (y_rx for _, block in blocks for y_rx in block[:, 0, 0])
+        for t, y_rx in enumerate(captures):
+            mpcs = extract_mpcs(deconvolve_cir(y_rx, calibration), policy)
+            mpc_rows += [f"{t},{_fmt(m.delay_s * 1e9)},{_fmt(m.power_db)}\n" for m in mpcs]
+            if mpcs:
+                p_rx = received_power(mpcs)
+                ds_ns = rms_delay_spread(mpcs) * 1e9
+            else:
+                p_rx = DB_FLOOR
+                ds_ns = math.nan
+            pl_db = path_loss_from_power(p_rx, budget)
+            stat_rows.append(f"{t},{_fmt(p_rx)},{_fmt(pl_db)},{_fmt(ds_ns)}\n")
     atomic_write_text(args.out, "".join(mpc_rows + stat_rows))
     return EXIT_OK
+
+
+def _read_pair(path: str) -> CirSequence:
+    """Pair (0, 0) of an archive of at least 2 snapshots, as a 1x1 sequence;
+    no other pair is decoded."""
+    with open_archive(path) as (header, blocks):
+        if header.shape[0] < 2:
+            raise ArchiveError(f"{path}: need at least 2 snapshots to analyze")
+        cir = np.empty((header.shape[0], 1, 1, header.shape[3]), dtype=np.complex128)
+        for t, block in blocks:
+            cir[t : t + len(block)] = block[:, :1, :1]
+    return CirSequence(header.t0_s, header.dt_s, header.sample_period_s, cir)
 
 
 def cmd_analyze(args) -> int:
     if not 0.0 < args.threshold < 1.0:
         raise ValueError(f"threshold must lie in (0, 1), got {args.threshold}")
-    seq = read_archive(args.archive)
-    if seq.n_time < 2:
-        raise ArchiveError(f"{args.archive}: need at least 2 snapshots to analyze")
+    seq = _read_pair(args.archive)
+    track = los_power_track(seq) if args.los_track else None
     corr = pdp_correlation_matrix(pdp_from_cir(seq.cir[:, 0, 0]))
+    del seq  # the matrix text below sets the job's peak and needs no samples
+    n = corr.snapshot_count
     # Chunks of whole rows (~BLOCK_BYTES at ~20 characters a value) bound the text.
-    step = max(1, BLOCK_BYTES // (20 * seq.n_time))
-    blocks = (corr.values[i : i + step].tolist() for i in range(0, seq.n_time, step))
+    step = max(1, BLOCK_BYTES // (20 * n))
+    blocks = (corr.values[i : i + step].tolist() for i in range(0, n, step))
     chunks = ("".join(",".join(map(repr, r)) + "\n" for r in b).encode() for b in blocks)
     atomic_write_bytes(args.out, chunks)
 
@@ -269,8 +284,7 @@ def cmd_analyze(args) -> int:
         rows = [f"{start},{end}\n" for start, end in report.intervals]
         text = "".join(["start_index,end_index\n", *rows])
         atomic_write_text(f"{stem}_intervals{ext or '.csv'}", text)
-    if args.los_track:
-        track = los_power_track(seq)
+    if track is not None:
         rows = [f"{_fmt(t)},{_fmt(level)}\n" for t, level in track]
         text = "".join(["t_s,power_db\n", *rows])
         atomic_write_text(f"{stem}_los{ext or '.csv'}", text)
@@ -290,7 +304,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--model",
         action="append",
         choices=[*MODELS, "all"],
-        default=None,
         help="repeatable; default all",
     )
     p.add_argument("--out", required=True)
@@ -328,8 +341,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if getattr(args, "model", None) is None and args.command == "blockage":
-        args.model = ["all"]
     try:
         return args.func(args)
     except SizingError as err:

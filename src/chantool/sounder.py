@@ -5,7 +5,8 @@ interpolation, root-raised-cosine shaping), simulates a capture through a
 multipath channel, recovers the channel impulse response by regularized
 frequency-domain deconvolution against a back-to-back calibration, and
 extracts multipath components with their summary statistics (received
-power, path loss, RMS delay spread).
+power, path loss, RMS delay spread).  calibrate does the calibration's
+share of the deconvolution once; deconvolve_cir applies it to each capture.
 """
 
 from __future__ import annotations
@@ -235,14 +236,25 @@ def build_tx_waveform(spec: WaveformSpec) -> np.ndarray:
     return shaped.astype(np.complex128)
 
 
-def deconvolve_cir(
-    y_rx: np.ndarray,
+@dataclass(frozen=True)
+class Calibration:
+    """calibrate's result: the kept-bin mask; over the kept bins, the conjugate
+    spectrum, clipped power and Hann weight (all read-only); n / coherent norm."""
+
+    keep: np.ndarray
+    conj_cal: np.ndarray
+    denom: np.ndarray
+    weight: np.ndarray
+    scale: float
+    sample_period_s: float
+
+
+def calibrate(
     y_cal: np.ndarray,
     band_fraction: float = DEFAULT_BAND_FRACTION,
     sample_rate_hz: float = 1.28e9,
-) -> CirSnapshot:
-    """Channel impulse response by frequency-domain division of a capture
-    against a back-to-back calibration.
+) -> Calibration:
+    """Everything deconvolve_cir needs from a back-to-back calibration capture.
 
     The division runs only over the calibration's occupied band (smoothed
     magnitude within 40 dB of the peak, capped at band_fraction of the
@@ -253,10 +265,9 @@ def deconvolve_cir(
     spectral nulls cannot amplify noise; bins essentially without
     calibration energy are zeroed.
     """
-    y_rx = np.asarray(y_rx, dtype=np.complex128)
     y_cal = np.asarray(y_cal, dtype=np.complex128)
-    if y_rx.shape != y_cal.shape or y_rx.ndim != 1:
-        raise ValueError("y_rx and y_cal must be 1-D sequences of equal length")
+    if y_cal.ndim != 1:
+        raise ValueError(f"y_cal must be a 1-D sequence, got shape {y_cal.shape}")
     n = y_cal.size
     if n == 0:
         raise ValueError("empty capture")
@@ -265,7 +276,6 @@ def deconvolve_cir(
     if np.sum(np.abs(y_cal) ** 2) < 1e-20:
         raise ValueError("invalid calibration: energy below -200 dB")
 
-    spec_rx = np.fft.fft(y_rx)
     spec_cal = np.fft.fft(y_cal)
     mag = np.abs(spec_cal)
 
@@ -292,14 +302,26 @@ def deconvolve_cir(
 
     keep = in_band & (mag >= _ZERO_FLOOR_REL * mag.max())
     denom = np.maximum(mag[keep] ** 2, _NULL_CLIP_REL * mag.max() ** 2)
-    response = np.zeros(n, dtype=np.complex128)
-    response[keep] = spec_rx[keep] * np.conj(spec_cal[keep]) / denom * weight[keep]
     # Coherent normalization: a pure delay sees every retained bin scaled by
     # the same real factor, so dividing by that factor's weighted sum makes
     # the recovered peak equal the channel amplitude exactly.
     norm = np.sum(weight[keep] * mag[keep] ** 2 / denom)
-    h = np.fft.ifft(response) * (n / norm)
-    return CirSnapshot(t_s=0.0, sample_period_s=1.0 / sample_rate_hz, samples=h)
+    arrays = keep, np.conj(spec_cal[keep]), denom, weight[keep]
+    for array in arrays:
+        array.setflags(write=False)
+    return Calibration(*arrays, scale=n / norm, sample_period_s=1.0 / sample_rate_hz)
+
+
+def deconvolve_cir(y_rx: np.ndarray, cal: Calibration) -> CirSnapshot:
+    """Channel impulse response of a capture, divided against a calibration."""
+    y_rx = np.asarray(y_rx, dtype=np.complex128)
+    if y_rx.shape != cal.keep.shape:
+        raise ValueError("y_rx and y_cal must be 1-D sequences of equal length")
+    spec_rx = np.fft.fft(y_rx)
+    response = np.zeros(y_rx.size, dtype=np.complex128)
+    response[cal.keep] = spec_rx[cal.keep] * cal.conj_cal / cal.denom * cal.weight
+    h = np.fft.ifft(response) * cal.scale
+    return CirSnapshot(t_s=0.0, sample_period_s=cal.sample_period_s, samples=h)
 
 
 def noise_floor_db(cir: CirSnapshot, tail_fraction: float = 0.1) -> float:

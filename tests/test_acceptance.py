@@ -49,6 +49,7 @@ from chantool.pathloss import (
 )
 from chantool.sounder import (
     WaveformSpec,
+    calibrate,
     deconvolve_cir,
     extract_mpcs,
     noise_floor_db,
@@ -212,7 +213,7 @@ def test_criterion_07_sounder_round_trip():
     ]
     stream = derive_substream(7, "sounder-roundtrip", 0)
     y_rx, y_cal = simulate_capture(channel, spec, snr_db=snr_db, stream=stream)
-    cir = deconvolve_cir(y_rx, y_cal)
+    cir = deconvolve_cir(y_rx, calibrate(y_cal))
     mpcs = extract_mpcs(cir)
     gain_db = received_power(mpcs) - noise_floor_db(cir) - snr_db
     elapsed = time.perf_counter() - t0

@@ -22,7 +22,13 @@ from chantool.core import (
     to_db,
 )
 from chantool.gbsm import CirSequence, GbsmConfig, run_scenario
-from chantool.sounder import WaveformSpec, deconvolve_cir, extract_mpcs, simulate_capture
+from chantool.sounder import (
+    WaveformSpec,
+    calibrate,
+    deconvolve_cir,
+    extract_mpcs,
+    simulate_capture,
+)
 
 FS = 1.28e9
 
@@ -204,7 +210,7 @@ class TestXpr:
         for name, channel in (("co", co), ("cross", cross)):
             stream = derive_substream(55, f"xpr-{name}", 0)
             y_rx, y_cal = simulate_capture(channel, spec, snr_db=40.0, stream=stream)
-            cir = deconvolve_cir(y_rx, y_cal)
+            cir = deconvolve_cir(y_rx, calibrate(y_cal))
             extracted[name] = extract_mpcs(cir)
         assert len(extracted["co"]) == 3
         assert len(extracted["cross"]) == 3

@@ -1,5 +1,6 @@
 """Tests for the binary CIR archive format."""
 
+import dataclasses
 import math
 import os
 import struct
@@ -25,9 +26,9 @@ def make_sequence(shape=(3, 2, 4, 16), seed=0, dt=1e-3, period=1.0 / 1.28e9):
     return CirSequence(t0_s=0.25, dt_s=dt, sample_period_s=period, cir=cir)
 
 
-def header_only(path, shape, period=1.0, dt=1e-3):
+def header_only(path, shape, period=1.0, dt=1e-3, t0=0.0):
     with open(path, "wb") as handle:
-        handle.write(struct.pack("<4sHIBBIddd", b"CIRB", 1, *shape, period, 0.0, dt))
+        handle.write(struct.pack("<4sHIBBIddd", b"CIRB", 1, *shape, period, t0, dt))
     return path
 
 
@@ -127,6 +128,31 @@ class TestValidation:
         path = header_only(str(tmp_path / "z.cirb"), (0, 1, 1, 4), period=0.0)
         with pytest.raises(ArchiveError, match="sample_period"):
             read_archive(path)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("t0_s", math.nan), ("t0_s", math.inf), ("dt_s", math.inf),
+         ("sample_period_s", math.inf)],
+    )
+    def test_nonfinite_header_time_rejected(self, tmp_path, field, value):
+        times = {"period": 1.0, "t0": 0.0, "dt": 1e-3}
+        times[{"sample_period_s": "period", "t0_s": "t0", "dt_s": "dt"}[field]] = value
+        path = header_only(str(tmp_path / "t.cirb"), (0, 1, 1, 4), **times)
+        with pytest.raises(ArchiveError, match=f"{field} must be finite"):
+            read_archive(path)
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [("t0_s", math.nan, "t0_s must be finite"),
+         ("dt_s", math.inf, "dt_s must be finite"),
+         ("sample_period_s", -1e-9, "sample_period_s must be finite and positive"),
+         ("sample_period_s", math.inf, "sample_period_s must be finite")],
+    )
+    def test_bad_header_time_not_written(self, tmp_path, field, value, message):
+        seq = dataclasses.replace(make_sequence(), **{field: value})
+        with pytest.raises(ArchiveError, match=message):
+            write_archive(str(tmp_path / "t.cirb"), seq)
+        assert os.listdir(tmp_path) == []
 
     @pytest.mark.parametrize("shape", [(2, 0, 1, 4), (2, 1, 0, 4), (2, 1, 1, 0)])
     def test_empty_axis_rejected(self, tmp_path, shape):

@@ -8,7 +8,7 @@ import struct
 import numpy as np
 import pytest
 
-from chantool import cli
+from chantool import archive, cli
 from chantool.analysis import pdp_correlation_matrix
 from chantool.archive import BLOCK_BYTES, capture_sequence, read_archive, write_archive
 from chantool.cli import main
@@ -31,6 +31,15 @@ def poke_nan(path, step):
         n_tx, n_rx, n_delay = struct.unpack("<4sHIBBIddd", handle.read(40))[3:6]
         handle.seek(40 + 8 * n_tx * n_rx * n_delay * step)
         handle.write(struct.pack("<f", math.nan))
+    return path
+
+
+def poke_header_time(path, field, value):
+    """Overwrite one float64 time field of an archive's header."""
+    offset = {"sample_period_s": 16, "t0_s": 24, "dt_s": 32}[field]
+    with open(path, "r+b") as handle:
+        handle.seek(offset)
+        handle.write(struct.pack("<d", value))
     return path
 
 
@@ -308,6 +317,51 @@ class TestSounder:
         assert "non-finite value at time step 0" in capsys.readouterr().err
         assert not os.path.exists(out)
 
+    def test_multi_capture_cal_exit_2(self, tmp_path, capsys):
+        rx, cal = make_captures(tmp_path)
+        for path in (rx, cal):
+            seq = read_archive(path)
+            write_archive(path, CirSequence(0.0, 1.0, seq.sample_period_s,
+                                            np.tile(seq.cir, (2, 1, 1, 1))))
+        out = str(tmp_path / "x.csv")
+        assert main(["sounder", "--rx", rx, "--cal", cal, "--out", out]) == 2
+        assert "cal has 2 captures; need exactly 1" in capsys.readouterr().err
+        assert not os.path.exists(out)
+
+    def test_capture_length_mismatch_names_both_lengths(self, tmp_path, capsys):
+        rx, cal = make_captures(tmp_path)
+        short = str(tmp_path / "short.cirb")
+        write_archive(short, capture_sequence(read_archive(cal).cir[0, 0, 0, :-5], FS, 1.0))
+        out = str(tmp_path / "x.csv")
+        assert main(["sounder", "--rx", rx, "--cal", short, "--out", out]) == 2
+        assert "rx captures have 20000 samples, cal has 19995" in capsys.readouterr().err
+        assert not os.path.exists(out)
+
+    def test_nonfinite_capture_in_third_block_exit_2(self, tmp_path, capsys, monkeypatch):
+        rx, cal = make_captures(tmp_path)
+        seq = read_archive(rx)
+        write_archive(rx, CirSequence(0.0, 1.0, seq.sample_period_s,
+                                      np.tile(seq.cir, (8, 1, 1, 1))))
+        poke_nan(rx, 5)
+        monkeypatch.setattr(archive, "BLOCK_BYTES", 2 * 8 * seq.cir.shape[3])
+        out = str(tmp_path / "x.csv")
+        assert main(["sounder", "--rx", rx, "--cal", cal, "--out", out]) == 2
+        assert "non-finite value at time step 5" in capsys.readouterr().err
+        assert not os.path.exists(out)
+
+    def test_streams_rx_captures(self, tmp_path, traced_peak):
+        rx, cal = make_captures(tmp_path)
+        seq = read_archive(rx)
+        rolled = [np.roll(seq.cir, 7 * t, axis=3) for t in range(64)]
+        write_archive(rx, CirSequence(0.0, 1.0, seq.sample_period_s, np.concatenate(rolled)))
+        cube = 16 * 64 * seq.cir.shape[3]
+        del seq, rolled
+        out = str(tmp_path / "x.csv")
+        peak = traced_peak(main, ["sounder", "--rx", rx, "--cal", cal, "--out", out])
+        assert peak <= 0.25 * cube
+        _, stat_rows = split_tables(out)
+        assert [int(row[0]) for row in stat_rows] == list(range(64))
+
     def test_multi_antenna_capture_rejected(self, tmp_path, capsys):
         rx, cal = make_captures(tmp_path)
         wide = str(tmp_path / "wide.cirb")
@@ -407,6 +461,38 @@ class TestAnalyze:
         assert main(["analyze", arc, "--stationarity", "--out", out]) == 2
         assert "non-finite value at time step 7" in capsys.readouterr().err
         assert not os.path.exists(out)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("t0_s", math.nan), ("t0_s", math.inf), ("dt_s", math.inf),
+         ("sample_period_s", math.inf)],
+    )
+    def test_nonfinite_header_time_exit_2(self, tmp_path, capsys, field, value):
+        arc = poke_header_time(two_regime_archive(str(tmp_path / "two.cirb")), field, value)
+        out = str(tmp_path / "c.csv")
+        assert main(["analyze", arc, "--los-track", "--out", out]) == 2
+        assert f"{field} must be finite" in capsys.readouterr().err
+        assert not os.path.exists(out)
+
+    def test_single_snapshot_refused_before_decoding(self, tmp_path, capsys):
+        arc = poke_nan(two_regime_archive(str(tmp_path / "one.cirb"), n_time=1), 0)
+        assert main(["analyze", arc, "--out", str(tmp_path / "c.csv")]) == 2
+        assert "need at least 2 snapshots" in capsys.readouterr().err
+
+    def test_decodes_only_pair_0_0(self, tmp_path, traced_peak):
+        rng = np.random.default_rng(4)
+        shape = (400, 4, 4, 256)
+        arc = str(tmp_path / "wide.cirb")
+        cir = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        write_archive(arc, CirSequence(0.0, 1e-3, 1.0 / FS, cir))
+        pair = 16 * 400 * 256
+        del cir
+        out = str(tmp_path / "corr.csv")
+        assert traced_peak(main, ["analyze", arc, "--out", out]) <= 4 * pair
+        corr = pdp_correlation_matrix(pdp_from_cir(read_archive(arc).cir[:, 0, 0]))
+        expected = "".join(",".join(map(repr, r)) + "\n" for r in corr.values.tolist())
+        with open(out, "rb") as handle:
+            assert handle.read() == expected.encode()
 
     @pytest.mark.parametrize("shape", [(4, 0, 1, 8), (4, 1, 1, 0)])
     def test_empty_axis_archive_exit_2(self, tmp_path, capsys, shape):

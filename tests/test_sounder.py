@@ -1,5 +1,6 @@
 """Tests for the channel-sounder signal chain."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -11,6 +12,7 @@ from chantool.sounder import (
     MpcExtractionPolicy,
     WaveformSpec,
     build_tx_waveform,
+    calibrate,
     deconvolve_cir,
     extract_mpcs,
     generate_pn,
@@ -121,7 +123,7 @@ def default_cal():
 
 class TestDeconvolution:
     def test_self_deconvolution_unit_peak(self, default_cal):
-        cir = deconvolve_cir(default_cal, default_cal)
+        cir = deconvolve_cir(default_cal, calibrate(default_cal))
         assert abs(cir.samples[0] - 1.0) < 1e-9
         assert np.argmax(np.abs(cir.samples)) == 0
         mpcs = extract_mpcs(cir)
@@ -130,45 +132,81 @@ class TestDeconvolution:
         assert mpcs[0].power_db == pytest.approx(0.0, abs=1e-6)
 
     def test_pure_delay_exact_bins(self, default_cal):
+        cal = calibrate(default_cal)
         for d in (1, 10, 999, 5000):
-            cir = deconvolve_cir(np.roll(default_cal, d), default_cal)
+            cir = deconvolve_cir(np.roll(default_cal, d), cal)
             assert np.argmax(np.abs(cir.samples)) == d
             assert abs(cir.samples[d]) == pytest.approx(1.0, abs=1e-9)
 
     def test_pure_delay_random_property(self):
         _, y_cal = simulate_capture([make_mpc(0.0, 0.0)], SMALL_SPEC)
+        cal = calibrate(y_cal, sample_rate_hz=SMALL_SPEC.sample_rate_hz)
         rng = np.random.default_rng(20260819)
         for _ in range(200):
             d = int(rng.integers(0, 5001))
-            cir = deconvolve_cir(
-                np.roll(y_cal, d), y_cal, sample_rate_hz=SMALL_SPEC.sample_rate_hz
-            )
+            cir = deconvolve_cir(np.roll(y_cal, d), cal)
             assert np.argmax(np.abs(cir.samples)) == d
             assert abs(cir.samples[d]) == pytest.approx(1.0, abs=1e-9)
 
     def test_two_path_powers(self, default_cal):
         y_rx = 0.5 * np.roll(default_cal, 10) + 0.25 * np.roll(default_cal, 50)
-        cir = deconvolve_cir(y_rx, default_cal)
+        cir = deconvolve_cir(y_rx, calibrate(default_cal))
         mpcs = extract_mpcs(cir)
         assert [round(m.delay_s * FS) for m in mpcs] == [10, 50]
         assert mpcs[0].power_db == pytest.approx(-6.0206, abs=0.3)
         assert mpcs[1].power_db == pytest.approx(-12.0412, abs=0.3)
 
     def test_sample_period_recorded(self, default_cal):
-        cir = deconvolve_cir(default_cal, default_cal, sample_rate_hz=2.5e9)
+        cir = deconvolve_cir(default_cal, calibrate(default_cal, sample_rate_hz=2.5e9))
         assert cir.sample_period_s == pytest.approx(1.0 / 2.5e9, rel=1e-12)
 
     def test_validation(self, default_cal):
-        with pytest.raises(ValueError, match="equal length"):
-            deconvolve_cir(default_cal[:-1], default_cal)
+        with pytest.raises(ValueError, match="1-D"):
+            calibrate(default_cal[None, :])
         with pytest.raises(ValueError, match="invalid calibration"):
-            deconvolve_cir(default_cal, np.zeros(default_cal.size))
+            calibrate(np.zeros(default_cal.size))
         with pytest.raises(ValueError, match="band_fraction"):
-            deconvolve_cir(default_cal, default_cal, band_fraction=0.0)
+            calibrate(default_cal, band_fraction=0.0)
         with pytest.raises(ValueError, match="band_fraction"):
-            deconvolve_cir(default_cal, default_cal, band_fraction=1.5)
+            calibrate(default_cal, band_fraction=1.5)
         with pytest.raises(ValueError, match="empty"):
-            deconvolve_cir(np.array([]), np.array([]))
+            calibrate(np.array([]))
+
+    def test_capture_validation(self, default_cal):
+        cal = calibrate(default_cal)
+        with pytest.raises(ValueError, match="equal length"):
+            deconvolve_cir(default_cal[:-1], cal)
+        with pytest.raises(ValueError, match="equal length"):
+            deconvolve_cir(default_cal[None, :], cal)
+
+    def test_calibration_is_read_only(self, default_cal):
+        cal = calibrate(default_cal)
+        for array in (cal.keep, cal.conj_cal, cal.denom, cal.weight):
+            assert not array.flags.writeable
+
+    def test_frozen_reference_samples(self):
+        # SHA-256 of the recovered samples, recorded before the calibration
+        # was split out of deconvolve_cir: three noisy captures against one
+        # calibration must deconvolve to the same bytes.
+        spec = SMALL_SPEC
+        fs = spec.sample_rate_hz
+        channels = [
+            [make_mpc(10 / fs, 0.0)],
+            [make_mpc(20 / fs, -3.0), make_mpc(75 / fs, -9.0, 1.0)],
+            [make_mpc(5 / fs, -1.0, 2.0), make_mpc(140 / fs, -12.0, 0.5)],
+        ]
+        frozen = [
+            "a7107ca993dcb0ab404bf9f1f1b1a55a06904a80962d81561f6fcb1e1d42d2aa",
+            "944bb31414839acf56ac3afbff0234b389a9c5a29e31b2a04b450057179243be",
+            "8667ec44253c15345501e2d447888e478b496baca6309e8ff6f8e014eae81c25",
+        ]
+        digests = []
+        for i, channel in enumerate(channels):
+            stream = derive_substream(2026, "frozen-deconv", i)
+            y_rx, y_cal = simulate_capture(channel, spec, snr_db=30.0, stream=stream)
+            samples = deconvolve_cir(y_rx, calibrate(y_cal)).samples
+            digests.append(hashlib.sha256(samples.astype("<c16").tobytes()).hexdigest())
+        assert digests == frozen
 
 
 def snapshot_from_samples(samples):
@@ -326,7 +364,7 @@ class TestCaptureRoundTrip:
         ]
         stream = derive_substream(7, "sounder-roundtrip", 0)
         y_rx, y_cal = simulate_capture(channel, spec, snr_db=30.0, stream=stream)
-        cir = deconvolve_cir(y_rx, y_cal)
+        cir = deconvolve_cir(y_rx, calibrate(y_cal))
         mpcs = extract_mpcs(cir)
         assert len(mpcs) == 3
         bins = [round(m.delay_s * FS) for m in mpcs]
@@ -348,7 +386,7 @@ class TestCaptureRoundTrip:
         fs = spec.sample_rate_hz
         channel = [make_mpc(50 / fs, -3.0), make_mpc(56 / fs, -3.0, phase=2.0)]
         y_rx, y_cal = simulate_capture(channel, spec)
-        mpcs = extract_mpcs(deconvolve_cir(y_rx, y_cal, sample_rate_hz=fs))
+        mpcs = extract_mpcs(deconvolve_cir(y_rx, calibrate(y_cal, sample_rate_hz=fs)))
         assert len(mpcs) == 2
         bins = [round(m.delay_s * fs) for m in mpcs]
         assert all(abs(g - b) <= 1 for g, b in zip(bins, (50, 56)))
@@ -373,7 +411,7 @@ class TestCaptureRoundTrip:
             ]
             stream = derive_substream(78, "sounder-prop", int(rng.integers(1 << 30)))
             y_rx, y_cal = simulate_capture(channel, spec, snr_db=55.0, stream=stream)
-            cir = deconvolve_cir(y_rx, y_cal, sample_rate_hz=fs)
+            cir = deconvolve_cir(y_rx, calibrate(y_cal, sample_rate_hz=fs))
             mpcs = extract_mpcs(cir)
             assert len(mpcs) == n
             got_bins = [round(m.delay_s * fs) for m in mpcs]
