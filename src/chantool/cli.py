@@ -28,20 +28,18 @@ from chantool.archive import (
     atomic_write_bytes,
     atomic_write_text,
     open_archive,
-    read_archive,
+    read_archive,  # noqa: F401  (perfbench/tracing.py wraps cli.read_archive)
     write_archive,
 )
 from chantool.blockage import (
     MODELS,
     BlockageScenario,
     Cylinder,
-    GeometryError,
     Screen,
     sweep_blocker,
 )
 from chantool.config import (
     Config,
-    ConfigError,
     blockage_settings,
     gbsm_config,
     load_config,
@@ -69,12 +67,6 @@ def _fmt(value: float) -> str:
     return repr(float(value))
 
 
-def _require_config(args) -> Config:
-    if not args.config:
-        raise ConfigError("<args>", 0, "--config is required for this command")
-    return load_config(args.config)
-
-
 def _require_section(cfg: Config, name: str) -> dict[str, object]:
     section = cfg.section(name)
     if section is None:
@@ -83,7 +75,7 @@ def _require_section(cfg: Config, name: str) -> dict[str, object]:
 
 
 def cmd_blockage(args) -> int:
-    cfg = _require_config(args)
+    cfg = load_config(args.config)
     section = _require_section(cfg, "blockage")
     settings = blockage_settings(section)
     # A scenario sweeps one coordinate of the blocker path and reads the
@@ -194,7 +186,7 @@ def cmd_pathloss_fit(args) -> int:
 
 
 def cmd_gbsm(args) -> int:
-    cfg = _require_config(args)
+    cfg = load_config(args.config)
     section = _require_section(cfg, "gbsm")
     try:
         gcfg = gbsm_config(section, seed=args.seed)
@@ -217,22 +209,23 @@ def cmd_sounder(args) -> int:
         budget, policy, band_fraction = sounder_settings(cfg and cfg.section("sounder") or {})
     except ValueError as err:
         raise cfg.error("sounder", None, str(err)) from None
-    # Both headers are checked before any rx payload is decoded; the rx
-    # captures then stream through one block buffer, one capture at a time.
-    with open_archive(args.rx) as (rx, blocks):
-        cal = read_archive(args.cal)
-        for name, shape in (("rx", rx.shape), ("cal", cal.cir.shape)):
+    # Both headers are checked before either payload is decoded; the cal's
+    # single capture is then its one block, and the rx captures stream
+    # through one block buffer, one capture at a time.
+    with open_archive(args.rx) as (rx, blocks), open_archive(args.cal) as (cal, cal_blocks):
+        for name, shape in (("rx", rx.shape), ("cal", cal.shape)):
             if shape[1:3] != (1, 1):
                 raise ArchiveError(f"{name} capture must have n_tx = n_rx = 1")
-        if cal.n_time != 1:
-            raise ArchiveError(f"cal has {cal.n_time} captures; need exactly 1")
+        if cal.shape[0] != 1:
+            raise ArchiveError(f"cal has {cal.shape[0]} captures; need exactly 1")
         if rx.sample_period_s != cal.sample_period_s:
             raise ArchiveError("rx and cal sample periods differ")
-        if rx.shape[3] != cal.cir.shape[3]:
+        if rx.shape[3] != cal.shape[3]:
             raise ArchiveError(
-                f"rx captures have {rx.shape[3]} samples, cal has {cal.cir.shape[3]}"
+                f"rx captures have {rx.shape[3]} samples, cal has {cal.shape[3]}"
             )
-        calibration = calibrate(cal.cir[0, 0, 0], band_fraction, 1.0 / rx.sample_period_s)
+        [(_, cal_block)] = cal_blocks
+        calibration = calibrate(cal_block[0, 0, 0], band_fraction, 1.0 / rx.sample_period_s)
 
         mpc_rows = ["snapshot,delay_ns,power_db\n"]
         stat_rows = ["snapshot,received_power_db,path_loss_db,rms_ds_ns\n"]
@@ -346,7 +339,8 @@ def main(argv=None) -> int:
     except SizingError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_SIZING
-    except (ConfigError, ArchiveError, GeometryError, ValueError, OSError) as err:
+    # ConfigError, ArchiveError and GeometryError are ValueErrors.
+    except (ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -2,13 +2,14 @@
 
 Sections [blockage], [pathloss], [gbsm], [sounder]; each holds exactly the
 keys its subcommand reads.  Unknown sections, unknown keys, duplicate keys,
-and malformed values are hard errors carrying the file line number, so
-typos never pass silently.  All dimensioned keys carry a unit suffix
-(_m, _ghz, _db, _s, ...).
+and malformed or non-finite values are hard errors carrying the file line
+number, so typos never pass silently.  All dimensioned keys carry a unit
+suffix (_m, _ghz, _db, _s, ...).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields, replace
 
 from chantool.blockage import (
@@ -43,7 +44,12 @@ def _choice(*options: str):
 
 
 def _float(raw: str) -> float:
-    return float(raw)
+    value = float(raw)
+    # inf and nan parse as floats but no key means them: refuse them here,
+    # where the error can still name the line.
+    if not math.isfinite(value):
+        raise ValueError(f"must be finite, got {raw!r}")
+    return value
 
 
 def _int(raw: str) -> int:

@@ -10,7 +10,7 @@ deterministic under the configured seed.
 Each step's clusters are one record array (cluster_dtype): a record per
 live cluster holding its id, delay, power, birth weight and a RAY_DTYPE
 subarray of its rays, so birth, death, drift and synthesis are column
-operations rather than per-cluster objects.
+operations; synthesis broadcasts over (tx, rx, ray), one call per step.
 """
 
 from __future__ import annotations
@@ -30,8 +30,11 @@ from chantool.core import (
     derive_substream,
 )
 
-# Snapshots-per-run ceiling for run_scenario; larger requests raise SizingError.
-MAX_SNAPSHOTS = 10_000_000
+# Byte ceiling on run_scenario's complex128 (time, tx, rx, delay) cube.  The
+# cube is allocated whole, and its size grows with the delay grid as well as
+# the snapshot count, so the budget is on bytes: a larger request is refused
+# with SizingError rather than failing in np.zeros after the evolution.
+MAX_CIR_BYTES = 2 << 30
 
 
 class SizingError(RuntimeError):
@@ -125,7 +128,7 @@ def cluster_dtype(rays_per_cluster: int) -> np.dtype:
 
 @dataclass(frozen=True)
 class ClusterState:
-    """The live clusters at time t_s, and the id the next birth takes.
+    """The live clusters of one step, and the id the next birth takes.
 
     clusters holds one cluster_dtype record per live cluster, stored as a
     read-only np.recarray so that a record reads as c.id, c.delay_s,
@@ -134,7 +137,6 @@ class ClusterState:
     """
 
     clusters: np.ndarray
-    t_s: float
     next_id: int
 
     def __post_init__(self) -> None:
@@ -184,7 +186,7 @@ def init_clusters(cfg: GbsmConfig, stream: RandomStream) -> ClusterState:
     # sum() adds left to right as a per-cluster loop does; np.sum's
     # pairwise order can differ in the last bit.
     recs["power_linear"] = recs["weight"] / sum(recs["weight"].tolist())
-    return ClusterState(recs, t_s=0.0, next_id=count)
+    return ClusterState(recs, next_id=count)
 
 
 def _radial_velocity(cfg: GbsmConfig) -> float:
@@ -219,7 +221,7 @@ def evolve_clusters(
     if n_births:
         recs = np.concatenate((recs, _make_clusters(cfg, stream, n_births, state.next_id)))
     recs["power_linear"] = recs["weight"] / sum(recs["weight"].tolist())
-    return ClusterState(recs, t_s=state.t_s + dt_s, next_id=state.next_id + n_births)
+    return ClusterState(recs, next_id=state.next_id + n_births)
 
 
 def _los_delay(cfg: GbsmConfig, t_s: float) -> float:
@@ -228,27 +230,18 @@ def _los_delay(cfg: GbsmConfig, t_s: float) -> float:
 
 
 def synthesize_snapshot(
-    state: ClusterState,
-    cfg: GbsmConfig,
-    t_s: float,
-    tx_idx: int,
-    rx_idx: int,
-    n_bins: int | None = None,
-) -> CirSnapshot:
-    """Delay-gridded CIR for one antenna pair at one instant.
+    state: ClusterState, cfg: GbsmConfig, t_s: float, n_bins: int | None = None
+) -> np.ndarray:
+    """Delay-gridded CIR of every antenna pair at one instant, as a complex
+    (n_tx, n_rx, n_bins) array.
 
     The line-of-sight term carries sqrt(K/(K+1)) and the geometric phase of
     its (drifting) delay; each ray carries sqrt(power/(M(K+1))), its stored
-    phase, a uniform-linear-array phase for the element indices, and a
-    Doppler phase from the configured velocities.  Delays land on the
+    phase, a uniform-linear-array phase for the pair's element indices, and
+    a Doppler phase from the configured velocities.  Delays land on the
     nearest grid bin; a grid shorter than the longest delay is extended to
     that delay plus ten bins.
     """
-    if not 0 <= tx_idx < cfg.n_tx:
-        raise ValueError(f"tx_idx {tx_idx} outside [0, {cfg.n_tx})")
-    if not 0 <= rx_idx < cfg.n_rx:
-        raise ValueError(f"rx_idx {rx_idx} outside [0, {cfg.n_rx})")
-
     lam = cfg.band.wavelength_m
     k_lin = 10.0 ** (cfg.k_factor_db / 10.0)
     res = cfg.delay_resolution_s
@@ -262,29 +255,35 @@ def synthesize_snapshot(
     powers = np.repeat(recs["power_linear"], cfg.rays_per_cluster)
     ray_amp = np.sqrt(powers / (cfg.rays_per_cluster * (k_lin + 1.0)))
 
-    # Each expression keeps the operation order of the scalar formula, so
-    # every ray term is bitwise what a per-ray evaluation gives.
+    # Ray terms broadcast over (tx, rx, ray).  Each expression keeps the
+    # operation order of the scalar formula, so every term is bitwise what a
+    # per-pair, per-ray evaluation gives.
+    tx, rx = np.arange(cfg.n_tx)[:, None, None], np.arange(cfg.n_rx)[None, :, None]
     vt, vr = cfg.tx_velocity, cfg.rx_velocity
     sin_aod, cos_aod = np.sin(rays["aod_rad"]), np.cos(rays["aod_rad"])
     sin_aoa, cos_aoa = np.sin(rays["aoa_rad"]), np.cos(rays["aoa_rad"])
-    array_phase = (
-        2.0 * math.pi / lam * cfg.antenna_spacing_m
-        * (tx_idx * sin_aod + rx_idx * sin_aoa)
-    )
+    array_phase = 2.0 * math.pi / lam * cfg.antenna_spacing_m * (tx * sin_aod + rx * sin_aoa)
     doppler_hz = (
         vt.x * cos_aod + vt.y * sin_aod + vr.x * cos_aoa + vr.y * sin_aoa
     ) / lam
     phase = rays["phase_rad"] + array_phase + 2.0 * math.pi * doppler_hz * t_s
-    amps = np.concatenate(([los_amp], ray_amp * np.exp(1j * phase)))
+    # Each pair's terms start with its LOS term, then its rays in order.
+    amps = np.empty((cfg.n_tx * cfg.n_rx, 1 + rays.size), dtype=np.complex128)
+    amps[:, 0] = los_amp
+    amps[:, 1:] = (ray_amp * np.exp(1j * phase)).reshape(len(amps), -1)
     delays = np.concatenate(([los_delay], cluster_delay + rays["sub_delay_s"]))
 
     bins = np.rint(delays / res).astype(np.int64)
     needed = int(bins.max()) + 11
     if n_bins is None or n_bins < needed:
         n_bins = needed
-    # bincount adds each bin's terms in input order, as the scalar sum did.
-    h = np.bincount(bins, amps.real, n_bins) + 1j * np.bincount(bins, amps.imag, n_bins)
-    return CirSnapshot(t_s=t_s, sample_period_s=res, samples=h)
+    # One bincount over pair-offset bins adds each bin's terms in input
+    # order, as the scalar sum did.
+    flat = (np.arange(len(amps))[:, None] * n_bins + bins).ravel()
+    size = len(amps) * n_bins
+    h = np.bincount(flat, amps.real.ravel(), size)
+    h = h + 1j * np.bincount(flat, amps.imag.ravel(), size)
+    return h.reshape(cfg.n_tx, cfg.n_rx, n_bins)
 
 
 @dataclass(frozen=True)
@@ -327,49 +326,48 @@ class CirSequence:
 def _evolution(cfg: GbsmConfig, n_steps: int) -> list[ClusterState]:
     states = [init_clusters(cfg, derive_substream(cfg.seed, "gbsm-init", 0))]
     for step in range(1, n_steps):
-        states.append(
-            evolve_clusters(
-                states[-1],
-                cfg,
-                cfg.snapshot_interval_s,
-                derive_substream(cfg.seed, "gbsm-evolve", step),
-            )
-        )
+        stream = derive_substream(cfg.seed, "gbsm-evolve", step)
+        states.append(evolve_clusters(states[-1], cfg, cfg.snapshot_interval_s, stream))
     return states
 
 
-def run_scenario(cfg: GbsmConfig) -> CirSequence:
-    """Full deterministic run: cluster evolution, then snapshot synthesis
-    for every (time, tx, rx) on a delay grid sized once for the whole run.
+def _check_size(cfg: GbsmConfig, n_steps: int, n_bins: int) -> None:
+    n_snapshots = n_steps * cfg.n_tx * cfg.n_rx
+    if 16 * n_snapshots * n_bins > MAX_CIR_BYTES:
+        raise SizingError(
+            f"scenario would produce {n_snapshots} snapshots of {n_bins} delay bins "
+            f"({16 * n_snapshots * n_bins} bytes; limit {MAX_CIR_BYTES})"
+        )
 
-    Synthesis runs serially, one synthesize_snapshot call per (time, tx, rx).
+
+def run_scenario(cfg: GbsmConfig) -> CirSequence:
+    """Full deterministic run: cluster evolution, then one synthesize_snapshot
+    call per step onto a delay grid sized once for the whole run.
+
+    The cube's size is checked twice: before the evolution against the grid
+    the LOS alone needs, and after it against the exact grid.
     """
     n_steps = max(1, int(round(cfg.duration_s / cfg.snapshot_interval_s)))
-    total = n_steps * cfg.n_tx * cfg.n_rx
-    if total > MAX_SNAPSHOTS:
-        raise SizingError(
-            f"scenario would produce {total} snapshots (limit {MAX_SNAPSHOTS})"
-        )
+    dt = cfg.snapshot_interval_s
+    # The LOS delay is monotone in time, so its maximum lies at an end.
+    los_max = max(_los_delay(cfg, 0.0), _los_delay(cfg, (n_steps - 1) * dt))
+    _check_size(cfg, n_steps, int(round(los_max / cfg.delay_resolution_s)) + 11)
     states = _evolution(cfg, n_steps)
 
-    dt = cfg.snapshot_interval_s
-    los_max = max(_los_delay(cfg, i * dt) for i in range(n_steps))
     ray_max = max(
         float(np.max(recs["delay_s"] + recs["rays"]["sub_delay_s"].max(axis=1)))
         for recs in (state.clusters.view(np.ndarray) for state in states)
     )
     n_bins = int(round(max(los_max, ray_max) / cfg.delay_resolution_s)) + 11
+    _check_size(cfg, n_steps, n_bins)
 
     cir = np.zeros((n_steps, cfg.n_tx, cfg.n_rx, n_bins), dtype=np.complex128)
     for t_idx, state in enumerate(states):
-        t = t_idx * cfg.snapshot_interval_s
-        for q in range(cfg.n_tx):
-            for p in range(cfg.n_rx):
-                cir[t_idx, q, p] = synthesize_snapshot(state, cfg, t, q, p, n_bins).samples
+        cir[t_idx] = synthesize_snapshot(state, cfg, t_idx * dt, n_bins)
 
     return CirSequence(
         t0_s=0.0,
-        dt_s=cfg.snapshot_interval_s,
+        dt_s=dt,
         sample_period_s=cfg.delay_resolution_s,
         cir=cir,
         mean_cluster_count=float(np.mean([len(s.clusters) for s in states])),

@@ -267,7 +267,7 @@ def test_criterion_09_gbsm_normalization_and_k():
         total = los = 0.0
         for i in range(n_trials):
             state = init_clusters(cfg, derive_substream(cfg.seed, "gbsm-init", i))
-            p = np.abs(synthesize_snapshot(state, cfg, 0.0, 0, 0).samples) ** 2
+            p = np.abs(synthesize_snapshot(state, cfg, 0.0)[0, 0]) ** 2
             total += p.sum()
             los += p[los_bin]
         mean_energy = total / n_trials

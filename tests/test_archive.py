@@ -8,6 +8,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from chantool import archive
 from chantool.archive import (
@@ -209,6 +211,42 @@ class TestValidation:
         with pytest.raises(ArchiveError, match="antenna"):
             write_archive(str(tmp_path / "big.cirb"), big)
         write_archive(str(tmp_path / "ok.cirb"), seq)
+
+
+@st.composite
+def archive_files(draw):
+    """Either the right magic and version with a small shape, arbitrary
+    times and a payload of arbitrary bytes that fits the shape, or every
+    header field and the payload arbitrary."""
+    if draw(st.booleans()):
+        magic, version = b"CIRB", 1
+        shape = draw(st.tuples(st.integers(0, 3), *[st.integers(1, 3)] * 3))
+        times = draw(st.tuples(*[st.floats(1e-9, 1.0) | st.floats()] * 3))
+        size = 8 * math.prod(shape)
+        payload = draw(st.binary(min_size=size, max_size=size))
+    else:
+        magic = draw(st.binary(min_size=4, max_size=4))
+        version = draw(st.integers(0, 2**16 - 1))
+        limits = (2**32 - 1, 255, 255, 2**32 - 1)
+        shape = draw(st.tuples(*(st.integers(0, top) for top in limits)))
+        times = draw(st.tuples(st.floats(), st.floats(), st.floats()))
+        payload = draw(st.binary(max_size=64))
+    return struct.pack("<4sHIBBIddd", magic, version, *shape, *times) + payload
+
+
+class TestFuzz:
+    @settings(
+        max_examples=200, derandomize=True, database=None, deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(st.one_of(st.binary(max_size=120), archive_files()))
+    def test_fuzzed_file_raises_only_archive_error(self, tmp_path, blob):
+        path = tmp_path / "fuzz.cirb"
+        path.write_bytes(blob)
+        try:
+            read_archive(str(path))
+        except ArchiveError:
+            pass
 
 
 class TestMemory:

@@ -219,6 +219,39 @@ class TestGbsm:
         assert code == 3
         assert "snapshots" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "line", ["delay_scale_s = 1.0", "delay_resolution_s = 1e-15"],
+        ids=["wide-cluster-delays", "fine-delay-grid"],
+    )
+    def test_oversized_delay_grid_exit_3(self, tmp_path, capsys, line):
+        # Few snapshots, but a delay grid of tens of GiB: refused by bytes.
+        cfg = write(tmp_path / "g.ini", f"[gbsm]\n{line}\n")
+        out = tmp_path / "x.cirb"
+        assert main(["gbsm", "--config", cfg, "--out", str(out)]) == 3
+        assert "snapshots" in capsys.readouterr().err
+        assert not out.exists()
+
+
+class TestNonFiniteConfig:
+    @pytest.mark.parametrize(
+        "command, text",
+        [
+            ("gbsm", "[gbsm]\nduration_s = inf\n"),
+            ("gbsm", "[gbsm]\nrx_velocity_x_mps = nan\n"),
+            ("blockage", "[blockage]\nlink_length_m = nan\n"),
+            ("blockage", "[blockage]\ncylinder_radius_m = nan\n"),
+        ],
+        ids=["gbsm-duration-inf", "gbsm-velocity-nan", "blockage-length-nan",
+             "blockage-radius-nan"],
+    )
+    def test_non_finite_value_exit_2_with_line(self, tmp_path, capsys, command, text):
+        cfg = write(tmp_path / "c.ini", text)
+        out = tmp_path / "x.out"
+        assert main([command, "--config", cfg, "--out", str(out)]) == 2
+        key = text.split("\n")[1].split(" =")[0]
+        assert f"{cfg}:2: bad value for '{key}': must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
 
 def make_captures(tmp_path, bins=(10, 50, 120), powers=(0.0, -6.0, -12.0),
                   snr_db=30.0, label="cli-sounder"):
@@ -327,6 +360,20 @@ class TestSounder:
         assert main(["sounder", "--rx", rx, "--cal", cal, "--out", out]) == 2
         assert "cal has 2 captures; need exactly 1" in capsys.readouterr().err
         assert not os.path.exists(out)
+
+    def test_multi_capture_cal_rejected_before_decoding(self, tmp_path, capsys, traced_peak):
+        rx, cal = make_captures(tmp_path)
+        seq = read_archive(cal)
+        write_archive(cal, CirSequence(0.0, 1.0, seq.sample_period_s,
+                                       np.tile(seq.cir, (64, 1, 1, 1))))
+        cube = 16 * 64 * seq.cir.shape[3]
+        del seq
+        argv = ["sounder", "--rx", rx, "--cal", cal, "--out", str(tmp_path / "x.csv")]
+        codes = []
+        peak = traced_peak(lambda: codes.append(main(argv)))
+        assert codes == [2]
+        assert "cal has 64 captures; need exactly 1" in capsys.readouterr().err
+        assert peak <= 0.1 * cube
 
     def test_capture_length_mismatch_names_both_lengths(self, tmp_path, capsys):
         rx, cal = make_captures(tmp_path)

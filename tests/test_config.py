@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chantool.config import (
     SCHEMA,
@@ -12,6 +14,32 @@ from chantool.config import (
     sounder_settings,
 )
 from chantool.core import Point3
+
+
+def float_keys():
+    """(section, key) for every key whose value parses as a float."""
+    out = []
+    for section, keys in SCHEMA.items():
+        for key, parse in keys.items():
+            try:
+                parse("0.5")
+            except ValueError:
+                continue
+            out.append((section, key))
+    return out
+
+
+# Lines that reach past the header checks: schema sections and keys with
+# arbitrary values, mixed with arbitrary text.
+CONFIG_LINES = st.one_of(
+    st.sampled_from([f"[{name}]" for name in SCHEMA]),
+    st.builds(
+        "{} = {}".format,
+        st.sampled_from([key for keys in SCHEMA.values() for key in keys]),
+        st.one_of(st.sampled_from(["1", "0.5", "-2", "inf", "nan", "1e999", "ci"]), st.text()),
+    ),
+    st.text(),
+)
 
 GOOD = """\
 # demo configuration
@@ -114,6 +142,24 @@ class TestParsing:
             text = "\n" * pad + f"[{section}]\n" + f"{name} = 1.0\n"
             with pytest.raises(ConfigError, match=f":{pad + 2}:"):
                 parse_config(text, "fuzz.ini")
+
+
+    @pytest.mark.parametrize("section, key", float_keys())
+    def test_non_finite_float_rejected(self, section, key):
+        for raw in ("inf", "-inf", "nan", "1e999"):
+            text = f"[{section}]\n{key} = {raw}\n"
+            with pytest.raises(
+                ConfigError, match=rf"x\.ini:2: bad value for '{key}': must be finite"
+            ):
+                parse_config(text, "x.ini")
+
+    @settings(max_examples=200, derandomize=True, database=None, deadline=None)
+    @given(st.one_of(st.text(), st.lists(CONFIG_LINES, max_size=8).map("\n".join)))
+    def test_fuzzed_text_raises_only_config_error(self, text):
+        try:
+            parse_config(text, "fuzz.ini")
+        except ConfigError:
+            pass
 
 
 class TestBuilders:

@@ -1,10 +1,13 @@
 """Tests for the non-stationary cluster channel generator."""
 
+import dataclasses
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
+from chantool import gbsm
 from chantool.core import Point3, derive_substream
 from chantool.gbsm import (
     ClusterState,
@@ -33,8 +36,7 @@ def rays_equal(a: np.ndarray, b: np.ndarray) -> bool:
 
 def states_equal(a: ClusterState, b: ClusterState) -> bool:
     return (
-        a.t_s == b.t_s
-        and a.next_id == b.next_id
+        a.next_id == b.next_id
         and a.clusters.dtype == b.clusters.dtype
         and a.clusters.tobytes() == b.clusters.tobytes()
     )
@@ -132,12 +134,14 @@ class TestInitClusters:
 
     def test_state_invariants_enforced(self):
         with pytest.raises(ValueError, match="sum to 1"):
-            ClusterState(cluster_records([0], [1e-8], [0.5]), 0.0, 1)
+            ClusterState(cluster_records([0], [1e-8], [0.5]), 1)
         with pytest.raises(ValueError, match="unique"):
-            ClusterState(cluster_records([0, 0], [1e-8, 2e-8], [0.5, 0.5]), 0.0, 1)
+            ClusterState(cluster_records([0, 0], [1e-8, 2e-8], [0.5, 0.5]), 1)
         with pytest.raises(ValueError, match=">= 0"):
-            ClusterState(cluster_records([0], [-1e-9], [1.0]), 0.0, 1)
-        ClusterState(cluster_records([0], [1e-8], [1.0]), 0.0, 1)
+            ClusterState(cluster_records([0], [-1e-9], [1.0]), 1)
+        ClusterState(cluster_records([0], [1e-8], [1.0]), 1)
+        # A state is its clusters and the next id; it carries no time.
+        assert [f.name for f in dataclasses.fields(ClusterState)] == ["clusters", "next_id"]
 
     def test_cluster_records_contract(self):
         # Records read by attribute, as the generator's callers read them.
@@ -165,7 +169,6 @@ class TestEvolveClusters:
         state = init_for(cfg)
         out = evolve_clusters(state, cfg, 1e-3, derive_substream(5, "gbsm-evolve", 1))
         assert [c.id for c in out.clusters] == [c.id for c in state.clusters]
-        assert out.t_s == pytest.approx(1e-3)
         # zero velocity: delays and powers unchanged
         for before, after in zip(state.clusters, out.clusters):
             assert after.delay_s == before.delay_s
@@ -301,24 +304,30 @@ class TestEvolveClusters:
 class TestSynthesizeSnapshot:
     def test_frozen_reference_snapshot(self):
         cfg = GbsmConfig(seed=42)
-        snap = synthesize_snapshot(init_for(cfg), cfg, 0.0, 0, 0)
-        assert snap.samples.size == 164
-        assert snap.sample_period_s == cfg.delay_resolution_s
+        h = synthesize_snapshot(init_for(cfg), cfg, 0.0)
+        assert h.shape == (1, 1, 164)
+        assert h.dtype == np.complex128
+        samples = h[0, 0]
         los_bin = round(10.0 / C / cfg.delay_resolution_s)
         assert los_bin == 43
-        assert snap.samples[los_bin].real == pytest.approx(
-            0.8849833133763773, rel=1e-9
-        )
-        assert snap.samples[los_bin].imag == pytest.approx(
-            0.10249498986265947, rel=1e-9
-        )
-        total = float(np.sum(np.abs(snap.samples) ** 2))
+        assert samples[los_bin].real == pytest.approx(0.8849833133763773, rel=1e-9)
+        assert samples[los_bin].imag == pytest.approx(0.10249498986265947, rel=1e-9)
+        total = float(np.sum(np.abs(samples) ** 2))
         assert total == pytest.approx(1.0705806989142057, rel=1e-9)
+
+    def test_one_call_gives_every_pair(self):
+        cfg = GbsmConfig(seed=19, n_tx=2, n_rx=3)
+        h = synthesize_snapshot(init_for(cfg), cfg, 0.0, n_bins=4096)
+        assert h.shape == (2, 3, 4096)
+        # pair (0, 0) has no array phase: it is the single-antenna snapshot
+        single = dataclasses.replace(cfg, n_tx=1, n_rx=1)
+        alone = synthesize_snapshot(init_for(single), single, 0.0, n_bins=4096)
+        assert np.array_equal(h[0, 0], alone[0, 0])
 
     def test_mean_energy_is_unity(self):
         cfg = GbsmConfig(seed=7, k_factor_db=10.0 * math.log10(3.0))
         totals = [
-            float(np.sum(np.abs(synthesize_snapshot(init_for(cfg, i), cfg, 0.0, 0, 0).samples) ** 2))
+            float(np.sum(np.abs(synthesize_snapshot(init_for(cfg, i), cfg, 0.0)[0, 0]) ** 2))
             for i in range(800)
         ]
         assert np.mean(totals) == pytest.approx(1.0, rel=0.05)
@@ -328,15 +337,14 @@ class TestSynthesizeSnapshot:
         los_bin = round(10.0 / C / cfg.delay_resolution_s)
         los = nlos = 0.0
         for i in range(1200):
-            p = np.abs(synthesize_snapshot(init_for(cfg, i), cfg, 0.0, 0, 0).samples) ** 2
+            p = np.abs(synthesize_snapshot(init_for(cfg, i), cfg, 0.0)[0, 0]) ** 2
             los += p[los_bin]
             nlos += p.sum() - p[los_bin]
         assert los / nlos == pytest.approx(1.0, rel=0.07)
 
     def test_large_k_leaves_only_los(self):
         cfg = GbsmConfig(seed=11, k_factor_db=200.0)
-        snap = synthesize_snapshot(init_for(cfg), cfg, 0.0, 0, 0)
-        power = np.abs(snap.samples) ** 2
+        power = np.abs(synthesize_snapshot(init_for(cfg), cfg, 0.0)[0, 0]) ** 2
         los_bin = round(10.0 / C / cfg.delay_resolution_s)
         assert power[los_bin] == pytest.approx(1.0, rel=1e-9)
         rest = np.delete(power, los_bin)
@@ -344,33 +352,24 @@ class TestSynthesizeSnapshot:
 
     def test_tiny_k_removes_los(self):
         cfg = GbsmConfig(seed=11, k_factor_db=-200.0)
-        snap = synthesize_snapshot(init_for(cfg), cfg, 0.0, 0, 0)
+        samples = synthesize_snapshot(init_for(cfg), cfg, 0.0)[0, 0]
         los_bin = round(10.0 / C / cfg.delay_resolution_s)
-        assert np.abs(snap.samples[los_bin]) ** 2 < 1e-15
-
-    def test_antenna_index_validation(self):
-        cfg = GbsmConfig(seed=11)
-        state = init_for(cfg)
-        with pytest.raises(ValueError, match="tx_idx"):
-            synthesize_snapshot(state, cfg, 0.0, 1, 0)
-        with pytest.raises(ValueError, match="rx_idx"):
-            synthesize_snapshot(state, cfg, 0.0, 0, -1)
+        assert np.abs(samples[los_bin]) ** 2 < 1e-15
 
     def test_grid_extends_to_cover_delays(self):
         cfg = GbsmConfig(seed=42)
         state = init_for(cfg)
-        short = synthesize_snapshot(state, cfg, 0.0, 0, 0, n_bins=5)
-        auto = synthesize_snapshot(state, cfg, 0.0, 0, 0)
-        assert short.samples.size == auto.samples.size
-        wide = synthesize_snapshot(state, cfg, 0.0, 0, 0, n_bins=4096)
-        assert wide.samples.size == 4096
-        assert np.array_equal(wide.samples[: auto.samples.size], auto.samples)
+        short = synthesize_snapshot(state, cfg, 0.0, n_bins=5)[0, 0]
+        auto = synthesize_snapshot(state, cfg, 0.0)[0, 0]
+        assert short.size == auto.size
+        wide = synthesize_snapshot(state, cfg, 0.0, n_bins=4096)[0, 0]
+        assert wide.size == 4096
+        assert np.array_equal(wide[: auto.size], auto)
 
     def test_array_phase_differs_across_elements(self):
         cfg = GbsmConfig(seed=19, n_tx=2, n_rx=2)
-        state = init_for(cfg)
-        a = synthesize_snapshot(state, cfg, 0.0, 0, 0).samples
-        b = synthesize_snapshot(state, cfg, 0.0, 1, 0).samples
+        h = synthesize_snapshot(init_for(cfg), cfg, 0.0)
+        a, b = h[0, 0], h[1, 0]
         los_bin = round(10.0 / C / cfg.delay_resolution_s)
         # broadside arrays: the LOS term is common, scattered rays shift
         assert not np.array_equal(a, b)
@@ -386,11 +385,11 @@ class TestSynthesizeSnapshot:
             death_rate_hz=0.0,
         )
         state = init_for(cfg)
-        a = synthesize_snapshot(state, cfg, 0.0, 0, 0)
-        b = synthesize_snapshot(state, cfg, 62.5e-6, 0, 0)
-        assert not np.array_equal(a.samples, b.samples)
+        a = synthesize_snapshot(state, cfg, 0.0)[0, 0]
+        b = synthesize_snapshot(state, cfg, 62.5e-6)[0, 0]
+        assert not np.array_equal(a, b)
         # 62.5 us of pedestrian motion barely moves the power profile
-        pa, pb = np.abs(a.samples) ** 2, np.abs(b.samples) ** 2
+        pa, pb = np.abs(a) ** 2, np.abs(b) ** 2
         assert np.abs(pa - pb).max() < 0.02
 
 
@@ -487,6 +486,50 @@ class TestRunScenario:
         with pytest.raises(SizingError, match="snapshots"):
             run_scenario(cfg)
 
+    def test_grid_too_wide_for_los_rejected_before_evolution(self, monkeypatch):
+        def no_evolution(*args):
+            raise AssertionError("evolution ran")
+
+        monkeypatch.setattr(gbsm, "_evolution", no_evolution)
+        cfg = GbsmConfig(seed=31, delay_resolution_s=1e-15)
+        with pytest.raises(SizingError, match="snapshots"):
+            run_scenario(cfg)
+
+    def test_ray_delays_too_wide_rejected_before_allocation(self):
+        # The LOS grid fits; the rays' sub-delays (scale 10 s) would need
+        # terabytes, known only after the evolution.
+        cfg = GbsmConfig(seed=31, ray_delay_scale_s=10.0)
+        with pytest.raises(SizingError, match="snapshots"):
+            run_scenario(cfg)
+
     def test_zero_duration_gives_single_snapshot(self):
         cfg = GbsmConfig(seed=31, duration_s=0.0)
         assert run_scenario(cfg).n_time == 1
+
+    @pytest.mark.parametrize(
+        "kwargs, digest",
+        [
+            (
+                dict(seed=53, n_tx=2, n_rx=3, rx_velocity=Point3(-2.0, 1.0, 0.0),
+                     tx_velocity=Point3(0.5, -1.5, 0.0), birth_rate_hz=1500.0,
+                     death_rate_hz=1200.0, duration_s=60 * 62.5e-6),
+                "c471fb4f1a38b7768e9bfe6cc535e271bc0c651f7999155f2840b3e582c3189e",
+            ),
+            (
+                dict(seed=2024, n_tx=3, rays_per_cluster=7, rx_velocity=Point3(1.0, 0.0, 0.0),
+                     birth_rate_hz=800.0, death_rate_hz=800.0, duration_s=50 * 62.5e-6),
+                "698b078c3477dca5a549614735eca2301eee62b8bf39a8c45592f2a36504994a",
+            ),
+            (
+                dict(seed=0, n_tx=4, n_rx=4, rx_velocity=Point3(0.7, -0.3, 0.0),
+                     birth_rate_hz=1000.0, death_rate_hz=1000.0, duration_s=30 * 62.5e-6),
+                "2d496237f31ef04d5379557016bfdbf0b2182aa29a30e9ed32894aaf7b53c66a",
+            ),
+        ],
+        ids=["2x3-churn-both-moving", "3x1-7-rays", "4x4"],
+    )
+    def test_frozen_cube_digest(self, kwargs, digest):
+        # Pins every byte of the cube: each pair's terms in the per-pair,
+        # per-ray operation order.
+        cir = run_scenario(GbsmConfig(**kwargs)).cir
+        assert hashlib.sha256(cir.tobytes()).hexdigest() == digest
