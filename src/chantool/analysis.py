@@ -1,7 +1,10 @@
 """Second-order statistics over CIR sequences.
 
 PDP correlation matrices, greedy stationary-interval segmentation, the
-cross-polarization power ratio, and line-of-sight power tracking.
+cross-polarization power ratio, and line-of-sight power tracking.  A
+correlation matrix is (snapshots x snapshots) float64, so its size is
+budgeted by bytes: check_correlation_size refuses an oversized request
+with SizingError before anything is allocated.
 """
 
 from __future__ import annotations
@@ -13,8 +16,25 @@ import numpy as np
 
 from chantool.archive import BLOCK_BYTES
 from chantool.core import DB_FLOOR, Mpc, from_db
-from chantool.gbsm import CirSequence
+from chantool.gbsm import CirSequence, SizingError
 from chantool.sounder import MpcExtractionPolicy, extract_mpcs, received_power
+
+
+# Byte ceiling on the float64 (snapshots, snapshots) correlation matrix.
+# pdp_correlation_matrix holds about two such matrices at its peak, and
+# analyze writes the matrix as text at about 20 bytes a value, so both grow
+# as n^2: 256 MiB admits about 5800 snapshots (roughly 0.5 GiB of peak
+# memory and 0.7 GB of text) and refuses a larger count up front.
+MAX_CORR_BYTES = 1 << 28
+
+
+def check_correlation_size(n_snapshots: int) -> None:
+    """Raise SizingError if a correlation over n_snapshots exceeds MAX_CORR_BYTES."""
+    if 8 * n_snapshots**2 > MAX_CORR_BYTES:
+        raise SizingError(
+            f"correlation of {n_snapshots} snapshots would take "
+            f"{8 * n_snapshots**2} bytes; limit {MAX_CORR_BYTES}"
+        )
 
 
 @dataclass(frozen=True)
@@ -22,14 +42,13 @@ class CorrelationMatrix:
     """Pairwise Pearson correlations between snapshots' PDPs."""
 
     values: np.ndarray
-    snapshot_count: int
 
     def __post_init__(self) -> None:
         values = np.asarray(self.values, dtype=float)
         object.__setattr__(self, "values", values)
-        n = self.snapshot_count
-        if values.shape != (n, n):
-            raise ValueError(f"values must be {n}x{n}, got {values.shape}")
+        if values.ndim != 2 or values.shape[0] != values.shape[1]:
+            raise ValueError(f"values must be a square matrix, got shape {values.shape}")
+        n = len(values)
         step = max(1, BLOCK_BYTES // (8 * max(n, 1)))  # row blocks bound the temporaries
         for i in range(0, n, step):
             rows, cols = values[i : i + step], values[:, i : i + step].T
@@ -39,6 +58,10 @@ class CorrelationMatrix:
             raise ValueError("correlation matrix diagonal must be 1")
         if values.min() < -1.0 - 1e-12 or values.max() > 1.0 + 1e-12:
             raise ValueError("correlations must lie in [-1, 1]")
+
+    @property
+    def snapshot_count(self) -> int:
+        return len(self.values)
 
 
 @dataclass(frozen=True)
@@ -61,6 +84,7 @@ def pdp_correlation_matrix(pdp_db: np.ndarray) -> CorrelationMatrix:
         raise ValueError(f"PDPs must be 2-D (snapshots, bins), got {np.ndim(pdp_db)}-D")
     if len(pdp_db) < 2:
         raise ValueError("need at least 2 PDPs")
+    check_correlation_size(len(pdp_db))
     # x is centred and scaled in place: the same values as new arrays would
     # hold, without two more (snapshots, bins) temporaries.
     x = from_db(pdp_db)
@@ -78,7 +102,7 @@ def pdp_correlation_matrix(pdp_db: np.ndarray) -> CorrelationMatrix:
     corr /= 2.0
     np.clip(corr, -1.0, 1.0, out=corr)
     np.fill_diagonal(corr, 1.0)
-    return CorrelationMatrix(values=corr, snapshot_count=len(pdp_db))
+    return CorrelationMatrix(corr)
 
 
 def stationary_intervals(
@@ -118,22 +142,20 @@ def los_power_track(
     """Power of the strongest MPC inside the earliest-arriving 3-bin
     window, per snapshot in time order.
 
-    Snapshots with no detectable paths report the dB floor.
+    Snapshots with no detectable paths report the dB floor.  Each time is
+    the snapshot's place in the sequence, t0_s + dt_s * t_idx.
     """
     if seq.n_time < 1:
         raise ValueError("sequence is empty")
+    period = seq.sample_period_s
     track = []
     for t_idx in range(seq.n_time):
-        snap = seq.snapshot(t_idx, tx_idx, rx_idx)
-        mpcs = extract_mpcs(snap, policy)
+        t_s = seq.t0_s + seq.dt_s * t_idx
+        mpcs = extract_mpcs(seq.snapshot(t_idx, tx_idx, rx_idx), policy)
         if not mpcs:
-            track.append((snap.t_s, DB_FLOOR))
+            track.append((t_s, DB_FLOOR))
             continue
-        first_bin = round(mpcs[0].delay_s / snap.sample_period_s)
-        window = [
-            m
-            for m in mpcs
-            if round(m.delay_s / snap.sample_period_s) <= first_bin + 2
-        ]
-        track.append((snap.t_s, max(m.power_db for m in window)))
+        first_bin = round(mpcs[0].delay_s / period)
+        window = [m for m in mpcs if round(m.delay_s / period) <= first_bin + 2]
+        track.append((t_s, max(m.power_db for m in window)))
     return track

@@ -18,6 +18,7 @@ import warnings
 import numpy as np
 
 from chantool.analysis import (
+    check_correlation_size,
     los_power_track,
     pdp_correlation_matrix,
     stationary_intervals,
@@ -247,10 +248,12 @@ def cmd_sounder(args) -> int:
 
 def _read_pair(path: str) -> CirSequence:
     """Pair (0, 0) of an archive of at least 2 snapshots, as a 1x1 sequence;
-    no other pair is decoded."""
+    no other pair is decoded, and no payload at all if the snapshot count
+    would overrun the correlation's byte budget."""
     with open_archive(path) as (header, blocks):
         if header.shape[0] < 2:
             raise ArchiveError(f"{path}: need at least 2 snapshots to analyze")
+        check_correlation_size(header.shape[0])
         cir = np.empty((header.shape[0], 1, 1, header.shape[3]), dtype=np.complex128)
         for t, block in blocks:
             cir[t : t + len(block)] = block[:, :1, :1]

@@ -3,6 +3,8 @@
 Everything downstream (blockage, path loss, channel synthesis, sounder
 processing) builds on the small immutable types and array helpers (dB, PDP)
 defined here plus a deterministic substream scheme for random numbers.
+Each type stores only what it cannot derive: an Mpc computes its power from
+its amplitude, and a CirSnapshot carries no time (its sequence knows it).
 """
 
 from __future__ import annotations
@@ -98,7 +100,6 @@ BAND_39 = FrequencyBand.preset(39.0)
 class CirSnapshot:
     """One complex baseband channel impulse response on a uniform delay grid."""
 
-    t_s: float
     sample_period_s: float
     samples: np.ndarray  # complex, delay-indexed
 
@@ -114,31 +115,20 @@ class CirSnapshot:
 class Mpc:
     """A resolved multipath component.
 
-    power_db is redundant with amplitude (20*log10|amplitude|) and is kept
-    because most consumers only need the scalar; the constructor enforces
-    consistency.
+    power_db is derived once from the amplitude, 20*log10|amplitude|, or
+    DB_FLOOR for a zero amplitude; most consumers need only that scalar.
     """
 
     delay_s: float
     amplitude: complex
-    power_db: float
+    power_db: float = field(init=False)
 
     def __post_init__(self) -> None:
         if self.delay_s < 0.0:
             raise ValueError("delay_s must be non-negative")
         mag = abs(self.amplitude)
-        expect = 20.0 * math.log10(mag) if mag > 0.0 else DB_FLOOR
-        if abs(self.power_db - expect) > 1e-9:
-            raise ValueError(
-                f"power_db {self.power_db} inconsistent with amplitude "
-                f"(expected {expect})"
-            )
-
-    @classmethod
-    def from_amplitude(cls, delay_s: float, amplitude: complex) -> "Mpc":
-        mag = abs(amplitude)
         power_db = 20.0 * math.log10(mag) if mag > 0.0 else DB_FLOOR
-        return cls(delay_s, amplitude, power_db)
+        object.__setattr__(self, "power_db", power_db)
 
 
 def pdp_from_cir(samples: np.ndarray) -> np.ndarray:
@@ -147,26 +137,15 @@ def pdp_from_cir(samples: np.ndarray) -> np.ndarray:
     return to_db(np.abs(samples) ** 2)
 
 
-@dataclass(frozen=True)
-class RandomStream:
-    """A named, independently seeded random substream.
+def derive_substream(seed: int, label: str, index: int) -> np.random.Generator:
+    """An independent random substream keyed by (seed, label, index).
 
-    Substreams are derived from (seed, label, index) via SHA-256 keying of a
-    counter-based Philox generator, so a stream's output is a pure function
-    of those three values: independent of platform, process history, and of
-    any other substream.  Draw from the wrapped numpy Generator via ``rng``.
+    The key is the SHA-256 digest of the three values, fed to a
+    counter-based Philox generator, so a substream's draws are a pure
+    function of them: independent of platform, process history, and of
+    any other substream.
     """
-
-    seed: int
-    label: str
-    index: int
-    rng: np.random.Generator = field(repr=False, compare=False)
-
-
-def derive_substream(seed: int, label: str, index: int) -> RandomStream:
-    """Derive an independent substream keyed by (seed, label, index)."""
     material = f"{seed}\x1f{label}\x1f{index}".encode()
     digest = hashlib.sha256(material).digest()
     key = np.frombuffer(digest[:16], dtype=np.uint64)
-    rng = np.random.Generator(np.random.Philox(key=key))
-    return RandomStream(seed=seed, label=label, index=index, rng=rng)
+    return np.random.Generator(np.random.Philox(key=key))

@@ -16,7 +16,7 @@ operations; synthesis broadcasts over (tx, rx, ray), one call per step.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 
 import numpy as np
 
@@ -26,7 +26,6 @@ from chantool.core import (
     FrequencyBand,
     BAND_28,
     Point3,
-    RandomStream,
     derive_substream,
 )
 
@@ -74,6 +73,12 @@ class GbsmConfig:
     delay_resolution_s: float = 1.0 / 1.28e9
 
     def __post_init__(self) -> None:
+        # Non-finite numbers would otherwise fail late and untyped (an
+        # OverflowError sizing the run) or run to a cube of NaN.
+        for name, value in vars(self).items():
+            numbers = astuple(value) if isinstance(value, Point3) else (value,)
+            if any(isinstance(x, float) and not math.isfinite(x) for x in numbers):
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.n_tx < 1 or self.n_rx < 1:
             raise ValueError("antenna counts must be >= 1")
         if not self.antenna_spacing_m > 0.0:
@@ -154,11 +159,10 @@ class ClusterState:
 
 
 def _make_clusters(
-    cfg: GbsmConfig, stream: RandomStream, count: int, first_id: int
+    cfg: GbsmConfig, rng: np.random.Generator, count: int, first_id: int
 ) -> np.ndarray:
     """Draw `count` fresh cluster records; power_linear is left at zero for
     the caller to normalize."""
-    rng = stream.rng
     m = cfg.rays_per_cluster
     recs = np.zeros(count, cluster_dtype(m))
     for i in range(count):
@@ -178,11 +182,11 @@ def _make_clusters(
     return recs
 
 
-def init_clusters(cfg: GbsmConfig, stream: RandomStream) -> ClusterState:
+def init_clusters(cfg: GbsmConfig, rng: np.random.Generator) -> ClusterState:
     """Initial cluster population: Poisson count (at least one), exponential
     delays, shadowed-exponential powers normalized to unit sum."""
-    count = max(1, int(stream.rng.poisson(cfg.mean_clusters)))
-    recs = _make_clusters(cfg, stream, count, first_id=0)
+    count = max(1, int(rng.poisson(cfg.mean_clusters)))
+    recs = _make_clusters(cfg, rng, count, first_id=0)
     # sum() adds left to right as a per-cluster loop does; np.sum's
     # pairwise order can differ in the last bit.
     recs["power_linear"] = recs["weight"] / sum(recs["weight"].tolist())
@@ -198,14 +202,13 @@ def _radial_velocity(cfg: GbsmConfig) -> float:
 
 
 def evolve_clusters(
-    state: ClusterState, cfg: GbsmConfig, dt_s: float, stream: RandomStream
+    state: ClusterState, cfg: GbsmConfig, dt_s: float, rng: np.random.Generator
 ) -> ClusterState:
     """One birth-death step: independent survival with exp(-death_rate*dt),
     Poisson(birth_rate*dt) fresh clusters, radial delay drift on survivors,
     and renormalized powers.  A fresh cluster is forced in if all die."""
     if not dt_s > 0.0:
         raise ValueError("dt_s must be positive")
-    rng = stream.rng
     p_survive = math.exp(-cfg.death_rate_hz * dt_s)
     drift = _radial_velocity(cfg) / SPEED_OF_LIGHT * dt_s
     recs = state.clusters.view(np.ndarray)
@@ -219,7 +222,7 @@ def evolve_clusters(
     # Record-array concatenation costs more than the rest of a step; skip it
     # when none are born.
     if n_births:
-        recs = np.concatenate((recs, _make_clusters(cfg, stream, n_births, state.next_id)))
+        recs = np.concatenate((recs, _make_clusters(cfg, rng, n_births, state.next_id)))
     recs["power_linear"] = recs["weight"] / sum(recs["weight"].tolist())
     return ClusterState(recs, next_id=state.next_id + n_births)
 
@@ -291,7 +294,8 @@ class CirSequence:
     """A run's worth of CIR snapshots on a common delay grid.
 
     cir is indexed (time, tx, rx, delay); snapshot() wraps one entry as a
-    CirSnapshot without copying.  mean_cluster_count is NaN unless the
+    CirSnapshot without copying, and entry t_idx lies at time
+    t0_s + dt_s * t_idx.  mean_cluster_count is NaN unless the
     sequence came out of run_scenario.
     """
 
@@ -316,18 +320,14 @@ class CirSequence:
         return self.t0_s + self.dt_s * np.arange(self.n_time)
 
     def snapshot(self, t_idx: int, tx_idx: int = 0, rx_idx: int = 0) -> CirSnapshot:
-        return CirSnapshot(
-            t_s=self.t0_s + self.dt_s * t_idx,
-            sample_period_s=self.sample_period_s,
-            samples=self.cir[t_idx, tx_idx, rx_idx],
-        )
+        return CirSnapshot(self.sample_period_s, self.cir[t_idx, tx_idx, rx_idx])
 
 
 def _evolution(cfg: GbsmConfig, n_steps: int) -> list[ClusterState]:
     states = [init_clusters(cfg, derive_substream(cfg.seed, "gbsm-init", 0))]
     for step in range(1, n_steps):
-        stream = derive_substream(cfg.seed, "gbsm-evolve", step)
-        states.append(evolve_clusters(states[-1], cfg, cfg.snapshot_interval_s, stream))
+        rng = derive_substream(cfg.seed, "gbsm-evolve", step)
+        states.append(evolve_clusters(states[-1], cfg, cfg.snapshot_interval_s, rng))
     return states
 
 

@@ -14,8 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from chantool.core import RandomStream
-
 # Free-space loss at the 1 m CI reference, dB, with frequency in GHz.
 FSPL_1M_DB = 32.4
 
@@ -187,7 +185,7 @@ def abg_fit(samples: list[PathLossSample], fix_gamma: float | None = None) -> Ab
                     gamma=float(coef[2]), sigma_db=sigma)
 
 
-def shadowed_sample(model, d_m: float, f_ghz: float, stream: RandomStream) -> float:
+def shadowed_sample(model, d_m: float, f_ghz: float, rng: np.random.Generator) -> float:
     """One path loss draw: deterministic model value plus N(0, sigma) shadowing."""
     if isinstance(model, CiModel):
         base = ci_eval(model, d_m, f_ghz)
@@ -195,4 +193,4 @@ def shadowed_sample(model, d_m: float, f_ghz: float, stream: RandomStream) -> fl
         base = abg_eval(model, d_m, f_ghz)
     else:
         raise TypeError(f"unsupported model type {type(model).__name__}")
-    return base + float(stream.rng.normal(0.0, model.sigma_db))
+    return base + float(rng.normal(0.0, model.sigma_db))

@@ -7,6 +7,8 @@ frequency-domain deconvolution against a back-to-back calibration, and
 extracts multipath components with their summary statistics (received
 power, path loss, RMS delay spread).  calibrate does the calibration's
 share of the deconvolution once; deconvolve_cir applies it to each capture.
+Noise comes from a numpy Generator the caller passes in, such as
+derive_substream gives.
 """
 
 from __future__ import annotations
@@ -18,13 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from chantool.core import (
-    DB_FLOOR,
-    CirSnapshot,
-    Mpc,
-    RandomStream,
-    to_db,
-)
+from chantool.core import DB_FLOOR, CirSnapshot, Mpc, to_db
 
 # Maximal-length LFSR feedback taps per register length.  Tap t feeds back
 # the bit that left the register t shifts ago, so each entry lists the
@@ -321,7 +317,7 @@ def deconvolve_cir(y_rx: np.ndarray, cal: Calibration) -> CirSnapshot:
     response = np.zeros(y_rx.size, dtype=np.complex128)
     response[cal.keep] = spec_rx[cal.keep] * cal.conj_cal / cal.denom * cal.weight
     h = np.fft.ifft(response) * cal.scale
-    return CirSnapshot(t_s=0.0, sample_period_s=cal.sample_period_s, samples=h)
+    return CirSnapshot(cal.sample_period_s, h)
 
 
 def noise_floor_db(cir: CirSnapshot, tail_fraction: float = 0.1) -> float:
@@ -368,10 +364,7 @@ def extract_mpcs(cir: CirSnapshot, policy: MpcExtractionPolicy | None = None) ->
     if candidates.size > policy.max_paths:
         strongest = candidates[np.argsort(pdp[candidates], kind="stable")][::-1]
         candidates = np.sort(strongest[: policy.max_paths])
-    return [
-        Mpc.from_amplitude(i * cir.sample_period_s, complex(cir.samples[i]))
-        for i in candidates
-    ]
+    return [Mpc(i * cir.sample_period_s, complex(cir.samples[i])) for i in candidates]
 
 
 def received_power(mpcs: Sequence[Mpc]) -> float:
@@ -431,14 +424,14 @@ def simulate_capture(
     channel: Sequence[Mpc] | CirSnapshot,
     spec: WaveformSpec | None = None,
     snr_db: float = math.inf,
-    stream: RandomStream | None = None,
+    stream: np.random.Generator | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Synthesize a sounding capture: returns (y_rx, y_cal).
 
     y_cal is the probe waveform through the system response alone (the
     matched receive RRC filter, completing the tx/rx matched pair); y_rx
     additionally passes the channel and, for finite snr_db, picks up white
-    Gaussian noise.  snr_db references the mean received signal power over
+    Gaussian noise drawn from stream, a numpy Generator.  snr_db references the mean received signal power over
     the active PN span (frame energy divided by 2**pn_order samples at the
     chip rate) to the per-sample noise power.
     """
@@ -451,9 +444,9 @@ def simulate_capture(
     if math.isinf(snr_db):
         return y_clean, y_cal
     if stream is None:
-        raise ValueError("a RandomStream is required for finite snr_db")
+        raise ValueError("a numpy Generator stream is required for finite snr_db")
     support = spec.n_chips * spec.interp_factor
     p_signal = float(np.sum(np.abs(y_clean) ** 2)) / support
     sigma2 = p_signal / 10.0 ** (snr_db / 10.0)
-    noise = stream.rng.normal(size=(y_clean.size, 2)) * math.sqrt(sigma2 / 2.0)
+    noise = stream.normal(size=(y_clean.size, 2)) * math.sqrt(sigma2 / 2.0)
     return y_clean + noise[:, 0] + 1j * noise[:, 1], y_cal

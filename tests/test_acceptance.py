@@ -165,8 +165,8 @@ def test_criterion_06_fit_recovery():
 
     ci_truth = CiModel(n=2.637, sigma_db=5.47)
     stream = derive_substream(101, "ci-recovery", 0)
-    d = np.exp(stream.rng.uniform(np.log(10.0), np.log(800.0), n_samples))
-    noise = stream.rng.normal(0.0, ci_truth.sigma_db, n_samples)
+    d = np.exp(stream.uniform(np.log(10.0), np.log(800.0), n_samples))
+    noise = stream.normal(0.0, ci_truth.sigma_db, n_samples)
     samples = [
         PathLossSample(di, 28.0, ci_eval(ci_truth, di, 28.0) + zi)
         for di, zi in zip(d, noise)
@@ -175,8 +175,8 @@ def test_criterion_06_fit_recovery():
 
     fi_truth = AbgModel(alpha=2.374, beta_db=67.31, gamma=0.0, sigma_db=6.57)
     stream = derive_substream(101, "fi-recovery", 0)
-    d = np.exp(stream.rng.uniform(np.log(10.0), np.log(800.0), n_samples))
-    noise = stream.rng.normal(0.0, fi_truth.sigma_db, n_samples)
+    d = np.exp(stream.uniform(np.log(10.0), np.log(800.0), n_samples))
+    noise = stream.normal(0.0, fi_truth.sigma_db, n_samples)
     samples = [
         PathLossSample(di, 28.0, abg_eval(fi_truth, di, 28.0) + zi)
         for di, zi in zip(d, noise)
@@ -209,7 +209,7 @@ def test_criterion_07_sounder_round_trip():
     bins = (10, 50, 120)
     powers = (0.0, -6.0, -12.0)
     channel = [
-        Mpc.from_amplitude(b / FS, 10.0 ** (p / 20.0)) for b, p in zip(bins, powers)
+        Mpc(b / FS, 10.0 ** (p / 20.0)) for b, p in zip(bins, powers)
     ]
     stream = derive_substream(7, "sounder-roundtrip", 0)
     y_rx, y_cal = simulate_capture(channel, spec, snr_db=snr_db, stream=stream)
@@ -235,9 +235,9 @@ def test_criterion_07_sounder_round_trip():
 
 def test_criterion_08_rms_delay_spread_hand_cases():
     t0 = time.perf_counter()
-    one = [Mpc.from_amplitude(5e-8, 1.0)]
-    two_equal = [Mpc.from_amplitude(0.0, 1.0), Mpc.from_amplitude(1e-7, 1.0)]
-    two_weighted = [Mpc.from_amplitude(0.0, 1.0), Mpc.from_amplitude(1e-7, 0.5)]
+    one = [Mpc(5e-8, 1.0)]
+    two_equal = [Mpc(0.0, 1.0), Mpc(1e-7, 1.0)]
+    two_weighted = [Mpc(0.0, 1.0), Mpc(1e-7, 0.5)]
     checks = [
         (rms_delay_spread(one), 0.0),
         (rms_delay_spread(two_equal), 5e-8),
@@ -325,7 +325,7 @@ def test_criterion_11_cli_determinism(tmp_path):
     )
     samples_path = tmp_path / "samples.csv"
     stream = derive_substream(5, "acceptance-ci", 0)
-    d = np.exp(stream.rng.uniform(np.log(10.0), np.log(800.0), 200))
+    d = np.exp(stream.uniform(np.log(10.0), np.log(800.0), 200))
     pl = 32.4 + 20.0 * np.log10(28.0) + 10.0 * 2.637 * np.log10(d)
     samples_path.write_text(
         "distance_m,freq_ghz,pl_db\n"
@@ -333,7 +333,7 @@ def test_criterion_11_cli_determinism(tmp_path):
         + "\n"
     )
     spec = WaveformSpec()
-    channel = [Mpc.from_amplitude(10 / FS, 1.0), Mpc.from_amplitude(60 / FS, 0.5)]
+    channel = [Mpc(10 / FS, 1.0), Mpc(60 / FS, 0.5)]
     y_rx, y_cal = simulate_capture(
         channel, spec, snr_db=35.0, stream=derive_substream(7, "acceptance-cap", 0)
     )
@@ -407,13 +407,13 @@ def test_criterion_12_property_suites():
         k = rng.integers(2, 12)
         delays = np.sort(rng.uniform(0.0, 4e-7, k))
         amps = rng.uniform(0.05, 1.0, k) * np.exp(2j * np.pi * rng.uniform(size=k))
-        mpcs = [Mpc.from_amplitude(d, a) for d, a in zip(delays, amps)]
+        mpcs = [Mpc(d, a) for d, a in zip(delays, amps)]
         shift = rng.uniform(0.0, 1e-6)
-        shifted = [Mpc.from_amplitude(m.delay_s + shift, m.amplitude) for m in mpcs]
+        shifted = [Mpc(m.delay_s + shift, m.amplitude) for m in mpcs]
         ds0, ds1 = rms_delay_spread(mpcs), rms_delay_spread(shifted)
         stats_ok = stats_ok and abs(ds0 - ds1) <= 1e-12 * max(ds0, 1e-12)
         scale = rng.uniform(0.1, 10.0)
-        scaled = [Mpc.from_amplitude(m.delay_s, m.amplitude * scale) for m in mpcs]
+        scaled = [Mpc(m.delay_s, m.amplitude * scale) for m in mpcs]
         dp = received_power(scaled) - received_power(mpcs)
         stats_ok = stats_ok and abs(dp - 20.0 * math.log10(scale)) < 1e-9
 

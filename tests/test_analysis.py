@@ -1,13 +1,17 @@
 """Tests for PDP correlation, stationarity, XPR, and LOS tracking."""
 
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
+from chantool import analysis
 from chantool.analysis import (
+    MAX_CORR_BYTES,
     CorrelationMatrix,
     StationaryReport,
+    check_correlation_size,
     los_power_track,
     pdp_correlation_matrix,
     stationary_intervals,
@@ -21,7 +25,7 @@ from chantool.core import (
     pdp_from_cir,
     to_db,
 )
-from chantool.gbsm import CirSequence, GbsmConfig, run_scenario
+from chantool.gbsm import CirSequence, GbsmConfig, SizingError, run_scenario
 from chantool.sounder import (
     WaveformSpec,
     calibrate,
@@ -91,13 +95,39 @@ class TestCorrelationMatrix:
 
     def test_matrix_type_validation(self):
         with pytest.raises(ValueError, match="symmetric"):
-            CorrelationMatrix(np.array([[1.0, 0.5], [0.2, 1.0]]), 2)
+            CorrelationMatrix(np.array([[1.0, 0.5], [0.2, 1.0]]))
         with pytest.raises(ValueError, match="diagonal"):
-            CorrelationMatrix(np.array([[0.9, 0.5], [0.5, 1.0]]), 2)
-        with pytest.raises(ValueError, match="shape|2x2"):
-            CorrelationMatrix(np.ones((3, 3)), 2)
+            CorrelationMatrix(np.array([[0.9, 0.5], [0.5, 1.0]]))
+        for values in (np.ones((2, 3)), np.ones(4), np.ones((2, 2, 2))):
+            with pytest.raises(ValueError, match="square"):
+                CorrelationMatrix(values)
         with pytest.raises(ValueError, match=r"\[-1, 1\]"):
-            CorrelationMatrix(np.array([[1.0, -1.5], [-1.5, 1.0]]), 2)
+            CorrelationMatrix(np.array([[1.0, -1.5], [-1.5, 1.0]]))
+
+    def test_snapshot_count_is_the_matrix_order(self):
+        assert CorrelationMatrix(np.eye(3)).snapshot_count == 3
+        corr = pdp_correlation_matrix(pdp_of(np.eye(5)))
+        assert corr.snapshot_count == 5
+
+
+class TestCorrelationBudget:
+    def test_boundary(self):
+        n = math.isqrt(MAX_CORR_BYTES // 8)
+        check_correlation_size(n)
+        with pytest.raises(SizingError, match=f"{n + 1} snapshots"):
+            check_correlation_size(n + 1)
+
+    def test_refused_before_the_matrix(self, monkeypatch, traced_peak):
+        monkeypatch.setattr(analysis, "MAX_CORR_BYTES", 8 * 400**2)
+        assert pdp_correlation_matrix(pdp_of(np.eye(400))).snapshot_count == 400
+        pdp = pdp_of(np.ones((401, 2)))
+
+        def refused():
+            with pytest.raises(SizingError, match="401 snapshots"):
+                pdp_correlation_matrix(pdp)
+
+        # the refusal comes before anything a tenth of the matrix's size
+        assert traced_peak(refused) < 0.1 * 8 * 401**2
 
 
 class TestMemory:
@@ -117,7 +147,7 @@ class TestMemory:
         values = rng.uniform(-1.0, 1.0, (self.N, self.N))
         values = (values + values.T) / 2.0
         np.fill_diagonal(values, 1.0)
-        assert traced_peak(CorrelationMatrix, values, self.N) <= 0.25 * values.nbytes
+        assert traced_peak(CorrelationMatrix, values) <= 0.25 * values.nbytes
 
 
 def block_matrix(sizes: list[int]) -> CorrelationMatrix:
@@ -127,12 +157,12 @@ def block_matrix(sizes: list[int]) -> CorrelationMatrix:
     for size in sizes:
         values[start : start + size, start : start + size] = 1.0
         start += size
-    return CorrelationMatrix(values, n)
+    return CorrelationMatrix(values)
 
 
 class TestStationaryIntervals:
     def test_all_ones_single_interval(self):
-        corr = CorrelationMatrix(np.ones((12, 12)), 12)
+        corr = CorrelationMatrix(np.ones((12, 12)))
         report = stationary_intervals(corr, 0.8)
         assert report.intervals == ((0, 11),)
         assert report.threshold == 0.8
@@ -179,7 +209,7 @@ class TestStationaryIntervals:
 
 
 def mpc(delay_s: float, power_db: float) -> Mpc:
-    return Mpc.from_amplitude(delay_s, 10.0 ** (power_db / 20.0))
+    return Mpc(delay_s, 10.0 ** (power_db / 20.0))
 
 
 class TestXpr:
@@ -286,6 +316,22 @@ class TestLosPowerTrack:
         levels = np.array([level for _, level in track])
         assert np.all(np.isfinite(levels))
         assert levels.max() > -10.0
+
+    def test_frozen_nlos_track(self):
+        # SHA-256 of the (time, power) pairs, recorded while each snapshot
+        # still carried its own time
+        cfg = GbsmConfig(
+            k_factor_db=-10.0,
+            birth_rate_hz=100.0,
+            death_rate_hz=100.0,
+            duration_s=200 * 62.5e-6,
+            seed=5,
+        )
+        track = los_power_track(run_scenario(cfg))
+        assert len(track) == 200
+        assert hashlib.sha256(repr(track).encode()).hexdigest() == (
+            "fe76c735b68fc049ae3317d627a022bcaa34fa90e4fb4611f1c148e8b05d0739"
+        )
 
 
 class TestGbsmSmoothness:

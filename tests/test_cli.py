@@ -4,10 +4,13 @@ import json
 import math
 import os
 import struct
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import chantool
 from chantool import archive, cli
 from chantool.analysis import pdp_correlation_matrix
 from chantool.archive import BLOCK_BYTES, capture_sequence, read_archive, write_archive
@@ -117,12 +120,12 @@ class TestBlockage:
 
 def make_ci_samples(path, n=400, sigma=5.47):
     stream = derive_substream(5, "cli-ci-samples", 0)
-    d = np.exp(stream.rng.uniform(np.log(10.0), np.log(800.0), n))
+    d = np.exp(stream.uniform(np.log(10.0), np.log(800.0), n))
     pl = (
         32.4
         + 20.0 * np.log10(28.0)
         + 10.0 * 2.637 * np.log10(d)
-        + stream.rng.normal(0.0, sigma, n)
+        + stream.normal(0.0, sigma, n)
     )
     lines = ["distance_m,freq_ghz,pl_db"]
     lines += [f"{float(di)!r},28.0,{float(pi)!r}" for di, pi in zip(d, pl)]
@@ -257,7 +260,7 @@ def make_captures(tmp_path, bins=(10, 50, 120), powers=(0.0, -6.0, -12.0),
                   snr_db=30.0, label="cli-sounder"):
     spec = WaveformSpec()
     channel = [
-        Mpc.from_amplitude(b / FS, 10.0 ** (p / 20.0)) for b, p in zip(bins, powers)
+        Mpc(b / FS, 10.0 ** (p / 20.0)) for b, p in zip(bins, powers)
     ]
     stream = derive_substream(7, label, 0)
     y_rx, y_cal = simulate_capture(channel, spec, snr_db=snr_db, stream=stream)
@@ -540,6 +543,36 @@ class TestAnalyze:
         expected = "".join(",".join(map(repr, r)) + "\n" for r in corr.values.tolist())
         with open(out, "rb") as handle:
             assert handle.read() == expected.encode()
+
+    def test_oversized_correlation_exit_3_before_decoding(self, tmp_path):
+        # 40 000 snapshots of 2 bins: a 640 040-byte archive whose 12.8 GB
+        # correlation must be refused from the header alone.  The child runs
+        # under a 3 GiB address-space cap, so a build that tries the matrix
+        # fails at once instead of exhausting the machine's memory.
+        arc = tmp_path / "long.cirb"
+        header = struct.pack("<4sHIBBIddd", b"CIRB", 1, 40000, 1, 1, 2, 1.0 / FS, 0.0, 1e-3)
+        arc.write_bytes(header + bytes(8 * 40000 * 2))
+        child = (
+            "import resource, sys, tracemalloc\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30))\n"
+            "from chantool.cli import main\n"
+            "tracemalloc.start()\n"
+            "code = main(sys.argv[1:])\n"
+            "print(code, tracemalloc.get_traced_memory()[1])\n"
+        )
+        src = os.path.dirname(os.path.dirname(chantool.__file__))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+        argv = ["analyze", str(arc), "--stationarity", "--los-track",
+                "--out", str(tmp_path / "c.csv")]
+        proc = subprocess.run([sys.executable, "-c", child, *argv], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        code, peak = map(int, proc.stdout.split())
+        assert code == 3
+        assert peak < 1 << 20
+        assert "40000 snapshots" in proc.stderr
+        assert not os.path.exists(tmp_path / "c.csv")
 
     @pytest.mark.parametrize("shape", [(4, 0, 1, 8), (4, 1, 1, 0)])
     def test_empty_axis_archive_exit_2(self, tmp_path, capsys, shape):

@@ -65,12 +65,10 @@ def test_frequency_band_validation():
 
 
 def test_mpc_power_consistency():
-    m = Mpc.from_amplitude(10e-9, 0.5 + 0.0j)
+    m = Mpc(10e-9, 0.5 + 0.0j)
     assert m.power_db == pytest.approx(-20.0 * math.log10(2.0))
     with pytest.raises(ValueError):
-        Mpc(delay_s=1e-9, amplitude=1.0 + 0.0j, power_db=-3.0)
-    with pytest.raises(ValueError):
-        Mpc(delay_s=-1e-9, amplitude=1.0 + 0.0j, power_db=0.0)
+        Mpc(delay_s=-1e-9, amplitude=1.0 + 0.0j)
 
 
 def test_pdp_from_cir_examples():
@@ -118,7 +116,7 @@ def test_pdp_scale_covariance_property():
 def test_substream_determinism():
     a = derive_substream(42, "cluster", 0)
     b = derive_substream(42, "cluster", 0)
-    assert list(a.rng.integers(0, 2**63, 4)) == list(b.rng.integers(0, 2**63, 4))
+    assert list(a.integers(0, 2**63, 4)) == list(b.integers(0, 2**63, 4))
 
 
 def test_substream_separation():
@@ -126,9 +124,9 @@ def test_substream_separation():
     by_index = derive_substream(42, "cluster", 1)
     by_label = derive_substream(42, "ray", 0)
     draws = {
-        "base": list(base.rng.integers(0, 2**63, 4)),
-        "index": list(by_index.rng.integers(0, 2**63, 4)),
-        "label": list(by_label.rng.integers(0, 2**63, 4)),
+        "base": list(base.integers(0, 2**63, 4)),
+        "index": list(by_index.integers(0, 2**63, 4)),
+        "label": list(by_label.integers(0, 2**63, 4)),
     }
     assert draws["base"] != draws["index"]
     assert draws["base"] != draws["label"]
@@ -139,7 +137,7 @@ def test_substream_platform_anchor():
     # counter-based generator keyed by a hash digest: the exact draws are
     # part of the reproducibility contract, frozen here
     s = derive_substream(42, "cluster", 0)
-    assert list(s.rng.integers(0, 2**63, 4)) == [
+    assert list(s.integers(0, 2**63, 4)) == [
         5899859539962644370,
         7948271105227740896,
         3820779919510307445,
@@ -149,8 +147,8 @@ def test_substream_platform_anchor():
 
 def test_substream_independence_statistics():
     # independent labels decorrelate: sample correlation of long draws is small
-    x = derive_substream(9, "a", 0).rng.standard_normal(4000)
-    y = derive_substream(9, "b", 0).rng.standard_normal(4000)
+    x = derive_substream(9, "a", 0).standard_normal(4000)
+    y = derive_substream(9, "b", 0).standard_normal(4000)
     r = float(np.corrcoef(x, y)[0, 1])
     assert abs(r) < 0.05
 

@@ -22,6 +22,14 @@ from chantool.gbsm import (
 )
 
 C = 299792458.0
+DEFAULTS = GbsmConfig()
+FLOAT_FIELDS = [
+    f.name for f in dataclasses.fields(GbsmConfig) if isinstance(getattr(DEFAULTS, f.name), float)
+]
+POINT_FIELDS = [
+    f.name for f in dataclasses.fields(GbsmConfig) if isinstance(getattr(DEFAULTS, f.name), Point3)
+]
+NON_FINITE = [math.inf, -math.inf, math.nan]
 
 
 def init_for(cfg: GbsmConfig, index: int = 0) -> ClusterState:
@@ -82,6 +90,20 @@ class TestConfig:
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ValueError):
             GbsmConfig(**kwargs)
+
+    @pytest.mark.parametrize("value", NON_FINITE)
+    @pytest.mark.parametrize("name", FLOAT_FIELDS)
+    def test_rejects_non_finite_number(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            GbsmConfig(**{name: value})
+
+    @pytest.mark.parametrize("value", NON_FINITE)
+    @pytest.mark.parametrize("axis", ["x", "y", "z"])
+    @pytest.mark.parametrize("name", POINT_FIELDS)
+    def test_rejects_non_finite_point(self, name, axis, value):
+        point = dataclasses.replace(getattr(DEFAULTS, name), **{axis: value})
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            GbsmConfig(**{name: point})
 
 
 class TestInitClusters:
@@ -404,8 +426,10 @@ class TestRunScenario:
         times = seq.times_s
         assert times[0] == 0.0
         assert np.allclose(np.diff(times), cfg.snapshot_interval_s)
+        # a snapshot carries no time; entry 4's time is the sequence's
+        assert times[4] == pytest.approx(4 * cfg.snapshot_interval_s)
         snap = seq.snapshot(4, 1, 2)
-        assert snap.t_s == pytest.approx(4 * cfg.snapshot_interval_s)
+        assert snap.sample_period_s == seq.sample_period_s
         assert np.shares_memory(snap.samples, seq.cir)
 
     def test_step_count_rounds(self):

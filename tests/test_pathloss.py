@@ -198,11 +198,29 @@ def test_shadowed_sample_deterministic():
     assert a == b
 
 
+def test_shadowed_sample_frozen_draws():
+    # exact draws for three seeds, recorded while substreams were still
+    # wrapped in a record type around the generator
+    ci, abg = CiModel(2.637, 5.47), AbgModel(2.374, 67.31, 0.0, 6.57)
+    draws = [
+        (
+            shadowed_sample(ci, 100.0, 28.0, derive_substream(seed, "shadow", 0)),
+            shadowed_sample(abg, 100.0, 28.0, derive_substream(seed, "shadow", 1)),
+        )
+        for seed in (1, 2, 3)
+    ]
+    assert draws == [
+        (113.40386295233117, 125.93293184846569),
+        (122.18585288397976, 110.28102651793358),
+        (116.94194446784128, 110.3981635298182),
+    ]
+
+
 def test_shadowed_sample_statistics():
     m = CiModel(2.637, 5.47)
     s = derive_substream(11, "shadow-stats", 0)
     base = ci_eval(m, 100.0, 28.0)
-    draws = base + s.rng.normal(0.0, m.sigma_db, 100000)
+    draws = base + s.normal(0.0, m.sigma_db, 100000)
     # the sampler draws from the same generator family; verify via one draw API
     one = shadowed_sample(m, 100.0, 28.0, derive_substream(11, "one", 0))
     assert math.isfinite(one)
@@ -218,8 +236,8 @@ def test_shadowed_sample_rejects_unknown_model():
 def test_fit_recovery_ci_monte_carlo():
     s = derive_substream(101, "ci-recovery", 0)
     n_true, sig_true = 2.637, 5.47
-    d = 10.0 ** s.rng.uniform(1.0, math.log10(800.0), 10000)
-    noise = s.rng.normal(0.0, sig_true, 10000)
+    d = 10.0 ** s.uniform(1.0, math.log10(800.0), 10000)
+    noise = s.normal(0.0, sig_true, 10000)
     fit = ci_fit(make_ci_samples(n_true, d, 28.0, noise))
     assert abs(fit.n - n_true) <= 0.05
     assert abs(fit.sigma_db - sig_true) <= 0.3
@@ -228,8 +246,8 @@ def test_fit_recovery_ci_monte_carlo():
 def test_fit_recovery_fi_monte_carlo():
     s = derive_substream(101, "fi-recovery", 0)
     a_true, b_true, sig_true = 2.374, 67.31, 6.57
-    d = 10.0 ** s.rng.uniform(1.0, math.log10(800.0), 10000)
-    pl = b_true + 10.0 * a_true * np.log10(d) + s.rng.normal(0.0, sig_true, 10000)
+    d = 10.0 ** s.uniform(1.0, math.log10(800.0), 10000)
+    pl = b_true + 10.0 * a_true * np.log10(d) + s.normal(0.0, sig_true, 10000)
     samples = [PathLossSample(float(di), 28.0, float(p)) for di, p in zip(d, pl)]
     fit = abg_fit(samples, fix_gamma=0.0)
     assert abs(fit.alpha - a_true) <= 0.05

@@ -31,7 +31,7 @@ SMALL_SPEC = WaveformSpec(pn_order=10, pad_head=104, pad_tail=800)
 
 def make_mpc(delay_s, power_db, phase=0.0):
     amp = 10.0 ** (power_db / 20.0) * complex(math.cos(phase), math.sin(phase))
-    return Mpc.from_amplitude(delay_s, amp)
+    return Mpc(delay_s, amp)
 
 
 class TestPnSequence:
@@ -208,9 +208,34 @@ class TestDeconvolution:
             digests.append(hashlib.sha256(samples.astype("<c16").tobytes()).hexdigest())
         assert digests == frozen
 
+    def test_frozen_extracted_mpcs(self):
+        # SHA-256 of repr((delay_s, amplitude, power_db)) over the paths of
+        # the three captures above, recorded while Mpc still stored a given
+        # power_db beside the amplitude and checked that they agreed
+        spec = SMALL_SPEC
+        fs = spec.sample_rate_hz
+        channels = [
+            [make_mpc(10 / fs, 0.0)],
+            [make_mpc(20 / fs, -3.0), make_mpc(75 / fs, -9.0, 1.0)],
+            [make_mpc(5 / fs, -1.0, 2.0), make_mpc(140 / fs, -12.0, 0.5)],
+        ]
+        frozen = [
+            "ace53183f8b3e41a920d898f3ed76538d6e9cdf812528e0bed6f363a55f2a9d3",
+            "8165aeff95750239f5d13c83289e676bb12c28abdf2744bb0579c424e994c087",
+            "5b17b810d2e5f724651275bc13c8080784008bcdd5a6c7c8d61cae3129454486",
+        ]
+        digests = []
+        for i, channel in enumerate(channels):
+            stream = derive_substream(2026, "frozen-deconv", i)
+            y_rx, y_cal = simulate_capture(channel, spec, snr_db=30.0, stream=stream)
+            mpcs = extract_mpcs(deconvolve_cir(y_rx, calibrate(y_cal)))
+            paths = repr([(m.delay_s, m.amplitude, m.power_db) for m in mpcs])
+            digests.append(hashlib.sha256(paths.encode()).hexdigest())
+        assert digests == frozen
+
 
 def snapshot_from_samples(samples):
-    return CirSnapshot(t_s=0.0, sample_period_s=1.0 / FS, samples=np.asarray(samples))
+    return CirSnapshot(sample_period_s=1.0 / FS, samples=np.asarray(samples))
 
 
 class TestExtraction:
@@ -334,7 +359,7 @@ class TestCaptureRoundTrip:
         assert np.array_equal(y_rx, y_cal)
 
     def test_stream_required_for_finite_snr(self):
-        with pytest.raises(ValueError, match="RandomStream"):
+        with pytest.raises(ValueError, match="Generator"):
             simulate_capture([make_mpc(0.0, 0.0)], WaveformSpec(), snr_db=30.0)
 
     def test_snapshot_channel_matches_mpc_list(self):
@@ -344,14 +369,14 @@ class TestCaptureRoundTrip:
         taps = np.zeros(46, dtype=complex)
         for m in mpcs:
             taps[round(m.delay_s * fs)] = m.amplitude
-        snap = CirSnapshot(t_s=0.0, sample_period_s=1.0 / fs, samples=taps)
+        snap = CirSnapshot(sample_period_s=1.0 / fs, samples=taps)
         rx_a, cal_a = simulate_capture(mpcs, spec)
         rx_b, cal_b = simulate_capture(snap, spec)
         assert np.allclose(rx_a, rx_b, atol=1e-15)
         assert np.array_equal(cal_a, cal_b)
 
     def test_snapshot_sample_period_mismatch(self):
-        snap = CirSnapshot(t_s=0.0, sample_period_s=1e-9, samples=np.ones(3))
+        snap = CirSnapshot(sample_period_s=1e-9, samples=np.ones(3))
         with pytest.raises(ValueError, match="sample period"):
             simulate_capture(snap, WaveformSpec())
 
