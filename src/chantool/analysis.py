@@ -21,10 +21,12 @@ from chantool.sounder import MpcExtractionPolicy, extract_mpcs, received_power
 
 
 # Byte ceiling on the float64 (snapshots, snapshots) correlation matrix.
-# pdp_correlation_matrix holds about two such matrices at its peak, and
-# analyze writes the matrix as text at about 20 bytes a value, so both grow
-# as n^2: 256 MiB admits about 5800 snapshots (roughly 0.5 GiB of peak
-# memory and 0.7 GB of text) and refuses a larger count up front.
+# pdp_correlation_matrix holds about two such matrices at its peak.  analyze
+# then formats each value once, from the upper triangle, and the text it keeps
+# for later rows touches less memory than the matrix, so the correlation sets
+# the peak.  Both grow as n^2: 256 MiB admits about 5800 snapshots (roughly
+# 0.5 GiB of peak memory and 0.7 GB of text) and refuses a larger count up
+# front.
 MAX_CORR_BYTES = 1 << 28
 
 

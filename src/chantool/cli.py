@@ -260,19 +260,80 @@ def _read_pair(path: str) -> CirSequence:
     return CirSequence(header.t0_s, header.dt_s, header.sample_period_s, cir)
 
 
+def symmetric_matrix_rows(values: np.ndarray):
+    """Yield each row of a square matrix as the bytes of
+    ",".join(map(repr, row)) + "\\n", formatting every value once.
+
+    Row i formats its columns i.. itself and gathers columns ..i-1 from the
+    tokens that earlier rows formatted, so the matrix must be exactly
+    symmetric: anything else raises ValueError before the first row, as a
+    matrix too large for the store's int32 offsets raises SizingError.  The
+    tokens wait in one byte store, each with its trailing comma, and every
+    n/16 rows the store drops the columns already written, so the bytes it
+    touches stay below the matrix's own 8n^2.
+    """
+    n = len(values)
+    stride = max(1, n // 16)
+    # After row m the store holds columns r.. of rows ..r-1 and columns j+1..
+    # of rows j = r..m, r being the last compaction; a token is at most 25
+    # bytes (a 24-character repr and its comma).  Allocated once, untouched
+    # capacity costs no resident memory, and no regrowth copies the store.
+    m = np.arange(n)
+    r = m - m % stride
+    tokens = int((r * (n - r) + (m - r + 1) * (2 * n - 2 - r - m) // 2).max(initial=0))
+    if 25 * tokens >= 2**31:
+        raise SizingError(f"{n} rows overrun the int32 offsets of the matrix text")
+    step = max(1, BLOCK_BYTES // (8 * max(n, 1)))  # row blocks bound the temporaries
+    for i in range(0, n, step):
+        if not np.array_equal(values[i : i + step], values[:, i : i + step].T):
+            raise ValueError("correlation matrix must be exactly symmetric")
+    store = np.empty(25 * tokens, dtype=np.uint8)
+    starts = np.zeros(tokens + 1, dtype=np.int32)  # token starts in store, then the end
+    base = np.zeros(n, dtype=np.int32)  # row j's first token in starts
+    first = np.arange(1, n + 1, dtype=np.int32)  # row j's first stored column
+    n_bytes = n_tokens = 0
+    for i in range(n):
+        if i and i % stride == 0:
+            # Keep columns i.. of rows ..i-1, one leftward slice copy a row.
+            lo = base[:i] + (i - first[:i])
+            hi = np.append(base[1:i], n_tokens)
+            spans = zip(lo.tolist(), hi.tolist(), starts[lo].tolist(), starts[hi].tolist())
+            n_tokens = n_bytes = 0
+            for j, (a, b, src, end) in enumerate(spans):
+                store[n_bytes : n_bytes + end - src] = store[src:end]
+                starts[n_tokens : n_tokens + b - a] = starts[a:b] - (src - n_bytes)
+                base[j] = n_tokens
+                n_tokens, n_bytes = n_tokens + b - a, n_bytes + end - src
+            first[:i] = i
+            starts[n_tokens] = n_bytes
+        line = (",".join(map(repr, values[i, i:].tolist())) + "\n").encode()
+        # Columns ..i-1: token (j, i) of every earlier row j, in one gather.
+        k = base[:i] + (i - first[:i])
+        at, size = starts[k], starts[k + 1] - starts[k]
+        index = np.repeat(at - (np.cumsum(size) - size), size)  # intp, as indexing wants
+        index += np.arange(len(index))
+        yield b"".join((store[index], line))
+        if i == n - 1:
+            break
+        # Columns i+1.. follow the first comma; the newline becomes a comma.
+        raw = np.frombuffer(line, dtype=np.uint8)
+        commas = np.flatnonzero(raw == ord(","))
+        tail = len(raw) - 1 - commas[0]
+        store[n_bytes : n_bytes + tail] = raw[commas[0] + 1 :]
+        store[n_bytes + tail - 1] = ord(",")
+        starts[n_tokens : n_tokens + len(commas)] = commas + (n_bytes - commas[0])
+        base[i], n_tokens, n_bytes = n_tokens, n_tokens + len(commas), n_bytes + tail
+        starts[n_tokens] = n_bytes
+
+
 def cmd_analyze(args) -> int:
     if not 0.0 < args.threshold < 1.0:
         raise ValueError(f"threshold must lie in (0, 1), got {args.threshold}")
     seq = _read_pair(args.archive)
     track = los_power_track(seq) if args.los_track else None
     corr = pdp_correlation_matrix(pdp_from_cir(seq.cir[:, 0, 0]))
-    del seq  # the matrix text below sets the job's peak and needs no samples
-    n = corr.snapshot_count
-    # Chunks of whole rows (~BLOCK_BYTES at ~20 characters a value) bound the text.
-    step = max(1, BLOCK_BYTES // (20 * n))
-    blocks = (corr.values[i : i + step].tolist() for i in range(0, n, step))
-    chunks = ("".join(",".join(map(repr, r)) + "\n" for r in b).encode() for b in blocks)
-    atomic_write_bytes(args.out, chunks)
+    del seq  # the matrix text below needs no samples
+    atomic_write_bytes(args.out, symmetric_matrix_rows(corr.values))
 
     stem, ext = os.path.splitext(args.out)
     if args.stationarity:

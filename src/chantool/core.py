@@ -24,9 +24,18 @@ DB_FLOOR = -300.0
 def to_db(linear: np.ndarray | float) -> np.ndarray | float:
     """10*log10 with exact zeros clamped to DB_FLOOR."""
     arr = np.asarray(linear, dtype=float)
-    out = np.full(arr.shape, DB_FLOOR)
-    nz = arr > 0.0
-    out[nz] = 10.0 * np.log10(arr[nz])
+    positive = arr > 0.0
+    return _levels_db(positive, arr[positive])
+
+
+def _levels_db(positive: np.ndarray, values: np.ndarray) -> np.ndarray | float:
+    """to_db of an array whose positive entries, in order, are `values`: one
+    contiguous log10 call turns that fresh array into levels in place, and
+    the output is the only other array of the full size."""
+    np.log10(values, out=values)
+    np.multiply(values, 10.0, out=values)
+    out = np.full(positive.shape, DB_FLOOR)
+    out[positive] = values
     if out.ndim == 0:
         return float(out)
     return out
@@ -134,7 +143,13 @@ class Mpc:
 def pdp_from_cir(samples: np.ndarray) -> np.ndarray:
     """Power delay profile 10*log10(|s|^2) in dB (zero bins at DB_FLOOR) along
     the delay axis, the last; a (time, delay) block gives one PDP per row."""
-    return to_db(np.abs(samples) ** 2)
+    power = np.asarray(np.abs(samples))  # a fresh array, squared where it lies
+    np.square(power, out=power)
+    power = power.astype(float, copy=False)
+    positive = power > 0.0
+    values = power[positive]
+    del power  # freed before the output is allocated
+    return _levels_db(positive, values)
 
 
 def derive_substream(seed: int, label: str, index: int) -> np.random.Generator:

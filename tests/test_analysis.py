@@ -79,6 +79,16 @@ class TestCorrelationMatrix:
         assert corr.values[0, 2] == pytest.approx(0.0, abs=1e-12)
         assert corr.values[1, 2] == pytest.approx(0.0, abs=1e-12)
 
+    def test_exactly_symmetric_with_constant_rows(self):
+        # analyze's writer formats only the upper triangle, so the matrix
+        # must be symmetric to the last bit, constant-PDP rows included.
+        rng = np.random.default_rng(9)
+        linear = rng.exponential(size=(40, 32))
+        linear[rng.random(linear.shape) < 0.3] = 0.0
+        linear[[3, 17, 30]] = [[0.25], [3.0], [0.0]]
+        values = pdp_correlation_matrix(pdp_of(linear)).values
+        assert np.array_equal(values, values.T)
+
     def test_scale_invariance(self):
         rng = np.random.default_rng(3)
         base = rng.uniform(0.01, 1.0, (5, 48))

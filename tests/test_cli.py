@@ -6,18 +6,21 @@ import os
 import struct
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import chantool
 from chantool import archive, cli
-from chantool.analysis import pdp_correlation_matrix
+from chantool.analysis import CorrelationMatrix, pdp_correlation_matrix
 from chantool.archive import BLOCK_BYTES, capture_sequence, read_archive, write_archive
 from chantool.cli import main
 from chantool.config import SCHEMA
 from chantool.core import Mpc, derive_substream, pdp_from_cir
-from chantool.gbsm import CirSequence
+from chantool.gbsm import CirSequence, SizingError
 from chantool.sounder import WaveformSpec, simulate_capture
 
 FS = 1.28e9
@@ -441,6 +444,59 @@ def two_regime_archive(path, change_at=20, n_time=30, n_delay=64):
     return path
 
 
+# Cells whose repr differs in shape from a plain correlation: exact zeros
+# of both signs, one, exponent notation and the smallest subnormal.
+SPECIAL_CELLS = (0.0, -0.0, 1.0, 1.2345e-05, -7.5e-06, 5e-324)
+
+
+class TestMatrixRows:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        n=st.sampled_from([1, 2, 3, 15, 16, 17, 33]) | st.integers(1, 80),
+        seed=st.integers(0, 2**32 - 1),
+        cells=st.lists(
+            st.tuples(st.integers(0, 10**4), st.integers(0, 10**4), st.sampled_from(SPECIAL_CELLS)),
+            max_size=12,
+        ),
+    )
+    def test_rows_are_the_repr_join(self, n, seed, cells):
+        rng = np.random.default_rng(seed)
+        a = rng.uniform(-1.0, 1.0, (n, n)) * 10.0 ** rng.integers(-6, 1, (n, n))
+        values = (a + a.T) / 2.0
+        for i, j, cell in cells:
+            values[i % n, j % n] = values[j % n, i % n] = cell
+        expected = [(",".join(map(repr, row)) + "\n").encode() for row in values.tolist()]
+        assert list(cli.symmetric_matrix_rows(values)) == expected
+
+    def test_asymmetry_in_the_last_bit_refused(self):
+        values = np.eye(40)
+        values[5, 33] = values[33, 5] = 0.3
+        values[33, 5] = np.nextafter(0.3, 1.0)
+        with pytest.raises(ValueError, match="exactly symmetric"):
+            next(cli.symmetric_matrix_rows(values))
+
+    def test_int32_offsets_overrun_refused(self):
+        # about 17 500 rows would take 2 GiB of tokens; analyze's budget
+        # stops at about 5800, so only a library caller gets here
+        with pytest.raises(SizingError, match="int32"):
+            next(cli.symmetric_matrix_rows(np.broadcast_to(0.5, (17600, 17600))))
+
+    def test_asymmetric_matrix_exit_2_without_output(self, tmp_path, capsys, monkeypatch):
+        arc = two_regime_archive(str(tmp_path / "two.cirb"))
+        correlate = cli.pdp_correlation_matrix
+
+        def skewed(pdp_db):
+            values = correlate(pdp_db).values.copy()
+            values[0, 25] = np.nextafter(values[0, 25], 2.0)
+            return CorrelationMatrix(values)
+
+        monkeypatch.setattr(cli, "pdp_correlation_matrix", skewed)
+        out = str(tmp_path / "corr.csv")
+        assert main(["analyze", arc, "--out", out]) == 2
+        assert "exactly symmetric" in capsys.readouterr().err
+        assert not os.path.exists(out)
+
+
 class TestAnalyze:
     def test_matrix_symmetric_and_intervals(self, tmp_path):
         arc = two_regime_archive(str(tmp_path / "two.cirb"))
@@ -479,6 +535,26 @@ class TestAnalyze:
         expected = "".join(",".join(map(repr, r)) + "\n" for r in corr.values.tolist())
         with open(out, "rb") as handle:
             assert handle.read() == expected.encode()
+
+    def test_text_store_stays_below_the_matrix(self, tmp_path, monkeypatch, traced_peak):
+        # The peak from the start of the matrix text: the matrix itself plus
+        # the token store.  Measured 2.22 matrices; a store that kept all
+        # n^2/2 tokens measured 2.91 (growing) and 2.98 (allocated up front).
+        n = 400
+        rng = np.random.default_rng(12)
+        cir = rng.normal(size=(n, 1, 1, 64)) + 1j * rng.normal(size=(n, 1, 1, 64))
+        arc = str(tmp_path / "noise.cirb")
+        write_archive(arc, CirSequence(0.0, 1e-3, 1.0 / FS, cir))
+        del cir
+        write_bytes = cli.atomic_write_bytes
+
+        def from_text_phase(path, chunks):
+            tracemalloc.reset_peak()
+            write_bytes(path, chunks)
+
+        monkeypatch.setattr(cli, "atomic_write_bytes", from_text_phase)
+        peak = traced_peak(main, ["analyze", arc, "--out", str(tmp_path / "corr.csv")])
+        assert peak <= 2.5 * 8 * n**2
 
     def test_los_track_output(self, tmp_path):
         arc = two_regime_archive(str(tmp_path / "two.cirb"))

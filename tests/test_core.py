@@ -96,6 +96,33 @@ def test_pdp_block_rows_match_single_rows(shape):
         assert block[index].tobytes() == pdp_from_cir(samples[index]).tobytes()
 
 
+@pytest.mark.parametrize("dtype", [np.complex128, np.complex64])
+def test_pdp_and_to_db_match_the_plain_formula_bitwise(dtype):
+    # the in-place forms against 10*log10(|s|^2) with the floor, unfused
+    rng = np.random.default_rng(17)
+    samples = (rng.standard_normal((40, 64)) + 1j * rng.standard_normal((40, 64))).astype(dtype)
+    samples[rng.random(samples.shape) < 0.3] = 0.0
+    power = np.asarray(np.abs(samples) ** 2, dtype=float)
+    expected = np.full(power.shape, DB_FLOOR)
+    expected[power > 0.0] = 10.0 * np.log10(power[power > 0.0])
+    assert pdp_from_cir(samples).tobytes() == expected.tobytes()
+    assert to_db(power).tobytes() == expected.tobytes()
+    assert to_db(power[3, 5]) == float(expected[3, 5])
+
+
+def test_pdp_from_cir_holds_few_temporaries(traced_peak):
+    # 400 x 256, 30% of the bins empty: measured 1.83x the result for both
+    # (the positive values, the mask and the output); before the in-place
+    # log10 and square, 3.53x for pdp_from_cir and 2.53x for to_db.
+    rng = np.random.default_rng(4)
+    samples = rng.standard_normal((400, 256)) + 1j * rng.standard_normal((400, 256))
+    samples[rng.random(samples.shape) < 0.3] = 0.0
+    result = 8 * samples.size
+    assert traced_peak(pdp_from_cir, samples) <= 2.5 * result
+    power = np.abs(samples) ** 2
+    assert traced_peak(to_db, power) <= 2.5 * result
+
+
 def test_pdp_scale_covariance_property():
     # scaling the snapshot by g shifts every finite bin by exactly 20 log10 g
     rng = np.random.default_rng(123)
