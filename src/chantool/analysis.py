@@ -1,10 +1,11 @@
 """Second-order statistics over CIR sequences.
 
 PDP correlation matrices, greedy stationary-interval segmentation, the
-cross-polarization power ratio, and line-of-sight power tracking.  A
-correlation matrix is (snapshots x snapshots) float64, so its size is
-budgeted by bytes: check_correlation_size refuses an oversized request
-with SizingError before anything is allocated.
+cross-polarization power ratio, and line-of-sight power tracking, which
+searches the whole (time, delay) block for peaks at once.  A correlation
+matrix is (snapshots x snapshots) float64, so its size is budgeted by
+bytes: check_correlation_size refuses an oversized request with SizingError
+before anything is allocated.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import numpy as np
 from chantool.archive import BLOCK_BYTES
 from chantool.core import DB_FLOOR, Mpc, from_db
 from chantool.gbsm import CirSequence, SizingError
-from chantool.sounder import MpcExtractionPolicy, extract_mpcs, received_power
+from chantool.sounder import MpcExtractionPolicy, extract_mpcs, peak_candidates, received_power
 
 
 # Byte ceiling on the float64 (snapshots, snapshots) correlation matrix.
@@ -53,9 +54,8 @@ class CorrelationMatrix:
         n = len(values)
         step = max(1, BLOCK_BYTES // (8 * max(n, 1)))  # row blocks bound the temporaries
         for i in range(0, n, step):
-            rows, cols = values[i : i + step], values[:, i : i + step].T
-            if not np.allclose(rows, cols, atol=1e-12, rtol=0.0):
-                raise ValueError("correlation matrix must be symmetric")
+            if not np.array_equal(values[i : i + step], values[:, i : i + step].T):
+                raise ValueError("correlation matrix must be exactly symmetric")
         if np.abs(np.diag(values) - 1.0).max() > 1e-12:
             raise ValueError("correlation matrix diagonal must be 1")
         if values.min() < -1.0 - 1e-12 or values.max() > 1.0 + 1e-12:
@@ -144,20 +144,31 @@ def los_power_track(
     """Power of the strongest MPC inside the earliest-arriving 3-bin
     window, per snapshot in time order.
 
-    Snapshots with no detectable paths report the dB floor.  Each time is
-    the snapshot's place in the sequence, t0_s + dt_s * t_idx.
+    One peak_candidates call covers every snapshot; only a window's at most
+    two candidates, its first bin f and f + 2, become Mpcs.  A snapshot with
+    more than max_paths candidates goes through extract_mpcs, whose trim may
+    drop f.  Snapshots with no detectable paths report the dB floor.  Each
+    time is the snapshot's place in the sequence, t0_s + dt_s * t_idx.
     """
     if seq.n_time < 1:
         raise ValueError("sequence is empty")
+    if policy is None:
+        policy = MpcExtractionPolicy()
     period = seq.sample_period_s
+    samples = seq.cir[:, tx_idx, rx_idx]
+    mask = peak_candidates(np.abs(samples) ** 2, policy)
+    first = mask.argmax(axis=1)
+    third = np.minimum(first + 2, mask.shape[1] - 1)
+    pairs = mask[np.arange(len(mask)), third] & (third > first)
+    columns = first.tolist(), pairs.tolist(), mask.sum(axis=1).tolist()
     track = []
-    for t_idx in range(seq.n_time):
-        t_s = seq.t0_s + seq.dt_s * t_idx
-        mpcs = extract_mpcs(seq.snapshot(t_idx, tx_idx, rx_idx), policy)
-        if not mpcs:
-            track.append((t_s, DB_FLOOR))
-            continue
-        first_bin = round(mpcs[0].delay_s / period)
-        window = [m for m in mpcs if round(m.delay_s / period) <= first_bin + 2]
-        track.append((t_s, max(m.power_db for m in window)))
+    for t_idx, (f, pair, count) in enumerate(zip(*columns)):
+        if count > policy.max_paths:
+            mpcs = extract_mpcs(seq.snapshot(t_idx, tx_idx, rx_idx), policy)
+        else:
+            bins = (f, f + 2)[: (count > 0) + pair]
+            mpcs = [Mpc(b * period, complex(samples[t_idx, b])) for b in bins]
+        first_bin = round(mpcs[0].delay_s / period) if mpcs else 0
+        window = (m.power_db for m in mpcs if round(m.delay_s / period) <= first_bin + 2)
+        track.append((seq.t0_s + seq.dt_s * t_idx, max(window, default=DB_FLOOR)))
     return track

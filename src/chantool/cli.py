@@ -211,8 +211,10 @@ def cmd_sounder(args) -> int:
     except ValueError as err:
         raise cfg.error("sounder", None, str(err)) from None
     # Both headers are checked before either payload is decoded; the cal's
-    # single capture is then its one block, and the rx captures stream
-    # through one block buffer, one capture at a time.
+    # single capture is then its one block.  The rx captures stream through
+    # one block buffer, widened to complex128 in sub-blocks of at most
+    # BLOCK_BYTES: widening each capture alone, beside its FFT temporaries,
+    # made the heap shrink and regrow on every capture.
     with open_archive(args.rx) as (rx, blocks), open_archive(args.cal) as (cal, cal_blocks):
         for name, shape in (("rx", rx.shape), ("cal", cal.shape)):
             if shape[1:3] != (1, 1):
@@ -230,7 +232,13 @@ def cmd_sounder(args) -> int:
 
         mpc_rows = ["snapshot,delay_ns,power_db\n"]
         stat_rows = ["snapshot,received_power_db,path_loss_db,rms_ds_ns\n"]
-        captures = (y_rx for _, block in blocks for y_rx in block[:, 0, 0])
+        step = max(1, BLOCK_BYTES // (16 * rx.shape[3]))
+        captures = (
+            y_rx
+            for _, block in blocks
+            for i in range(0, len(block), step)
+            for y_rx in block[i : i + step, 0, 0].astype(np.complex128)
+        )
         for t, y_rx in enumerate(captures):
             mpcs = extract_mpcs(deconvolve_cir(y_rx, calibration), policy)
             mpc_rows += [f"{t},{_fmt(m.delay_s * 1e9)},{_fmt(m.power_db)}\n" for m in mpcs]

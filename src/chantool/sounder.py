@@ -7,8 +7,9 @@ frequency-domain deconvolution against a back-to-back calibration, and
 extracts multipath components with their summary statistics (received
 power, path loss, RMS delay spread).  calibrate does the calibration's
 share of the deconvolution once; deconvolve_cir applies it to each capture.
-Noise comes from a numpy Generator the caller passes in, such as
-derive_substream gives.
+peak_candidates finds the paths of many PDPs in one array pass, and
+extract_mpcs is its one-row case.  Noise comes from a numpy Generator the
+caller passes in, such as derive_substream gives.
 """
 
 from __future__ import annotations
@@ -334,33 +335,33 @@ def noise_floor_db(cir: CirSnapshot, tail_fraction: float = 0.1) -> float:
     return float(to_db(float(np.mean(np.abs(cir.samples[n - n_tail :]) ** 2))))
 
 
-def extract_mpcs(cir: CirSnapshot, policy: MpcExtractionPolicy | None = None) -> list[Mpc]:
-    """Peak-search multipath extraction from a CIR snapshot.
+def peak_candidates(pdp: np.ndarray, policy: MpcExtractionPolicy) -> np.ndarray:
+    """Mask of each row's candidate paths in a (rows, bins) linear PDP array.
 
-    Local PDP maxima (3-bin neighborhood on the circular delay axis of the
-    inverse FFT, plateaus resolved to the lowest index) above the detection
-    threshold are kept; if more than max_paths qualify, the strongest
-    max_paths survive.  The result is sorted by delay.
+    A candidate is a local maximum (3-bin neighborhood on the circular delay
+    axis of the inverse FFT, plateaus resolved to the lowest index) at or
+    above its row's detection threshold.  An all-zero row has none, and two
+    candidates are never adjacent bins.
     """
+    n_tail = max(1, int(pdp.shape[-1] * policy.noise_tail_fraction))
+    floor_lin = np.mean(pdp[:, -n_tail:], axis=-1, keepdims=True)
+    threshold = np.maximum(
+        pdp.max(axis=-1, keepdims=True) * 10.0 ** (-policy.rel_threshold_db / 10.0),
+        floor_lin * 10.0 ** (policy.noise_margin_db / 10.0),
+    )
+    left_ok = pdp > np.roll(pdp, 1, axis=-1)
+    return left_ok & (pdp >= np.roll(pdp, -1, axis=-1)) & (pdp >= threshold)
+
+
+def extract_mpcs(cir: CirSnapshot, policy: MpcExtractionPolicy | None = None) -> list[Mpc]:
+    """Multipath extraction from a CIR snapshot: its peak_candidates, of which
+    the strongest max_paths survive if more qualify, sorted by delay."""
     if policy is None:
         policy = MpcExtractionPolicy()
     pdp = np.abs(cir.samples) ** 2
-    n = pdp.size
-    if n == 0:
+    if pdp.size == 0:
         return []
-    n_tail = max(1, int(n * policy.noise_tail_fraction))
-    floor_lin = float(np.mean(pdp[n - n_tail :]))
-    peak_lin = float(pdp.max())
-    if peak_lin <= 0.0:
-        return []
-    threshold = max(
-        peak_lin * 10.0 ** (-policy.rel_threshold_db / 10.0),
-        floor_lin * 10.0 ** (policy.noise_margin_db / 10.0),
-    )
-
-    left_ok = pdp > np.roll(pdp, 1)
-    right_ok = pdp >= np.roll(pdp, -1)
-    candidates = np.flatnonzero(left_ok & right_ok & (pdp >= threshold))
+    candidates = np.flatnonzero(peak_candidates(pdp[None], policy))
     if candidates.size > policy.max_paths:
         strongest = candidates[np.argsort(pdp[candidates], kind="stable")][::-1]
         candidates = np.sort(strongest[: policy.max_paths])

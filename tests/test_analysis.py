@@ -5,6 +5,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from chantool import analysis
 from chantool.analysis import (
@@ -27,6 +30,7 @@ from chantool.core import (
 )
 from chantool.gbsm import CirSequence, GbsmConfig, SizingError, run_scenario
 from chantool.sounder import (
+    MpcExtractionPolicy,
     WaveformSpec,
     calibrate,
     deconvolve_cir,
@@ -268,7 +272,72 @@ def sequence_from_amps(amp_grid: np.ndarray, dt: float = 1e-3) -> CirSequence:
     )
 
 
+def los_track_oracle(seq, tx_idx=0, rx_idx=0, policy=None):
+    """The LOS track as one extract_mpcs call per snapshot."""
+    period = seq.sample_period_s
+    track = []
+    for t_idx in range(seq.n_time):
+        t_s = seq.t0_s + seq.dt_s * t_idx
+        mpcs = extract_mpcs(seq.snapshot(t_idx, tx_idx, rx_idx), policy)
+        if not mpcs:
+            track.append((t_s, DB_FLOOR))
+            continue
+        first_bin = round(mpcs[0].delay_s / period)
+        window = [m for m in mpcs if round(m.delay_s / period) <= first_bin + 2]
+        track.append((t_s, max(m.power_db for m in window)))
+    return track
+
+
+# Magnitudes from a few levels make plateaus, zero rows and peaks on both
+# ends of the delay axis common, and a zeroed tail lets weak peaks pass the
+# noise floor; the quarter turns keep |s|^2 exact.
+LEVELS = st.sampled_from([0.0, 0.0, 0.5, 1.0, 3.0]) | st.floats(0.01, 4.0)
+POLICIES = st.builds(
+    MpcExtractionPolicy,
+    max_paths=st.integers(1, 5),
+    rel_threshold_db=st.sampled_from([3.0, 25.0]),
+    noise_margin_db=st.sampled_from([0.5, 6.0]),
+    noise_tail_fraction=st.sampled_from([0.05, 0.1, 0.5]),
+)
+
+
+@st.composite
+def los_cases(draw):
+    n_time, n_tx, n_rx = draw(st.integers(1, 8)), draw(st.integers(1, 2)), draw(st.integers(1, 2))
+    shape = (n_time, n_tx, n_rx, draw(st.integers(1, 24)))
+    mags = draw(hnp.arrays(np.float64, shape, elements=LEVELS))
+    turns = draw(hnp.arrays(np.int64, shape, elements=st.integers(0, 3)))
+    mags[draw(st.lists(st.integers(0, n_time - 1), max_size=2))] = 0.0
+    mags[..., shape[3] - draw(st.integers(0, shape[3])) :] = 0.0  # a quiet noise tail
+    cir = mags * 1j**turns * 10.0 ** draw(st.integers(-6, 3))
+    tx_idx, rx_idx = draw(st.integers(0, n_tx - 1)), draw(st.integers(0, n_rx - 1))
+    return sequence_from_amps(cir), tx_idx, rx_idx, draw(POLICIES | st.none())
+
+
 class TestLosPowerTrack:
+    @settings(max_examples=300, deadline=None)
+    @given(case=los_cases())
+    def test_matches_the_per_snapshot_oracle(self, case):
+        assert los_power_track(*case) == los_track_oracle(*case)
+
+    def test_edge_rows_match_the_oracle(self):
+        rows = np.zeros((6, 16))
+        rows[1, [1, 2, 5, 6]] = 2.0  # plateaus keep their lowest bin
+        rows[2, [0, 2]] = 1.0, 3.0  # first at bin 0, stronger one at bin 2
+        rows[3, [0, 15]] = 1.0, 3.0  # bin 15 wraps onto bin 0's neighbour
+        rows[4, [13, 15]] = 1.0, 2.0  # the window runs off the end
+        rows[5, [0, 2, 4, 6]] = 1.0, 2.0, 3.0, 4.0  # max_paths 2 keeps 4 and 6
+        cir = np.zeros((6, 2, 2, 16), dtype=complex)
+        cir[:, 1, 0] = rows
+        seq = sequence_from_amps(cir)
+        policy = MpcExtractionPolicy(
+            max_paths=2, rel_threshold_db=20.0, noise_margin_db=0.5, noise_tail_fraction=0.5
+        )
+        track = los_power_track(seq, 1, 0, policy)
+        assert track == los_track_oracle(seq, 1, 0, policy)
+        levels = [DB_FLOOR] + [20.0 * math.log10(a) for a in (2.0, 3.0, 3.0, 2.0, 4.0)]
+        assert [level for _, level in track] == levels
+
     def test_static_single_path_constant(self):
         cir = np.zeros((5, 1, 1, 64))
         cir[:, 0, 0, 12] = 0.5

@@ -415,6 +415,30 @@ class TestSounder:
         _, stat_rows = split_tables(out)
         assert [int(row[0]) for row in stat_rows] == list(range(64))
 
+    @pytest.mark.parametrize(
+        "per_block, per_widening", [(1, 1), (3, 2), (3, 3), (7, 3), (7, 7)]
+    )
+    def test_output_independent_of_block_sizes(
+        self, tmp_path, monkeypatch, per_block, per_widening
+    ):
+        # Captures per archive block and per complex128 widening; 7 captures
+        # in all, so a block may hold one, all, or a count that leaves a
+        # shorter last block.
+        rx, cal = make_captures(tmp_path)
+        seq = read_archive(rx)
+        rolled = [np.roll(seq.cir, 7 * t, axis=3) for t in range(7)]
+        write_archive(rx, CirSequence(0.0, 1.0, seq.sample_period_s, np.concatenate(rolled)))
+        argv = ["sounder", "--rx", rx, "--cal", cal, "--out"]
+        assert main([*argv, str(tmp_path / "default.csv")]) == 0
+        n_samples = seq.cir.shape[3]
+        monkeypatch.setattr(archive, "BLOCK_BYTES", 8 * n_samples * per_block)
+        monkeypatch.setattr(cli, "BLOCK_BYTES", 16 * n_samples * per_widening)
+        assert main([*argv, str(tmp_path / "patched.csv")]) == 0
+        default = (tmp_path / "default.csv").read_bytes()
+        assert (tmp_path / "patched.csv").read_bytes() == default
+        _, stat_rows = split_tables(tmp_path / "default.csv")
+        assert [int(row[0]) for row in stat_rows] == list(range(7))
+
     def test_multi_antenna_capture_rejected(self, tmp_path, capsys):
         rx, cal = make_captures(tmp_path)
         wide = str(tmp_path / "wide.cirb")
