@@ -1,11 +1,11 @@
-"""Second-order statistics over CIR sequences.
+"""Second-order statistics over (time, delay) blocks of CIR samples.
 
 PDP correlation matrices, greedy stationary-interval segmentation, the
 cross-polarization power ratio, and line-of-sight power tracking, which
-searches the whole (time, delay) block for peaks at once.  A correlation
-matrix is (snapshots x snapshots) float64, so its size is budgeted by
-bytes: check_correlation_size refuses an oversized request with SizingError
-before anything is allocated.
+searches the whole block for peaks at once; callers slice the antenna
+pair, seq.cir[:, tx, rx].  A correlation matrix is (snapshots x snapshots)
+float64, so its size is budgeted by bytes: check_correlation_size refuses
+an oversized request with SizingError before anything is allocated.
 """
 
 from __future__ import annotations
@@ -16,8 +16,8 @@ from typing import Sequence
 import numpy as np
 
 from chantool.archive import BLOCK_BYTES
-from chantool.core import DB_FLOOR, Mpc, from_db
-from chantool.gbsm import CirSequence, SizingError
+from chantool.core import DB_FLOOR, CirSnapshot, Mpc, from_db
+from chantool.gbsm import SizingError
 from chantool.sounder import MpcExtractionPolicy, extract_mpcs, peak_candidates, received_power
 
 
@@ -40,6 +40,15 @@ def check_correlation_size(n_snapshots: int) -> None:
         )
 
 
+def require_exact_symmetry(values: np.ndarray) -> None:
+    """Raise ValueError unless the square matrix equals its transpose bit for
+    bit; the comparison runs in row blocks, which bound its temporaries."""
+    step = max(1, BLOCK_BYTES // (8 * max(len(values), 1)))
+    for i in range(0, len(values), step):
+        if not np.array_equal(values[i : i + step], values[:, i : i + step].T):
+            raise ValueError("correlation matrix must be exactly symmetric")
+
+
 @dataclass(frozen=True)
 class CorrelationMatrix:
     """Pairwise Pearson correlations between snapshots' PDPs."""
@@ -51,11 +60,7 @@ class CorrelationMatrix:
         object.__setattr__(self, "values", values)
         if values.ndim != 2 or values.shape[0] != values.shape[1]:
             raise ValueError(f"values must be a square matrix, got shape {values.shape}")
-        n = len(values)
-        step = max(1, BLOCK_BYTES // (8 * max(n, 1)))  # row blocks bound the temporaries
-        for i in range(0, n, step):
-            if not np.array_equal(values[i : i + step], values[:, i : i + step].T):
-                raise ValueError("correlation matrix must be exactly symmetric")
+        require_exact_symmetry(values)
         if np.abs(np.diag(values) - 1.0).max() > 1e-12:
             raise ValueError("correlation matrix diagonal must be 1")
         if values.min() < -1.0 - 1e-12 or values.max() > 1.0 + 1e-12:
@@ -136,26 +141,26 @@ def xpr_db(co_pol_mpcs: Sequence[Mpc], cross_pol_mpcs: Sequence[Mpc]) -> float:
 
 
 def los_power_track(
-    seq: CirSequence,
-    tx_idx: int = 0,
-    rx_idx: int = 0,
+    samples: np.ndarray,
+    t0_s: float,
+    dt_s: float,
+    sample_period_s: float,
     policy: MpcExtractionPolicy | None = None,
 ) -> list[tuple[float, float]]:
     """Power of the strongest MPC inside the earliest-arriving 3-bin
-    window, per snapshot in time order.
+    window, per row of a (time, delay) block of CIR samples.
 
-    One peak_candidates call covers every snapshot; only a window's at most
-    two candidates, its first bin f and f + 2, become Mpcs.  A snapshot with
-    more than max_paths candidates goes through extract_mpcs, whose trim may
-    drop f.  Snapshots with no detectable paths report the dB floor.  Each
-    time is the snapshot's place in the sequence, t0_s + dt_s * t_idx.
+    One peak_candidates call covers every row; only a window's at most two
+    candidates, its first bin f and f + 2, become Mpcs.  A row with more
+    than max_paths candidates goes through extract_mpcs, whose trim may drop
+    f.  Rows with no detectable paths report the dB floor.  Row t_idx lies
+    at time t0_s + dt_s * t_idx.
     """
-    if seq.n_time < 1:
-        raise ValueError("sequence is empty")
+    if len(samples) < 1:
+        raise ValueError("samples are empty")
     if policy is None:
         policy = MpcExtractionPolicy()
-    period = seq.sample_period_s
-    samples = seq.cir[:, tx_idx, rx_idx]
+    period = sample_period_s
     mask = peak_candidates(np.abs(samples) ** 2, policy)
     first = mask.argmax(axis=1)
     third = np.minimum(first + 2, mask.shape[1] - 1)
@@ -164,11 +169,11 @@ def los_power_track(
     track = []
     for t_idx, (f, pair, count) in enumerate(zip(*columns)):
         if count > policy.max_paths:
-            mpcs = extract_mpcs(seq.snapshot(t_idx, tx_idx, rx_idx), policy)
+            mpcs = extract_mpcs(CirSnapshot(period, samples[t_idx]), policy)
         else:
             bins = (f, f + 2)[: (count > 0) + pair]
             mpcs = [Mpc(b * period, complex(samples[t_idx, b])) for b in bins]
         first_bin = round(mpcs[0].delay_s / period) if mpcs else 0
         window = (m.power_db for m in mpcs if round(m.delay_s / period) <= first_bin + 2)
-        track.append((seq.t0_s + seq.dt_s * t_idx, max(window, default=DB_FLOOR)))
+        track.append((t0_s + dt_s * t_idx, max(window, default=DB_FLOOR)))
     return track

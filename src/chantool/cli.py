@@ -21,11 +21,13 @@ from chantool.analysis import (
     check_correlation_size,
     los_power_track,
     pdp_correlation_matrix,
+    require_exact_symmetry,
     stationary_intervals,
 )
 from chantool.archive import (
     BLOCK_BYTES,
     ArchiveError,
+    ArchiveHeader,
     atomic_write_bytes,
     atomic_write_text,
     open_archive,
@@ -47,8 +49,8 @@ from chantool.config import (
     sounder_settings,
 )
 from chantool.core import DB_FLOOR, FrequencyBand, Point3, pdp_from_cir
-from chantool.gbsm import CirSequence, SizingError, run_scenario
-from chantool.pathloss import PathLossSample, RankDeficientError, abg_fit, ci_fit
+from chantool.gbsm import SizingError, run_scenario
+from chantool.pathloss import RankDeficientError, abg_fit, ci_fit, sample_columns
 from chantool.sounder import (
     calibrate,
     deconvolve_cir,
@@ -134,29 +136,40 @@ def cmd_blockage(args) -> int:
     return EXIT_OK
 
 
-def _read_samples_csv(path: str) -> list[PathLossSample]:
+def _parse_sample_rows(rows: list[str]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Checked columns of 'distance,frequency,loss' rows, by one float conversion."""
+    counts = {row.count(",") for row in rows} - {2}
+    if counts:
+        raise ValueError(f"expected 3 columns, got {min(counts) + 1}")
+    values = np.array(",".join(rows).split(",") if rows else [], dtype=np.float64)
+    return sample_columns(*values.reshape(-1, 3).T)
+
+
+def _read_samples_csv(path: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The checked columns of a distance_m,freq_ghz,pl_db CSV; if the body
+    fails as a whole, its lines are parsed one by one to cite the first bad one."""
     with open(path, "r", encoding="utf-8") as handle:
-        lines = [line.strip() for line in handle if line.strip()]
-    if not lines or lines[0] != "distance_m,freq_ghz,pl_db":
+        lines = handle.read().split("\n")
+    body = [line for line in map(str.strip, lines) if line]
+    if not body or body[0] != "distance_m,freq_ghz,pl_db":
         raise ValueError(
             f"{path}: expected header 'distance_m,freq_ghz,pl_db', "
-            f"got {lines[0] if lines else '<empty>'!r}"
+            f"got {body[0] if body else '<empty>'!r}"
         )
-    samples = []
-    for lineno, line in enumerate(lines[1:], start=2):
-        parts = line.split(",")
-        if len(parts) != 3:
-            raise ValueError(f"{path}:{lineno}: expected 3 columns, got {len(parts)}")
-        try:
-            d, f, pl = (float(p) for p in parts)
-        except ValueError:
-            raise ValueError(f"{path}:{lineno}: non-numeric value") from None
-        samples.append(PathLossSample(distance_m=d, freq_ghz=f, pl_db=pl))
-    return samples
+    try:
+        return _parse_sample_rows(body[1:])
+    except ValueError as err:
+        numbered = [(n, line.strip()) for n, line in enumerate(lines, 1) if line.strip()]
+        for lineno, line in numbered[1:]:
+            try:
+                _parse_sample_rows([line])
+            except ValueError as line_err:
+                raise ValueError(f"{path}:{lineno}: {line_err}") from None
+        raise ValueError(f"{path}: {err}") from None
 
 
 def cmd_pathloss_fit(args) -> int:
-    samples = _read_samples_csv(args.samples)
+    columns = _read_samples_csv(args.samples)
     model_name = args.model
     if args.config:
         section = load_config(args.config).section("pathloss") or {}
@@ -166,13 +179,13 @@ def cmd_pathloss_fit(args) -> int:
         model_name = "ci"
     try:
         if model_name == "ci":
-            fit = ci_fit(samples)
+            fit = ci_fit(*columns)
             params = {"n": fit.n}
         else:
-            fit = abg_fit(samples, fix_gamma=0.0 if model_name == "fi" else None)
+            fit = abg_fit(*columns, fix_gamma=0.0 if model_name == "fi" else None)
             params = {"alpha": fit.alpha, "beta_db": fit.beta_db, "gamma": fit.gamma}
     except RankDeficientError as err:
-        fi_helps = model_name == "abg" and len({s.distance_m for s in samples}) > 1
+        fi_helps = model_name == "abg" and columns[0].min() < columns[0].max()
         hint = " (use --model fi for single-frequency data)" if fi_helps else ""
         raise ValueError(f"{err}{hint}") from None
     report = {
@@ -180,7 +193,7 @@ def cmd_pathloss_fit(args) -> int:
         "parameters": params,
         "sigma_db": fit.sigma_db,
         "residual_rms_db": fit.sigma_db,
-        "sample_count": len(samples),
+        "sample_count": len(columns[0]),
     }
     atomic_write_text(args.out, json.dumps(report, indent=2, sort_keys=True) + "\n")
     return EXIT_OK
@@ -254,18 +267,18 @@ def cmd_sounder(args) -> int:
     return EXIT_OK
 
 
-def _read_pair(path: str) -> CirSequence:
-    """Pair (0, 0) of an archive of at least 2 snapshots, as a 1x1 sequence;
-    no other pair is decoded, and no payload at all if the snapshot count
-    would overrun the correlation's byte budget."""
+def _read_pair(path: str) -> tuple[ArchiveHeader, np.ndarray]:
+    """The header and pair (0, 0) of an archive of at least 2 snapshots, as a
+    (time, delay) complex128 array; no other pair is decoded, and no payload
+    at all if the snapshot count would overrun the correlation's byte budget."""
     with open_archive(path) as (header, blocks):
         if header.shape[0] < 2:
             raise ArchiveError(f"{path}: need at least 2 snapshots to analyze")
         check_correlation_size(header.shape[0])
-        cir = np.empty((header.shape[0], 1, 1, header.shape[3]), dtype=np.complex128)
+        samples = np.empty((header.shape[0], header.shape[3]), dtype=np.complex128)
         for t, block in blocks:
-            cir[t : t + len(block)] = block[:, :1, :1]
-    return CirSequence(header.t0_s, header.dt_s, header.sample_period_s, cir)
+            samples[t : t + len(block)] = block[:, 0, 0]
+    return header, samples
 
 
 def symmetric_matrix_rows(values: np.ndarray):
@@ -291,10 +304,7 @@ def symmetric_matrix_rows(values: np.ndarray):
     tokens = int((r * (n - r) + (m - r + 1) * (2 * n - 2 - r - m) // 2).max(initial=0))
     if 25 * tokens >= 2**31:
         raise SizingError(f"{n} rows overrun the int32 offsets of the matrix text")
-    step = max(1, BLOCK_BYTES // (8 * max(n, 1)))  # row blocks bound the temporaries
-    for i in range(0, n, step):
-        if not np.array_equal(values[i : i + step], values[:, i : i + step].T):
-            raise ValueError("correlation matrix must be exactly symmetric")
+    require_exact_symmetry(values)
     store = np.empty(25 * tokens, dtype=np.uint8)
     starts = np.zeros(tokens + 1, dtype=np.int32)  # token starts in store, then the end
     base = np.zeros(n, dtype=np.int32)  # row j's first token in starts
@@ -337,10 +347,11 @@ def symmetric_matrix_rows(values: np.ndarray):
 def cmd_analyze(args) -> int:
     if not 0.0 < args.threshold < 1.0:
         raise ValueError(f"threshold must lie in (0, 1), got {args.threshold}")
-    seq = _read_pair(args.archive)
-    track = los_power_track(seq) if args.los_track else None
-    corr = pdp_correlation_matrix(pdp_from_cir(seq.cir[:, 0, 0]))
-    del seq  # the matrix text below needs no samples
+    header, samples = _read_pair(args.archive)
+    if args.los_track:
+        track = los_power_track(samples, header.t0_s, header.dt_s, header.sample_period_s)
+    corr = pdp_correlation_matrix(pdp_from_cir(samples))
+    del samples  # the matrix text below needs no samples
     atomic_write_bytes(args.out, symmetric_matrix_rows(corr.values))
 
     stem, ext = os.path.splitext(args.out)
@@ -349,7 +360,7 @@ def cmd_analyze(args) -> int:
         rows = [f"{start},{end}\n" for start, end in report.intervals]
         text = "".join(["start_index,end_index\n", *rows])
         atomic_write_text(f"{stem}_intervals{ext or '.csv'}", text)
-    if track is not None:
+    if args.los_track:
         rows = [f"{_fmt(t)},{_fmt(level)}\n" for t, level in track]
         text = "".join(["t_s,power_db\n", *rows])
         atomic_write_text(f"{stem}_los{ext or '.csv'}", text)

@@ -293,10 +293,10 @@ def synthesize_snapshot(
 class CirSequence:
     """A run's worth of CIR snapshots on a common delay grid.
 
-    cir is indexed (time, tx, rx, delay); snapshot() wraps one entry as a
-    CirSnapshot without copying, and entry t_idx lies at time
-    t0_s + dt_s * t_idx.  mean_cluster_count is NaN unless the
-    sequence came out of run_scenario.
+    cir is indexed (time, tx, rx, delay), and entry t_idx lies at time
+    t0_s + dt_s * t_idx.  snapshot() wraps one entry without copying as the
+    CirSnapshot that simulate_capture takes.  mean_cluster_count is NaN
+    unless the sequence came out of run_scenario.
     """
 
     t0_s: float
@@ -314,10 +314,6 @@ class CirSequence:
     @property
     def n_time(self) -> int:
         return self.cir.shape[0]
-
-    @property
-    def times_s(self) -> np.ndarray:
-        return self.t0_s + self.dt_s * np.arange(self.n_time)
 
     def snapshot(self, t_idx: int, tx_idx: int = 0, rx_idx: int = 0) -> CirSnapshot:
         return CirSnapshot(self.sample_period_s, self.cir[t_idx, tx_idx, rx_idx])

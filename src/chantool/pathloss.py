@@ -3,8 +3,9 @@
 The CI model anchors on 1 m free space and fits a single exponent; the ABG
 model is a three-parameter log-linear fit, and its gamma=0 restriction is
 the floating-intercept (FI) model.  Fits are unweighted ordinary least
-squares with RMS-residual shadowing sigma.  Distances are meters,
-frequencies GHz, losses dB throughout.
+squares with RMS-residual shadowing sigma, over sample columns that
+sample_columns checks as a whole.  Distances are meters, frequencies GHz,
+losses dB throughout.
 """
 
 from __future__ import annotations
@@ -20,23 +21,6 @@ FSPL_1M_DB = 32.4
 
 class RankDeficientError(ValueError):
     """The samples cannot determine every parameter of the requested fit."""
-
-
-@dataclass(frozen=True)
-class PathLossSample:
-    """One measured (or synthesized) path loss point."""
-
-    distance_m: float
-    freq_ghz: float
-    pl_db: float
-
-    def __post_init__(self) -> None:
-        if not self.distance_m >= 1.0:
-            raise ValueError(f"distance_m must be >= 1 m, got {self.distance_m}")
-        if not self.freq_ghz > 0.0:
-            raise ValueError(f"freq_ghz must be positive, got {self.freq_ghz}")
-        if not math.isfinite(self.pl_db):
-            raise ValueError("pl_db must be finite")
 
 
 @dataclass(frozen=True)
@@ -78,42 +62,36 @@ FI_PRESETS = {
 }
 
 
+def _preset(presets: dict, kind: str, name: str):
+    if name not in presets:
+        raise KeyError(f"unknown {kind} preset {name!r}; available: {sorted(presets)}")
+    return presets[name]
+
+
 def ci_preset(name: str) -> CiModel:
-    try:
-        return CI_PRESETS[name]
-    except KeyError:
-        raise KeyError(
-            f"unknown CI preset {name!r}; available: {sorted(CI_PRESETS)}"
-        ) from None
+    return _preset(CI_PRESETS, "CI", name)
 
 
 def fi_preset(name: str) -> AbgModel:
-    try:
-        return FI_PRESETS[name]
-    except KeyError:
-        raise KeyError(
-            f"unknown FI preset {name!r}; available: {sorted(FI_PRESETS)}"
-        ) from None
+    return _preset(FI_PRESETS, "FI", name)
 
 
-def _check_distance(d_m: float) -> None:
+def _check_point(d_m: float, f_ghz: float) -> None:
     if not d_m >= 1.0:
         raise ValueError(f"distance {d_m} m is below the 1 m model reference")
+    if not f_ghz > 0.0:
+        raise ValueError("frequency must be positive")
 
 
 def ci_eval(model: CiModel, d_m: float, f_ghz: float) -> float:
     """Deterministic CI path loss in dB."""
-    _check_distance(d_m)
-    if not f_ghz > 0.0:
-        raise ValueError("frequency must be positive")
+    _check_point(d_m, f_ghz)
     return FSPL_1M_DB + 20.0 * math.log10(f_ghz) + 10.0 * model.n * math.log10(d_m)
 
 
 def abg_eval(model: AbgModel, d_m: float, f_ghz: float) -> float:
     """Deterministic ABG (or FI when gamma=0) path loss in dB."""
-    _check_distance(d_m)
-    if not f_ghz > 0.0:
-        raise ValueError("frequency must be positive")
+    _check_point(d_m, f_ghz)
     return (
         10.0 * model.alpha * math.log10(d_m)
         + model.beta_db
@@ -121,19 +99,37 @@ def abg_eval(model: AbgModel, d_m: float, f_ghz: float) -> float:
     )
 
 
-def ci_fit(samples: list[PathLossSample]) -> CiModel:
+def sample_columns(distance_m, freq_ghz, pl_db) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The samples as three float64 columns, checked: 1-D and of equal
+    length, every value finite, distances at least the 1 m reference and
+    frequencies positive.  ValueError names the column and its first bad value.
+    """
+    d, f, pl = columns = tuple(np.asarray(c, dtype=float) for c in (distance_m, freq_ghz, pl_db))
+    if any(c.ndim != 1 for c in columns) or not d.size == f.size == pl.size:
+        shapes = ", ".join(str(c.shape) for c in columns)
+        raise ValueError(f"sample columns must be 1-D and of equal length, got {shapes}")
+    for name, column, in_range, rule in (
+        ("distance_m", d, d >= 1.0, "finite and >= 1 m"),
+        ("freq_ghz", f, f > 0.0, "finite and positive"),
+        ("pl_db", pl, True, "finite"),
+    ):
+        bad = ~(np.isfinite(column) & in_range)
+        if bad.any():
+            raise ValueError(f"{name} must be {rule}, got {float(column[bad.argmax()])}")
+    return columns
+
+
+def ci_fit(distance_m, freq_ghz, pl_db) -> CiModel:
     """Least-squares CI exponent with RMS-residual sigma.
 
     Closed form: n = sum(A_i D_i) / sum(D_i^2) with A the excess over the
     1 m free-space anchor and D = 10 log10(d).
     """
-    if len(samples) < 2:
+    d, f, pl = sample_columns(distance_m, freq_ghz, pl_db)
+    if len(d) < 2:
         raise ValueError("ci_fit needs at least 2 samples")
-    d = np.array([s.distance_m for s in samples])
     if np.all(d == d[0]):
         raise RankDeficientError("rank-deficient fit: all sample distances are equal")
-    f = np.array([s.freq_ghz for s in samples])
-    pl = np.array([s.pl_db for s in samples])
     a = pl - FSPL_1M_DB - 20.0 * np.log10(f)
     big_d = 10.0 * np.log10(d)
     n = float(np.sum(a * big_d) / np.sum(big_d * big_d))
@@ -142,19 +138,17 @@ def ci_fit(samples: list[PathLossSample]) -> CiModel:
     return CiModel(n=n, sigma_db=sigma)
 
 
-def abg_fit(samples: list[PathLossSample], fix_gamma: float | None = None) -> AbgModel:
+def abg_fit(distance_m, freq_ghz, pl_db, fix_gamma: float | None = None) -> AbgModel:
     """OLS fit of the ABG model; pass fix_gamma=0 for the FI restriction.
 
     The design columns are 10 log10(d), a constant, and (unless fixed)
     10 log10(f).  Rank deficiency reports which column is degenerate;
     single-frequency data must fix gamma.
     """
+    d, f, pl = sample_columns(distance_m, freq_ghz, pl_db)
     needed = 2 if fix_gamma is not None else 3
-    if len(samples) < needed:
+    if len(d) < needed:
         raise ValueError(f"abg_fit needs at least {needed} samples")
-    d = np.array([s.distance_m for s in samples])
-    f = np.array([s.freq_ghz for s in samples])
-    pl = np.array([s.pl_db for s in samples])
     col_d = 10.0 * np.log10(d)
     col_f = 10.0 * np.log10(f)
 
@@ -166,23 +160,16 @@ def abg_fit(samples: list[PathLossSample], fix_gamma: float | None = None) -> Ab
             "(single-frequency data must use fix_gamma=0)"
         )
 
-    if fix_gamma is not None:
-        target = pl - fix_gamma * col_f  # removes 10*gamma*log10(f)
-        design = np.column_stack([col_d, np.ones_like(col_d)])
-    else:
-        target = pl
-        design = np.column_stack([col_d, np.ones_like(col_d), col_f])
+    target = pl if fix_gamma is None else pl - fix_gamma * col_f  # removes 10*gamma*log10(f)
+    design = np.column_stack([col_d, np.ones_like(col_d), col_f][:needed])
 
     if np.linalg.matrix_rank(design) < design.shape[1]:
         raise RankDeficientError("rank-deficient fit: design columns are collinear")
     coef, *_ = np.linalg.lstsq(design, target, rcond=None)
     resid = target - design @ coef
     sigma = float(np.sqrt(np.mean(resid * resid)))
-    if fix_gamma is not None:
-        return AbgModel(alpha=float(coef[0]), beta_db=float(coef[1]),
-                        gamma=float(fix_gamma), sigma_db=sigma)
-    return AbgModel(alpha=float(coef[0]), beta_db=float(coef[1]),
-                    gamma=float(coef[2]), sigma_db=sigma)
+    gamma = float(coef[2] if fix_gamma is None else fix_gamma)
+    return AbgModel(alpha=float(coef[0]), beta_db=float(coef[1]), gamma=gamma, sigma_db=sigma)
 
 
 def shadowed_sample(model, d_m: float, f_ghz: float, rng: np.random.Generator) -> float:

@@ -40,7 +40,6 @@ from chantool.gbsm import CirSequence, GbsmConfig, init_clusters, synthesize_sna
 from chantool.pathloss import (
     AbgModel,
     CiModel,
-    PathLossSample,
     abg_eval,
     abg_fit,
     ci_eval,
@@ -167,21 +166,15 @@ def test_criterion_06_fit_recovery():
     stream = derive_substream(101, "ci-recovery", 0)
     d = np.exp(stream.uniform(np.log(10.0), np.log(800.0), n_samples))
     noise = stream.normal(0.0, ci_truth.sigma_db, n_samples)
-    samples = [
-        PathLossSample(di, 28.0, ci_eval(ci_truth, di, 28.0) + zi)
-        for di, zi in zip(d, noise)
-    ]
-    ci_hat = ci_fit(samples)
+    pl = [ci_eval(ci_truth, di, 28.0) + zi for di, zi in zip(d, noise)]
+    ci_hat = ci_fit(d, np.full(n_samples, 28.0), pl)
 
     fi_truth = AbgModel(alpha=2.374, beta_db=67.31, gamma=0.0, sigma_db=6.57)
     stream = derive_substream(101, "fi-recovery", 0)
     d = np.exp(stream.uniform(np.log(10.0), np.log(800.0), n_samples))
     noise = stream.normal(0.0, fi_truth.sigma_db, n_samples)
-    samples = [
-        PathLossSample(di, 28.0, abg_eval(fi_truth, di, 28.0) + zi)
-        for di, zi in zip(d, noise)
-    ]
-    fi_hat = abg_fit(samples, fix_gamma=0.0)
+    pl = [abg_eval(fi_truth, di, 28.0) + zi for di, zi in zip(d, noise)]
+    fi_hat = abg_fit(d, np.full(n_samples, 28.0), pl, fix_gamma=0.0)
 
     elapsed = time.perf_counter() - t0
     ok = (

@@ -22,6 +22,7 @@ from chantool.analysis import (
 )
 from chantool.core import (
     DB_FLOOR,
+    CirSnapshot,
     Mpc,
     Point3,
     derive_substream,
@@ -272,13 +273,19 @@ def sequence_from_amps(amp_grid: np.ndarray, dt: float = 1e-3) -> CirSequence:
     )
 
 
+def track_of(seq, tx_idx=0, rx_idx=0, policy=None):
+    """los_power_track on one antenna pair of a sequence."""
+    samples = seq.cir[:, tx_idx, rx_idx]
+    return los_power_track(samples, seq.t0_s, seq.dt_s, seq.sample_period_s, policy)
+
+
 def los_track_oracle(seq, tx_idx=0, rx_idx=0, policy=None):
     """The LOS track as one extract_mpcs call per snapshot."""
     period = seq.sample_period_s
     track = []
     for t_idx in range(seq.n_time):
         t_s = seq.t0_s + seq.dt_s * t_idx
-        mpcs = extract_mpcs(seq.snapshot(t_idx, tx_idx, rx_idx), policy)
+        mpcs = extract_mpcs(CirSnapshot(period, seq.cir[t_idx, tx_idx, rx_idx]), policy)
         if not mpcs:
             track.append((t_s, DB_FLOOR))
             continue
@@ -318,7 +325,7 @@ class TestLosPowerTrack:
     @settings(max_examples=300, deadline=None)
     @given(case=los_cases())
     def test_matches_the_per_snapshot_oracle(self, case):
-        assert los_power_track(*case) == los_track_oracle(*case)
+        assert track_of(*case) == los_track_oracle(*case)
 
     def test_edge_rows_match_the_oracle(self):
         rows = np.zeros((6, 16))
@@ -333,7 +340,7 @@ class TestLosPowerTrack:
         policy = MpcExtractionPolicy(
             max_paths=2, rel_threshold_db=20.0, noise_margin_db=0.5, noise_tail_fraction=0.5
         )
-        track = los_power_track(seq, 1, 0, policy)
+        track = track_of(seq, 1, 0, policy)
         assert track == los_track_oracle(seq, 1, 0, policy)
         levels = [DB_FLOOR] + [20.0 * math.log10(a) for a in (2.0, 3.0, 3.0, 2.0, 4.0)]
         assert [level for _, level in track] == levels
@@ -341,7 +348,7 @@ class TestLosPowerTrack:
     def test_static_single_path_constant(self):
         cir = np.zeros((5, 1, 1, 64))
         cir[:, 0, 0, 12] = 0.5
-        track = los_power_track(sequence_from_amps(cir))
+        track = track_of(sequence_from_amps(cir))
         assert len(track) == 5
         times = [t for t, _ in track]
         assert times == pytest.approx([0.0, 1e-3, 2e-3, 3e-3, 4e-3])
@@ -353,11 +360,11 @@ class TestLosPowerTrack:
         cir[0, 0, 0, 10] = 10.0 ** (-10.0 / 20.0)
         cir[0, 0, 0, 12] = 1.0
         cir[0, 0, 0, 30] = 10.0 ** (-3.0 / 20.0)
-        track = los_power_track(sequence_from_amps(cir))
+        track = track_of(sequence_from_amps(cir))
         assert track[0][1] == pytest.approx(0.0, abs=1e-9)
 
     def test_empty_snapshot_reports_floor(self):
-        track = los_power_track(sequence_from_amps(np.zeros((3, 1, 1, 16))))
+        track = track_of(sequence_from_amps(np.zeros((3, 1, 1, 16))))
         assert [level for _, level in track] == [DB_FLOOR] * 3
 
     def test_antenna_selection(self):
@@ -365,21 +372,21 @@ class TestLosPowerTrack:
         cir[:, 0, 0, 5] = 1.0
         cir[:, 1, 0, 5] = 0.5
         seq = sequence_from_amps(cir)
-        t0 = los_power_track(seq, tx_idx=0)
-        t1 = los_power_track(seq, tx_idx=1)
+        t0 = track_of(seq, tx_idx=0)
+        t1 = track_of(seq, tx_idx=1)
         assert t0[0][1] == pytest.approx(0.0, abs=1e-9)
         assert t1[0][1] == pytest.approx(-6.0206, abs=1e-3)
 
     def test_empty_sequence_rejected(self):
         seq = sequence_from_amps(np.zeros((0, 1, 1, 8)))
         with pytest.raises(ValueError, match="empty"):
-            los_power_track(seq)
+            track_of(seq)
 
     def test_gbsm_static_track_is_flat(self):
         cfg = GbsmConfig(
             seed=61, birth_rate_hz=0.0, death_rate_hz=0.0, duration_s=0.003125
         )
-        track = los_power_track(run_scenario(cfg))
+        track = track_of(run_scenario(cfg))
         levels = np.array([level for _, level in track])
         assert levels.size == 50
         assert levels.max() - levels.min() < 0.1
@@ -391,7 +398,7 @@ class TestLosPowerTrack:
             duration_s=0.00625,
             k_factor_db=200.0,
         )
-        track = los_power_track(run_scenario(cfg))
+        track = track_of(run_scenario(cfg))
         levels = np.array([level for _, level in track])
         assert np.all(np.isfinite(levels))
         assert levels.max() > -10.0
@@ -406,7 +413,7 @@ class TestLosPowerTrack:
             duration_s=200 * 62.5e-6,
             seed=5,
         )
-        track = los_power_track(run_scenario(cfg))
+        track = track_of(run_scenario(cfg))
         assert len(track) == 200
         assert hashlib.sha256(repr(track).encode()).hexdigest() == (
             "fe76c735b68fc049ae3317d627a022bcaa34fa90e4fb4611f1c148e8b05d0739"

@@ -22,6 +22,7 @@ from chantool.config import SCHEMA
 from chantool.core import Mpc, derive_substream, pdp_from_cir
 from chantool.gbsm import CirSequence, SizingError
 from chantool.sounder import WaveformSpec, simulate_capture
+from test_pathloss import FROZEN_FITS, frozen_sample_columns
 
 FS = 1.28e9
 
@@ -136,7 +137,50 @@ def make_ci_samples(path, n=400, sigma=5.47):
     return str(path)
 
 
+def frozen_sample_rows(n=2000):
+    """n seeded (distance, frequency, loss) rows, each value as its repr."""
+    return [tuple(map(repr, row)) for row in zip(*(c.tolist() for c in frozen_sample_columns(n)))]
+
+
+def samples_text(rows, sep=",", newline="\n"):
+    lines = ["distance_m,freq_ghz,pl_db", *(sep.join(row) for row in rows)]
+    return newline.join(lines) + newline
+
+
+# Each layout must parse to the clean file's samples.
+LAYOUTS = {
+    "crlf": lambda rows: samples_text(rows, newline="\r\n"),
+    "blank lines": lambda rows: "\n\n" + samples_text(rows, newline="\n \n") + "\t\n",
+    "spaces": lambda rows: " " + samples_text(rows, sep=" , ").replace("\n", " \n"),
+    "no final newline": lambda rows: samples_text(rows).rstrip("\n"),
+    "all at once": lambda rows: samples_text(rows, sep=" ,\t", newline="\r\n\r\n").rstrip(),
+}
+
+
 class TestPathlossFit:
+    @pytest.mark.parametrize("model", sorted(FROZEN_FITS))
+    def test_frozen_fits_on_2000_rows(self, tmp_path, model):
+        samples = write(tmp_path / "s.csv", samples_text(frozen_sample_rows()))
+        out = str(tmp_path / "fit.json")
+        assert main(["pathloss-fit", samples, "--model", model, "--out", out]) == 0
+        report = json.loads(open(out).read())
+        params, sigma = FROZEN_FITS[model]
+        assert {k: float.hex(v) for k, v in report["parameters"].items()} == params
+        assert float.hex(report["sigma_db"]) == sigma
+        assert report["sample_count"] == 2000
+
+    @pytest.mark.parametrize("layout", sorted(LAYOUTS))
+    @pytest.mark.parametrize("model", ["ci", "abg"])
+    def test_layout_gives_the_clean_file_fit(self, tmp_path, layout, model):
+        rows = frozen_sample_rows(200)
+        reports = []
+        for name, text in (("clean", samples_text(rows)), (layout, LAYOUTS[layout](rows))):
+            samples = write(tmp_path / "s.csv", text)
+            out = tmp_path / f"{name}.json"
+            assert main(["pathloss-fit", samples, "--model", model, "--out", str(out)]) == 0
+            reports.append(out.read_bytes())
+        assert reports[0] == reports[1]
+
     def test_ci_recovery(self, tmp_path):
         samples = make_ci_samples(tmp_path / "s.csv")
         out = str(tmp_path / "fit.json")
@@ -178,6 +222,39 @@ class TestPathlossFit:
         report = json.loads(open(out).read())
         assert report["model"] == "fi"
         assert report["parameters"]["gamma"] == 0.0
+
+    @pytest.mark.parametrize("model", ["ci", "fi", "abg"])
+    @pytest.mark.parametrize("value", ["inf", "nan", "1e999", "-inf"])
+    @pytest.mark.parametrize("column", ["distance_m", "freq_ghz", "pl_db"])
+    def test_non_finite_sample_exit_2_with_line(self, tmp_path, capsys, model, value, column):
+        rows = [list(row) for row in frozen_sample_rows(10)]
+        rows[4][["distance_m", "freq_ghz", "pl_db"].index(column)] = value
+        samples = write(tmp_path / "samples.csv", samples_text(rows))
+        out = tmp_path / "fit.json"
+        assert main(["pathloss-fit", samples, "--model", model, "--out", str(out)]) == 2
+        assert f"samples.csv:6: {column} must be " in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ("0.5,28.0,90.0", "distance_m must be finite and >= 1 m, got 0.5"),
+            ("10.0,0,90.0", "freq_ghz must be finite and positive, got 0.0"),
+            ("10.0,28.0", "expected 3 columns, got 2"),
+            ("10.0,28.0,90.0,1.0", "expected 3 columns, got 4"),
+            ("10.0,28 GHz,90.0", "could not convert string to float"),
+        ],
+    )
+    def test_bad_sample_cites_its_line(self, tmp_path, capsys, row, message):
+        # blank lines count, and a later bad line is not the one reported
+        text = "distance_m,freq_ghz,pl_db\n\n10.0,28.0,100.0\r\n  \n" + row + "\n0.5,1e999,x\n"
+        samples = write(tmp_path / "samples.csv", text)
+        out = tmp_path / "fit.json"
+        assert main(["pathloss-fit", samples, "--model", "ci", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {samples}:5: ")
+        assert message in err
+        assert not out.exists()
 
     def test_bad_header_exit_2(self, tmp_path, capsys):
         bad = write(tmp_path / "bad.csv", "dist,freq,pl\n1.0,28.0,100.0\n")

@@ -423,7 +423,7 @@ class TestRunScenario:
         assert seq.n_time == 100
         assert seq.t0_s == 0.0
         assert seq.dt_s == cfg.snapshot_interval_s
-        times = seq.times_s
+        times = seq.t0_s + seq.dt_s * np.arange(seq.n_time)
         assert times[0] == 0.0
         assert np.allclose(np.diff(times), cfg.snapshot_interval_s)
         # a snapshot carries no time; entry 4's time is the sequence's
@@ -431,6 +431,7 @@ class TestRunScenario:
         snap = seq.snapshot(4, 1, 2)
         assert snap.sample_period_s == seq.sample_period_s
         assert np.shares_memory(snap.samples, seq.cir)
+        assert np.array_equal(snap.samples, seq.cir[4, 1, 2])
 
     def test_step_count_rounds(self):
         cfg = GbsmConfig(seed=31, duration_s=1.0, snapshot_interval_s=0.1)
