@@ -14,6 +14,7 @@ import math
 import os
 import sys
 import warnings
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -77,6 +78,16 @@ def _require_section(cfg: Config, name: str) -> dict[str, object]:
     return section
 
 
+@contextmanager
+def _cited(cfg: Config, name: str):
+    """Report a ValueError raised while building section name's parameter
+    objects as a ConfigError at the line of the section's header."""
+    try:
+        yield
+    except ValueError as err:
+        raise cfg.error(name, None, str(err)) from None
+
+
 def cmd_blockage(args) -> int:
     cfg = load_config(args.config)
     section = _require_section(cfg, "blockage")
@@ -91,37 +102,30 @@ def cmd_blockage(args) -> int:
         )
     chosen = args.model or ["all"]
     models = list(MODELS) if "all" in chosen else [m for m in MODELS if m in chosen]
-    band = FrequencyBand.preset(float(settings["carrier_ghz"]))
-    h = float(settings["antenna_height_m"])
-    length = float(settings["link_length_m"])
-    tx = Point3(0.0, 0.0, h)
-    rx = Point3(length, 0.0, h)
-    zc = float(settings["blocker_center_z_m"])
-
+    zc = settings["blocker_center_z_m"]
     if scenario == "crossing":
         positions = [round(-1.0 + 0.1 * i, 10) for i in range(21)]
-        centers = [
-            Point3(float(settings["along_position_m"]), lat, zc) for lat in positions
-        ]
+        centers = [Point3(settings["along_position_m"], lat, zc) for lat in positions]
     else:
         positions = [round(1.0 + 0.2 * i, 10) for i in range(41)]
-        centers = [
-            Point3(along, float(settings["lateral_offset_m"]), zc)
-            for along in positions
-        ]
+        centers = [Point3(along, settings["lateral_offset_m"], zc) for along in positions]
 
-    screen = Screen(
-        centers[0], float(settings["screen_width_m"]), float(settings["screen_height_m"])
-    )
-    cylinder = Cylinder(
-        centers[0],
-        float(settings["cylinder_radius_m"]),
-        float(settings["cylinder_height_m"]),
-    )
+    # Every parameter object is built before the first sweep, so a value
+    # they refuse is reported against the file, before any output.
+    with _cited(cfg, "blockage"):
+        band = FrequencyBand.preset(settings["carrier_ghz"])
+        h = settings["antenna_height_m"]
+        tx = Point3(0.0, 0.0, h)
+        rx = Point3(settings["link_length_m"], 0.0, h)
+        screen = Screen(centers[0], settings["screen_width_m"], settings["screen_height_m"])
+        cylinder = Cylinder(
+            centers[0], settings["cylinder_radius_m"], settings["cylinder_height_m"]
+        )
+        screened = BlockageScenario(tx, rx, band, (screen,))
+        cylindered = BlockageScenario(tx, rx, band, (cylinder,))
     columns = []
     for model in models:
-        blocker = cylinder if model == "gtd" else screen
-        scn = BlockageScenario(tx, rx, band, (blocker,))
+        scn = cylindered if model == "gtd" else screened
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             result = sweep_blocker(scn, model, centers)
@@ -170,26 +174,19 @@ def _read_samples_csv(path: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 def cmd_pathloss_fit(args) -> int:
     columns = _read_samples_csv(args.samples)
-    model_name = args.model
-    if args.config:
-        section = load_config(args.config).section("pathloss") or {}
-        if model_name is None:
-            model_name = section.get("model")
-    if model_name is None:
-        model_name = "ci"
     try:
-        if model_name == "ci":
+        if args.model == "ci":
             fit = ci_fit(*columns)
             params = {"n": fit.n}
         else:
-            fit = abg_fit(*columns, fix_gamma=0.0 if model_name == "fi" else None)
+            fit = abg_fit(*columns, fix_gamma=0.0 if args.model == "fi" else None)
             params = {"alpha": fit.alpha, "beta_db": fit.beta_db, "gamma": fit.gamma}
     except RankDeficientError as err:
-        fi_helps = model_name == "abg" and columns[0].min() < columns[0].max()
+        fi_helps = args.model == "abg" and columns[0].min() < columns[0].max()
         hint = " (use --model fi for single-frequency data)" if fi_helps else ""
         raise ValueError(f"{err}{hint}") from None
     report = {
-        "model": model_name,
+        "model": args.model,
         "parameters": params,
         "sigma_db": fit.sigma_db,
         "residual_rms_db": fit.sigma_db,
@@ -202,10 +199,8 @@ def cmd_pathloss_fit(args) -> int:
 def cmd_gbsm(args) -> int:
     cfg = load_config(args.config)
     section = _require_section(cfg, "gbsm")
-    try:
-        gcfg = gbsm_config(section, seed=args.seed)
-    except ValueError as err:
-        raise cfg.error("gbsm", None, str(err)) from None
+    with _cited(cfg, "gbsm"):
+        gcfg = gbsm_config(section)
     seq = run_scenario(gcfg)
     size = write_archive(args.out, seq)
     print(
@@ -219,10 +214,8 @@ def cmd_sounder(args) -> int:
     # The config is settled before either capture is read, so a config
     # error costs no archive decode.
     cfg = load_config(args.config) if args.config else None
-    try:
+    with _cited(cfg, "sounder"):
         budget, policy, band_fraction = sounder_settings(cfg and cfg.section("sounder") or {})
-    except ValueError as err:
-        raise cfg.error("sounder", None, str(err)) from None
     # Both headers are checked before either payload is decoded; the cal's
     # single capture is then its one block.  The rx captures stream through
     # one block buffer, widened to complex128 in sub-blocks of at most
@@ -387,14 +380,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("pathloss-fit", help="fit a path loss model to samples")
     p.add_argument("samples", help="CSV with header distance_m,freq_ghz,pl_db")
-    p.add_argument("--model", choices=["ci", "fi", "abg"], default=None)
-    p.add_argument("--config", default=None)
+    p.add_argument("--model", choices=["ci", "fi", "abg"], default="ci")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_pathloss_fit)
 
     p = sub.add_parser("gbsm", help="generate a CIR archive")
     p.add_argument("--config", required=True)
-    p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_gbsm)
 

@@ -1,16 +1,24 @@
 """Strict INI-style configuration.
 
-Sections [blockage], [pathloss], [gbsm], [sounder]; each holds exactly the
-keys its subcommand reads.  Unknown sections, unknown keys, duplicate keys,
-and malformed or non-finite values are hard errors carrying the file line
-number, so typos never pass silently.  All dimensioned keys carry a unit
-suffix (_m, _ghz, _db, _s, ...).
+Three sections, each holding exactly the keys its subcommand reads:
+
+* [blockage]: the keys of one defaults table, which blockage_settings
+  merges the section into;
+* [gbsm]: carrier_ghz, every int or float field of GbsmConfig, and its
+  Point3 fields as <field>_<x|y|z>_<unit> keys;
+* [sounder]: band_fraction and every int or float field of LinkBudget and
+  MpcExtractionPolicy.
+
+An int field takes a base-10 integer and a float field a finite float.
+Unknown sections, unknown keys, duplicate keys, and malformed or non-finite
+values are hard errors carrying the file line number, so typos never pass
+silently.  All dimensioned keys carry a unit suffix (_m, _ghz, _db, _s, ...).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import astuple, dataclass, fields, replace
 
 from chantool.blockage import (
     DEFAULT_ANTENNA_HEIGHT_M,
@@ -56,67 +64,48 @@ def _int(raw: str) -> int:
     return int(raw, 10)
 
 
+# [blockage] keys and their defaults; along_position_m defaults to the
+# midpoint of the link.
+_BLOCKAGE_DEFAULTS: dict[str, object] = {
+    "scenario": "crossing",
+    "carrier_ghz": 28.0,
+    "link_length_m": 10.0,
+    "antenna_height_m": DEFAULT_ANTENNA_HEIGHT_M,
+    "screen_width_m": DEFAULT_SCREEN_WIDTH_M,
+    "screen_height_m": DEFAULT_SCREEN_HEIGHT_M,
+    "cylinder_radius_m": DEFAULT_CYLINDER_RADIUS_M,
+    "cylinder_height_m": DEFAULT_CYLINDER_HEIGHT_M,
+    "blocker_center_z_m": DEFAULT_BLOCKER_CENTER_Z_M,
+    "along_position_m": None,
+    "lateral_offset_m": 0.0,
+}
+
+# The Point3 fields of GbsmConfig, each given as three keys
+# <field>_<x|y|z>_<unit>, with its unit suffix.
+_VECTORS = {"tx_velocity": "mps", "rx_velocity": "mps", "tx_position": "m", "rx_position": "m"}
+
+
+def _vector_keys(name: str) -> list[str]:
+    return [f"{name}_{axis}_{_VECTORS[name]}" for axis in "xyz"]
+
+
+def _scalar_fields(*classes) -> dict[str, object]:
+    """A parser per int or float field of the dataclasses, keyed by its name."""
+    parsers = {"int": _int, "float": _float}
+    return {f.name: parsers[f.type] for cls in classes for f in fields(cls) if f.type in parsers}
+
+
 SCHEMA: dict[str, dict[str, object]] = {
     "blockage": {
+        **dict.fromkeys(_BLOCKAGE_DEFAULTS, _float),
         "scenario": _choice("crossing", "along"),
-        "carrier_ghz": _float,
-        "link_length_m": _float,
-        "antenna_height_m": _float,
-        "screen_width_m": _float,
-        "screen_height_m": _float,
-        "cylinder_radius_m": _float,
-        "cylinder_height_m": _float,
-        "blocker_center_z_m": _float,
-        "along_position_m": _float,
-        "lateral_offset_m": _float,
-    },
-    "pathloss": {
-        "model": _choice("ci", "fi", "abg"),
     },
     "gbsm": {
         "carrier_ghz": _float,
-        "n_tx": _int,
-        "n_rx": _int,
-        "antenna_spacing_m": _float,
-        "k_factor_db": _float,
-        "mean_clusters": _float,
-        "rays_per_cluster": _int,
-        "delay_scale_s": _float,
-        "per_cluster_shadow_db": _float,
-        "birth_rate_hz": _float,
-        "death_rate_hz": _float,
-        "snapshot_interval_s": _float,
-        "duration_s": _float,
-        "seed": _int,
-        "tx_velocity_x_mps": _float,
-        "tx_velocity_y_mps": _float,
-        "tx_velocity_z_mps": _float,
-        "rx_velocity_x_mps": _float,
-        "rx_velocity_y_mps": _float,
-        "rx_velocity_z_mps": _float,
-        "tx_position_x_m": _float,
-        "tx_position_y_m": _float,
-        "tx_position_z_m": _float,
-        "rx_position_x_m": _float,
-        "rx_position_y_m": _float,
-        "rx_position_z_m": _float,
-        "ray_angle_spread_rad": _float,
-        "ray_delay_scale_s": _float,
-        "delay_resolution_s": _float,
+        **_scalar_fields(GbsmConfig),
+        **{key: _float for name in _VECTORS for key in _vector_keys(name)},
     },
-    "sounder": {
-        "band_fraction": _float,
-        "gt_dbi": _float,
-        "gr_dbi": _float,
-        "p_pa_dbm": _float,
-        "p_cal_dbm": _float,
-        "g_lna_db": _float,
-        "l_cable_db": _float,
-        "max_paths": _int,
-        "rel_threshold_db": _float,
-        "noise_margin_db": _float,
-        "noise_tail_fraction": _float,
-    },
+    "sounder": {"band_fraction": _float, **_scalar_fields(LinkBudget, MpcExtractionPolicy)},
 }
 
 
@@ -189,20 +178,7 @@ def load_config(path: str) -> Config:
 
 
 def blockage_settings(section: dict[str, object]) -> dict[str, object]:
-    out = {
-        "scenario": "crossing",
-        "carrier_ghz": 28.0,
-        "link_length_m": 10.0,
-        "antenna_height_m": DEFAULT_ANTENNA_HEIGHT_M,
-        "screen_width_m": DEFAULT_SCREEN_WIDTH_M,
-        "screen_height_m": DEFAULT_SCREEN_HEIGHT_M,
-        "cylinder_radius_m": DEFAULT_CYLINDER_RADIUS_M,
-        "cylinder_height_m": DEFAULT_CYLINDER_HEIGHT_M,
-        "blocker_center_z_m": DEFAULT_BLOCKER_CENTER_Z_M,
-        "along_position_m": None,
-        "lateral_offset_m": 0.0,
-    }
-    out.update(section)
+    out = {**_BLOCKAGE_DEFAULTS, **section}
     if out["along_position_m"] is None:
         out["along_position_m"] = out["link_length_m"] / 2.0
     return out
@@ -213,32 +189,17 @@ def _overrides(cls, section: dict[str, object]) -> dict[str, object]:
     return {f.name: section[f.name] for f in fields(cls) if f.name in section}
 
 
-def gbsm_config(section: dict[str, object], seed: int | None = None) -> GbsmConfig:
+def gbsm_config(section: dict[str, object]) -> GbsmConfig:
     base = GbsmConfig()
-
-    def vec(prefix: str, unit: str, default: Point3) -> Point3:
-        keys = [f"{prefix}_{axis}_{unit}" for axis in "xyz"]
-        if not any(k in section for k in keys):
-            return default
-        return Point3(
-            float(section.get(keys[0], default.x)),
-            float(section.get(keys[1], default.y)),
-            float(section.get(keys[2], default.z)),
-        )
-
     values = _overrides(GbsmConfig, section)
     if "carrier_ghz" in section:
-        values["band"] = FrequencyBand.preset(float(section["carrier_ghz"]))
-    if seed is not None:
-        values["seed"] = seed
-    return replace(
-        base,
-        **values,
-        tx_velocity=vec("tx_velocity", "mps", base.tx_velocity),
-        rx_velocity=vec("rx_velocity", "mps", base.rx_velocity),
-        tx_position=vec("tx_position", "m", base.tx_position),
-        rx_position=vec("rx_position", "m", base.rx_position),
-    )
+        values["band"] = FrequencyBand.preset(section["carrier_ghz"])
+    for name in _VECTORS:
+        keys = _vector_keys(name)
+        if any(key in section for key in keys):
+            default = astuple(getattr(base, name))
+            values[name] = Point3(*(section.get(k, d) for k, d in zip(keys, default)))
+    return replace(base, **values)
 
 
 def sounder_settings(

@@ -77,10 +77,10 @@ def fi_preset(name: str) -> AbgModel:
 
 
 def _check_point(d_m: float, f_ghz: float) -> None:
-    if not d_m >= 1.0:
-        raise ValueError(f"distance {d_m} m is below the 1 m model reference")
-    if not f_ghz > 0.0:
-        raise ValueError("frequency must be positive")
+    if not 1.0 <= d_m < math.inf:
+        raise ValueError(f"distance must be finite and >= the 1 m model reference, got {d_m}")
+    if not 0.0 < f_ghz < math.inf:
+        raise ValueError(f"frequency must be finite and positive, got {f_ghz}")
 
 
 def ci_eval(model: CiModel, d_m: float, f_ghz: float) -> float:

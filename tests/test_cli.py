@@ -96,7 +96,7 @@ class TestBlockage:
         assert ":2: unknown key" in capsys.readouterr().err
         # keys no command read, removed from the schema
         removed = [
-            ("pathloss", "fix_gamma"), ("gbsm", "bandwidth_ghz"),
+            ("gbsm", "fix_gamma"), ("gbsm", "bandwidth_ghz"),
             *(("sounder", key) for key in (
                 "pn_order", "pad_head", "pad_tail", "interp_factor",
                 "rrc_rolloff", "sample_rate_ghz",
@@ -106,9 +106,26 @@ class TestBlockage:
             cfg = write(tmp_path / "c.ini", f"{BLOCKAGE_INI}[{section}]\n{key} = 1\n")
             assert main(["blockage", "--config", cfg, "--out", str(tmp_path / "x.csv")]) == 2
             assert f"{cfg}:5: unknown key '{key}'" in capsys.readouterr().err
-        cfg = write(tmp_path / "c.ini", f"{BLOCKAGE_INI}[analysis]\nthreshold = 0.8\n")
-        assert main(["blockage", "--config", cfg, "--out", str(tmp_path / "x.csv")]) == 2
-        assert f"{cfg}:4: unknown section [analysis]" in capsys.readouterr().err
+        for section, key in (("analysis", "threshold = 0.8"), ("pathloss", "model = ci")):
+            cfg = write(tmp_path / "c.ini", f"{BLOCKAGE_INI}[{section}]\n{key}\n")
+            assert main(["blockage", "--config", cfg, "--out", str(tmp_path / "x.csv")]) == 2
+            assert f"{cfg}:4: unknown section [{section}]" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("screen_width_m = -1", "screen width and height must be positive"),
+            ("link_length_m = 0.0", "tx and rx must differ"),
+            ("carrier_ghz = -28", "carrier_hz must be positive, got -28000000000.0"),
+        ],
+        ids=["screen", "endpoints", "band"],
+    )
+    def test_refused_value_cites_the_file(self, tmp_path, capsys, line, message):
+        cfg = write(tmp_path / "b.ini", f"[blockage]\n{line}\n")
+        out = tmp_path / "x.csv"
+        assert main(["blockage", "--config", cfg, "--out", str(out)]) == 2
+        assert f"error: {cfg}:1: {message}\n" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "scenario, key",
@@ -263,6 +280,23 @@ class TestPathlossFit:
         assert code == 2
         assert "expected header" in capsys.readouterr().err
 
+    def test_model_defaults_to_ci(self, tmp_path):
+        samples = make_ci_samples(tmp_path / "s.csv")
+        out = tmp_path / "fit.json"
+        assert main(["pathloss-fit", samples, "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["model"] == "ci"
+
+    def test_config_flag_refused(self, tmp_path, capsys):
+        # The model comes from --model alone; [pathloss] is no section.
+        samples = make_ci_samples(tmp_path / "s.csv")
+        cfg = write(tmp_path / "x.ini", "[gbsm]\nseed = 1\n")
+        out = tmp_path / "fit.json"
+        with pytest.raises(SystemExit) as exit_info:
+            main(["pathloss-fit", samples, "--config", cfg, "--out", str(out)])
+        assert exit_info.value.code == 2
+        assert f"unrecognized arguments: --config {cfg}" in capsys.readouterr().err
+        assert not out.exists()
+
 
 GBSM_INI = (
     "[gbsm]\nseed = 9\nduration_s = 0.003125\nmean_clusters = 4.0\n"
@@ -289,12 +323,15 @@ class TestGbsm:
         assert main(["gbsm", "--config", cfg, "--out", p2]) == 0
         assert open(p1, "rb").read() == open(p2, "rb").read()
 
-    def test_seed_flag_changes_output(self, tmp_path):
+    def test_seed_flag_refused(self, tmp_path, capsys):
+        # The seed comes from [gbsm] seed alone.
         cfg = write(tmp_path / "g.ini", GBSM_INI)
-        p1, p2 = str(tmp_path / "a.cirb"), str(tmp_path / "b.cirb")
-        assert main(["gbsm", "--config", cfg, "--out", p1]) == 0
-        assert main(["gbsm", "--config", cfg, "--seed", "77", "--out", p2]) == 0
-        assert open(p1, "rb").read() != open(p2, "rb").read()
+        out = tmp_path / "x.cirb"
+        with pytest.raises(SystemExit) as exit_info:
+            main(["gbsm", "--config", cfg, "--seed", "7", "--out", str(out)])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --seed 7" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_oversized_run_exit_3(self, tmp_path, capsys):
         cfg = write(tmp_path / "g.ini", "[gbsm]\nduration_s = 1000.0\n")
@@ -777,7 +814,6 @@ class TestDeterminism:
 # moving 2x2 run, so the angle, spacing and velocity keys bind.
 BASE_KEYS = {
     "blockage": {"scenario": "crossing"},
-    "pathloss": {},
     "gbsm": {
         "seed": "9", "duration_s": "0.000625", "n_tx": "2", "n_rx": "2",
         "rx_velocity_x_mps": "1.5",
@@ -800,7 +836,6 @@ KEY_TABLE = {
     ("blockage", "blocker_center_z_m"): ({}, "0.6"),
     ("blockage", "along_position_m"): ({}, "3.0"),
     ("blockage", "lateral_offset_m"): ({"scenario": "along"}, "0.1"),
-    ("pathloss", "model"): ({}, "fi"),
     ("gbsm", "carrier_ghz"): ({}, "39.0"),
     ("gbsm", "n_tx"): ({}, "1"),
     ("gbsm", "n_rx"): ({}, "1"),
@@ -851,8 +886,6 @@ ZERO_ONLY = {("gbsm", "tx_velocity_z_mps"), ("gbsm", "rx_velocity_z_mps")}
 
 
 def command_for(tmp_path, section):
-    if section == "pathloss":
-        return ["pathloss-fit", make_ci_samples(tmp_path / "s.csv")]
     if section == "sounder":
         rx, cal = make_captures(tmp_path)
         return ["sounder", "--rx", rx, "--cal", cal]

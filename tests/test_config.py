@@ -41,6 +41,16 @@ CONFIG_LINES = st.one_of(
     st.text(),
 )
 
+# Keys of the int fields of GbsmConfig and MpcExtractionPolicy; every other
+# number key is a float.
+INT_KEYS = {
+    ("gbsm", "n_tx"),
+    ("gbsm", "n_rx"),
+    ("gbsm", "rays_per_cluster"),
+    ("gbsm", "seed"),
+    ("sounder", "max_paths"),
+}
+
 GOOD = """\
 # demo configuration
 [blockage]
@@ -84,7 +94,7 @@ class TestParsing:
         cases = [
             ("[gbsm]\nseed = 1\nmean_clutsers = 5\n", 3, "mean_clutsers"),
             # keys no command read, removed from the schema
-            ("[pathloss]\nmodel = ci\nfix_gamma = 0.0\n", 3, "fix_gamma"),
+            ("[gbsm]\nseed = 1\nfix_gamma = 0.0\n", 3, "fix_gamma"),
             ("[gbsm]\nbandwidth_ghz = 1.0\n", 2, "bandwidth_ghz"),
             ("[sounder]\npn_order = 12\n", 2, "pn_order"),
             ("[sounder]\ngr_dbi = 25.0\npad_head = 104\n", 3, "pad_head"),
@@ -100,9 +110,12 @@ class TestParsing:
     def test_unknown_section_reports_line(self):
         with pytest.raises(ConfigError, match=r":2: unknown section \[gbms\]"):
             parse_config("\n[gbms]\n", "x.ini")
-        # removed: no command read its one key
+        # removed: [analysis] had no reader, and pathloss-fit takes its
+        # model from --model alone
         with pytest.raises(ConfigError, match=r":2: unknown section \[analysis\]"):
             parse_config("\n[analysis]\nthreshold = 0.8\n", "x.ini")
+        with pytest.raises(ConfigError, match=r":2: unknown section \[pathloss\]"):
+            parse_config("\n[pathloss]\nmodel = ci\n", "x.ini")
 
     def test_duplicate_key_rejected(self):
         text = "[gbsm]\nseed = 1\nseed = 2\n"
@@ -153,6 +166,22 @@ class TestParsing:
             ):
                 parse_config(text, "x.ini")
 
+    @pytest.mark.parametrize(
+        "section, key",
+        [(s, k) for s, keys in SCHEMA.items() for k in keys if k != "scenario"],
+    )
+    def test_number_keys_follow_the_field_type(self, section, key):
+        def parse(raw):
+            return parse_config(f"[{section}]\n{key} = {raw}\n", "x.ini").section(section)[key]
+
+        if (section, key) in INT_KEYS:
+            with pytest.raises(ConfigError, match=rf"x\.ini:2: bad value for '{key}'"):
+                parse("2.0")
+            assert type(parse("3")) is int
+        else:
+            assert type(parse("3")) is float
+        assert parse("3") == 3
+
     @settings(max_examples=200, derandomize=True, database=None, deadline=None)
     @given(st.one_of(st.text(), st.lists(CONFIG_LINES, max_size=8).map("\n".join)))
     def test_fuzzed_text_raises_only_config_error(self, text):
@@ -180,10 +209,6 @@ class TestBuilders:
         assert cfg.tx_velocity == Point3(1.5, 0.0, 0.0)
         assert cfg.rx_position == Point3(25.0, 0.0, 1.5)
         assert cfg.n_tx == 1  # untouched default
-
-    def test_gbsm_seed_override_wins(self):
-        section = parse_config(GOOD, "demo.ini").section("gbsm")
-        assert gbsm_config(section, seed=99).seed == 99
 
     def test_sounder_builder(self):
         section = parse_config(GOOD, "demo.ini").section("sounder")

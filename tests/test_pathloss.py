@@ -107,6 +107,23 @@ def test_distance_reference_validation():
         AbgModel(2.0, 70.0, 0.0, -0.1)
 
 
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("where", ["distance", "frequency"])
+def test_evals_refuse_non_finite_points(where, value):
+    # Unchecked, an infinite distance would give an infinite CI loss, and an
+    # infinite frequency a NaN FI loss (10 * gamma * log10(f) with gamma = 0).
+    d_m, f_ghz = (value, 28.0) if where == "distance" else (100.0, value)
+    ci, fi = ci_preset("paper-28"), fi_preset("paper-28")
+    for call in (
+        lambda: ci_eval(ci, d_m, f_ghz),
+        lambda: abg_eval(fi, d_m, f_ghz),
+        lambda: shadowed_sample(ci, d_m, f_ghz, derive_substream(1, "shadow", 0)),
+        lambda: shadowed_sample(fi, d_m, f_ghz, derive_substream(1, "shadow", 0)),
+    ):
+        with pytest.raises(ValueError, match=f"{where} must be finite"):
+            call()
+
+
 @pytest.mark.parametrize("model", sorted(FROZEN_FITS))
 def test_frozen_fits_on_2000_samples(model):
     fit = fit_model(model, *frozen_sample_columns())
