@@ -62,10 +62,15 @@ class ArchiveHeader(NamedTuple):
 def atomic_write_bytes(path: str, chunks: Iterable[bytes]) -> None:
     """Write C-contiguous buffers in order, lazily, via a temp file in the
     target directory plus rename, so a crash never leaves a partial file.
-    Each buffer is released before the next one is drawn from chunks."""
+    Each buffer is released before the next one is drawn from chunks.  The
+    file gets the mode open() would give it, 0o666 less the umask, not the
+    temp file's 0o600."""
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
+    umask = os.umask(0)  # reading the umask means setting it
+    os.umask(umask)
     try:
+        os.chmod(tmp, 0o666 & ~umask)
         with os.fdopen(fd, "wb") as handle:
             handle.writelines(chunks)
         os.replace(tmp, path)

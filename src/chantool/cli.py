@@ -19,6 +19,7 @@ from contextlib import contextmanager
 import numpy as np
 
 from chantool.analysis import (
+    MAX_CORR_BYTES,
     check_correlation_size,
     los_power_track,
     pdp_correlation_matrix,
@@ -275,66 +276,54 @@ def _read_pair(path: str) -> tuple[ArchiveHeader, np.ndarray]:
 
 
 def symmetric_matrix_rows(values: np.ndarray):
-    """Yield each row of a square matrix as the bytes of
-    ",".join(map(repr, row)) + "\\n", formatting every value once.
+    """Yield each row of a square float64 matrix as the bytes of
+    ",".join(map(repr, row)) + "\\n", formatting each distinct value of a
+    row once.
 
-    Row i formats its columns i.. itself and gathers columns ..i-1 from the
+    Row i formats the distinct bit patterns of its columns i.. in one call
+    (bits, so 0.0 and -0.0 stay apart) and gathers columns ..i-1 from the
     tokens that earlier rows formatted, so the matrix must be exactly
-    symmetric: anything else raises ValueError before the first row, as a
-    matrix too large for the store's int32 offsets raises SizingError.  The
-    tokens wait in one byte store, each with its trailing comma, and every
-    n/16 rows the store drops the columns already written, so the bytes it
-    touches stay below the matrix's own 8n^2.
+    symmetric: anything else raises ValueError before the first row.  The
+    tokens wait in a fixed-width store, each padded with spaces to 24 bytes
+    (the longest float64 repr), and every n/16 rows the store drops the
+    columns already written, so it stays below the matrix's own 8n^2 bytes.
+    A store over MAX_CORR_BYTES raises SizingError before it is allocated.
     """
     n = len(values)
     stride = max(1, n // 16)
     # After row m the store holds columns r.. of rows ..r-1 and columns j+1..
-    # of rows j = r..m, r being the last compaction; a token is at most 25
-    # bytes (a 24-character repr and its comma).  Allocated once, untouched
+    # of rows j = r..m, r being the last compaction.  Allocated once, untouched
     # capacity costs no resident memory, and no regrowth copies the store.
     m = np.arange(n)
     r = m - m % stride
     tokens = int((r * (n - r) + (m - r + 1) * (2 * n - 2 - r - m) // 2).max(initial=0))
-    if 25 * tokens >= 2**31:
-        raise SizingError(f"{n} rows overrun the int32 offsets of the matrix text")
+    if 24 * tokens > MAX_CORR_BYTES:
+        raise SizingError(
+            f"{n} rows need a {24 * tokens}-byte matrix text store; limit {MAX_CORR_BYTES}"
+        )
     require_exact_symmetry(values)
-    store = np.empty(25 * tokens, dtype=np.uint8)
-    starts = np.zeros(tokens + 1, dtype=np.int32)  # token starts in store, then the end
-    base = np.zeros(n, dtype=np.int32)  # row j's first token in starts
-    first = np.arange(1, n + 1, dtype=np.int32)  # row j's first stored column
-    n_bytes = n_tokens = 0
+    store = np.empty(tokens, dtype="S24")
+    offset = np.zeros(n, dtype=np.intp)  # token (j, c) of row j is store[offset[j] + c]
+    row = np.empty(n, dtype=[("token", "S24"), ("comma", "S1")])
+    row["comma"] = b","
+    row_tokens, row_bytes = row["token"], row.view(np.uint8)
+    n_tokens = 0
     for i in range(n):
         if i and i % stride == 0:
             # Keep columns i.. of rows ..i-1, one leftward slice copy a row.
-            lo = base[:i] + (i - first[:i])
-            hi = np.append(base[1:i], n_tokens)
-            spans = zip(lo.tolist(), hi.tolist(), starts[lo].tolist(), starts[hi].tolist())
-            n_tokens = n_bytes = 0
-            for j, (a, b, src, end) in enumerate(spans):
-                store[n_bytes : n_bytes + end - src] = store[src:end]
-                starts[n_tokens : n_tokens + b - a] = starts[a:b] - (src - n_bytes)
-                base[j] = n_tokens
-                n_tokens, n_bytes = n_tokens + b - a, n_bytes + end - src
-            first[:i] = i
-            starts[n_tokens] = n_bytes
-        line = (",".join(map(repr, values[i, i:].tolist())) + "\n").encode()
+            for j, a in enumerate((offset[:i] + i).tolist()):
+                store[j * (n - i) : (j + 1) * (n - i)] = store[a : a + n - i]
+            offset[:i], n_tokens = m[:i] * (n - i) - i, i * (n - i)
+        bits, inverse = np.unique(values[i, i:].view(np.int64), return_inverse=True)
+        text = ("%-24r" * len(bits)) % tuple(bits.view(np.float64).tolist())
+        row_tokens[i:] = np.frombuffer(text.encode(), dtype="S24")[inverse]
         # Columns ..i-1: token (j, i) of every earlier row j, in one gather.
-        k = base[:i] + (i - first[:i])
-        at, size = starts[k], starts[k + 1] - starts[k]
-        index = np.repeat(at - (np.cumsum(size) - size), size)  # intp, as indexing wants
-        index += np.arange(len(index))
-        yield b"".join((store[index], line))
-        if i == n - 1:
-            break
-        # Columns i+1.. follow the first comma; the newline becomes a comma.
-        raw = np.frombuffer(line, dtype=np.uint8)
-        commas = np.flatnonzero(raw == ord(","))
-        tail = len(raw) - 1 - commas[0]
-        store[n_bytes : n_bytes + tail] = raw[commas[0] + 1 :]
-        store[n_bytes + tail - 1] = ord(",")
-        starts[n_tokens : n_tokens + len(commas)] = commas + (n_bytes - commas[0])
-        base[i], n_tokens, n_bytes = n_tokens, n_tokens + len(commas), n_bytes + tail
-        starts[n_tokens] = n_bytes
+        row_tokens[:i] = store[offset[:i] + i]
+        line = row_bytes[row_bytes != ord(" ")]
+        line[-1] = ord("\n")
+        yield line.tobytes()
+        store[n_tokens : n_tokens + n - i - 1] = row_tokens[i + 1 :]
+        offset[i], n_tokens = n_tokens - i - 1, n_tokens + n - i - 1
 
 
 def cmd_analyze(args) -> int:

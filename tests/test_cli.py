@@ -585,6 +585,10 @@ def two_regime_archive(path, change_at=20, n_time=30, n_delay=64):
 # Cells whose repr differs in shape from a plain correlation: exact zeros
 # of both signs, one, exponent notation and the smallest subnormal.
 SPECIAL_CELLS = (0.0, -0.0, 1.0, 1.2345e-05, -7.5e-06, 5e-324)
+REPEATED_CELLS = (
+    0.0, -0.0, 0.5, 5e-324, math.inf,
+    1.7976931348623157e308, -1.7976931348623157e308, -2.2250738585072014e-308,
+)
 
 
 class TestMatrixRows:
@@ -606,6 +610,18 @@ class TestMatrixRows:
         expected = [(",".join(map(repr, row)) + "\n").encode() for row in values.tolist()]
         assert list(cli.symmetric_matrix_rows(values)) == expected
 
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.sampled_from([16, 17, 33]), seed=st.integers(0, 2**32 - 1))
+    def test_repeated_cells_are_the_repr_join(self, n, seed):
+        # Rows repeat a few values, among them both zeros in one row and
+        # the 24-character reprs that fill a token.
+        rng = np.random.default_rng(seed)
+        pick = np.triu(rng.integers(0, len(REPEATED_CELLS), (n, n)))
+        values = np.array(REPEATED_CELLS)[pick + np.triu(pick, 1).T]
+        values[0, 1:3] = values[1:3, 0] = 0.0, -0.0
+        expected = [(",".join(map(repr, row)) + "\n").encode() for row in values.tolist()]
+        assert list(cli.symmetric_matrix_rows(values)) == expected
+
     def test_asymmetry_in_the_last_bit_refused(self):
         values = np.eye(40)
         values[5, 33] = values[33, 5] = 0.3
@@ -614,9 +630,9 @@ class TestMatrixRows:
             next(cli.symmetric_matrix_rows(values))
 
     def test_int32_offsets_overrun_refused(self):
-        # about 17 500 rows would take 2 GiB of tokens; analyze's budget
-        # stops at about 5800, so only a library caller gets here
-        with pytest.raises(SizingError, match="int32"):
+        # 17 600 rows would take a 2 GB token store; analyze's budget stops
+        # at about 5800, so only a library caller gets here
+        with pytest.raises(SizingError, match="text store"):
             next(cli.symmetric_matrix_rows(np.broadcast_to(0.5, (17600, 17600))))
 
     def test_asymmetric_matrix_exit_2_without_output(self, tmp_path, capsys, monkeypatch):
@@ -633,6 +649,12 @@ class TestMatrixRows:
         assert main(["analyze", arc, "--out", out]) == 2
         assert "exactly symmetric" in capsys.readouterr().err
         assert not os.path.exists(out)
+
+
+STATIONARY_GBSM_INI = (
+    "[gbsm]\nseed = 3\nduration_s = 0.0125\nbirth_rate_hz = 400.0\n"
+    "death_rate_hz = 400.0\n"
+)
 
 
 class TestAnalyze:
@@ -674,10 +696,24 @@ class TestAnalyze:
         with open(out, "rb") as handle:
             assert handle.read() == expected.encode()
 
+    def test_stationary_gbsm_matrix_is_the_repr_join(self, tmp_path):
+        # A zero-velocity run keeps each PDP between cluster births and
+        # deaths, so the matrix repeats a few values across many cells.
+        cfg = write(tmp_path / "g.ini", STATIONARY_GBSM_INI)
+        arc, out = str(tmp_path / "run.cirb"), str(tmp_path / "corr.csv")
+        assert main(["gbsm", "--config", cfg, "--out", arc]) == 0
+        assert main(["analyze", arc, "--out", out]) == 0
+        values = pdp_correlation_matrix(pdp_from_cir(read_archive(arc).cir[:, 0, 0])).values
+        assert len(np.unique(values)) < len(values) and values.min() < 1.0
+        expected = "".join(",".join(map(repr, r)) + "\n" for r in values.tolist())
+        with open(out, "rb") as handle:
+            assert handle.read() == expected.encode()
+
     def test_text_store_stays_below_the_matrix(self, tmp_path, monkeypatch, traced_peak):
         # The peak from the start of the matrix text: the matrix itself plus
-        # the token store.  Measured 2.22 matrices; a store that kept all
-        # n^2/2 tokens measured 2.91 (growing) and 2.98 (allocated up front).
+        # the token store.  Measured 1.94 matrices (2.22 with variable-length
+        # tokens and int32 offsets); a store that kept all n^2/2 tokens
+        # measured 2.91 (growing) and 2.98 (allocated up front).
         n = 400
         rng = np.random.default_rng(12)
         cir = rng.normal(size=(n, 1, 1, 64)) + 1j * rng.normal(size=(n, 1, 1, 64))
@@ -692,7 +728,7 @@ class TestAnalyze:
 
         monkeypatch.setattr(cli, "atomic_write_bytes", from_text_phase)
         peak = traced_peak(main, ["analyze", arc, "--out", str(tmp_path / "corr.csv")])
-        assert peak <= 2.5 * 8 * n**2
+        assert peak <= 2.1 * 8 * n**2
 
     def test_los_track_output(self, tmp_path):
         arc = two_regime_archive(str(tmp_path / "two.cirb"))
@@ -795,6 +831,22 @@ class TestAnalyze:
         code = main(["analyze", str(arc), "--out", str(tmp_path / "c.csv")])
         assert code == 2
         assert "empty axis" in capsys.readouterr().err
+
+
+class TestOutputMode:
+    @pytest.mark.parametrize(
+        "umask, mode", [(0o022, 0o644), (0o077, 0o600)], ids=["umask-022", "umask-077"]
+    )
+    def test_outputs_follow_the_umask(self, tmp_path, umask, mode):
+        cfg = write(tmp_path / "g.ini", STATIONARY_GBSM_INI)
+        arc, out = tmp_path / "run.cirb", tmp_path / "corr.csv"
+        previous = os.umask(umask)
+        try:
+            assert main(["gbsm", "--config", cfg, "--out", str(arc)]) == 0
+            assert main(["analyze", str(arc), "--out", str(out)]) == 0
+        finally:
+            os.umask(previous)
+        assert [path.stat().st_mode & 0o777 for path in (arc, out)] == [mode, mode]
 
 
 class TestDeterminism:
