@@ -24,8 +24,8 @@ from chantool.sounder import MpcExtractionPolicy, extract_mpcs, peak_candidates,
 # Byte ceiling on the float64 (snapshots, snapshots) correlation matrix.
 # pdp_correlation_matrix holds about two such matrices at its peak.  analyze
 # then formats each distinct value of a row once, from the upper triangle, and
-# the fixed-width text store it keeps for later rows, 24 bytes a token, peaks
-# at about 0.84 of the matrix, so the correlation sets the peak.  Both grow as
+# the tokens it keeps for later rows, 24 bytes each and at most n^2/4 of them,
+# peak at 0.75 of the matrix, so the correlation sets the peak.  Both grow as
 # n^2: 256 MiB admits about 5800 snapshots (roughly 0.5 GiB of peak memory
 # and 0.7 GB of text) and refuses a larger count up front.
 MAX_CORR_BYTES = 1 << 28

@@ -36,6 +36,7 @@ from chantool.gbsm import CirSequence
 MAGIC = b"CIRB"
 VERSION = 1
 BLOCK_BYTES = 1 << 20
+MAX_ANTENNAS = 255  # n_tx and n_rx are u8 header fields
 _HEADER = struct.Struct("<4sHIBBIddd")
 
 
@@ -97,7 +98,7 @@ def write_archive(path: str, seq: CirSequence) -> int:
     if seq.cir.ndim != 4:
         raise ArchiveError("sequence data must be (time, tx, rx, delay)")
     n_time, n_tx, n_rx, n_delay = seq.cir.shape
-    if not 1 <= n_tx <= 255 or not 1 <= n_rx <= 255:
+    if not 1 <= n_tx <= MAX_ANTENNAS or not 1 <= n_rx <= MAX_ANTENNAS:
         raise ArchiveError(f"antenna counts {n_tx}x{n_rx} do not fit the format")
     if n_time >= 2**32 or not 1 <= n_delay < 2**32:
         raise ArchiveError(f"time x delay {n_time}x{n_delay} does not fit the format")

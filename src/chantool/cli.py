@@ -28,6 +28,7 @@ from chantool.analysis import (
 )
 from chantool.archive import (
     BLOCK_BYTES,
+    MAX_ANTENNAS,
     ArchiveError,
     ArchiveHeader,
     atomic_write_bytes,
@@ -50,7 +51,7 @@ from chantool.config import (
     load_config,
     sounder_settings,
 )
-from chantool.core import DB_FLOOR, FrequencyBand, Point3, pdp_from_cir
+from chantool.core import FrequencyBand, Point3, pdp_from_cir
 from chantool.gbsm import SizingError, run_scenario
 from chantool.pathloss import RankDeficientError, abg_fit, ci_fit, sample_columns
 from chantool.sounder import (
@@ -108,7 +109,7 @@ def cmd_blockage(args) -> int:
         positions = [round(-1.0 + 0.1 * i, 10) for i in range(21)]
         centers = [Point3(settings["along_position_m"], lat, zc) for lat in positions]
     else:
-        positions = [round(1.0 + 0.2 * i, 10) for i in range(41)]
+        positions = [round(settings["link_length_m"] * (0.1 + 0.02 * i), 10) for i in range(41)]
         centers = [Point3(along, settings["lateral_offset_m"], zc) for along in positions]
 
     # Every parameter object is built before the first sweep, so a value
@@ -202,6 +203,11 @@ def cmd_gbsm(args) -> int:
     section = _require_section(cfg, "gbsm")
     with _cited(cfg, "gbsm"):
         gcfg = gbsm_config(section)
+    for key in ("n_tx", "n_rx"):
+        if getattr(gcfg, key) > MAX_ANTENNAS:
+            raise cfg.error(
+                "gbsm", key, f"{key} must be at most {MAX_ANTENNAS}, the archive's limit"
+            )
     seq = run_scenario(gcfg)
     size = write_archive(args.out, seq)
     print(
@@ -249,12 +255,8 @@ def cmd_sounder(args) -> int:
         for t, y_rx in enumerate(captures):
             mpcs = extract_mpcs(deconvolve_cir(y_rx, calibration), policy)
             mpc_rows += [f"{t},{_fmt(m.delay_s * 1e9)},{_fmt(m.power_db)}\n" for m in mpcs]
-            if mpcs:
-                p_rx = received_power(mpcs)
-                ds_ns = rms_delay_spread(mpcs) * 1e9
-            else:
-                p_rx = DB_FLOOR
-                ds_ns = math.nan
+            p_rx = received_power(mpcs)
+            ds_ns = rms_delay_spread(mpcs) * 1e9 if mpcs else math.nan
             pl_db = path_loss_from_power(p_rx, budget)
             stat_rows.append(f"{t},{_fmt(p_rx)},{_fmt(pl_db)},{_fmt(ds_ns)}\n")
     atomic_write_text(args.out, "".join(mpc_rows + stat_rows))
@@ -281,49 +283,43 @@ def symmetric_matrix_rows(values: np.ndarray):
     row once.
 
     Row i formats the distinct bit patterns of its columns i.. in one call
-    (bits, so 0.0 and -0.0 stay apart) and gathers columns ..i-1 from the
+    (bits, so 0.0 and -0.0 stay apart) and takes columns ..i-1 from the
     tokens that earlier rows formatted, so the matrix must be exactly
-    symmetric: anything else raises ValueError before the first row.  The
-    tokens wait in a fixed-width store, each padded with spaces to 24 bytes
-    (the longest float64 repr), and every n/16 rows the store drops the
-    columns already written, so it stays below the matrix's own 8n^2 bytes.
-    A store over MAX_CORR_BYTES raises SizingError before it is allocated.
+    symmetric: anything else raises ValueError before the first row.  Each
+    token is padded with spaces to 24 bytes, the longest float64 repr.  Rows
+    go in blocks of n/32 through one (block, n) buffer.  After a block, its
+    columns of each later block are copied out as one tile, which that block
+    takes transposed as its left columns, so at most n^2/4 tokens wait.  A
+    wait over MAX_CORR_BYTES raises SizingError before the first row.
     """
     n = len(values)
-    stride = max(1, n // 16)
-    # After row m the store holds columns r.. of rows ..r-1 and columns j+1..
-    # of rows j = r..m, r being the last compaction.  Allocated once, untouched
-    # capacity costs no resident memory, and no regrowth copies the store.
-    m = np.arange(n)
-    r = m - m % stride
-    tokens = int((r * (n - r) + (m - r + 1) * (2 * n - 2 - r - m) // 2).max(initial=0))
-    if 24 * tokens > MAX_CORR_BYTES:
+    if 6 * n * n > MAX_CORR_BYTES:
         raise SizingError(
-            f"{n} rows need a {24 * tokens}-byte matrix text store; limit {MAX_CORR_BYTES}"
+            f"{n} rows need a {6 * n * n}-byte matrix text store; limit {MAX_CORR_BYTES}"
         )
     require_exact_symmetry(values)
-    store = np.empty(tokens, dtype="S24")
-    offset = np.zeros(n, dtype=np.intp)  # token (j, c) of row j is store[offset[j] + c]
-    row = np.empty(n, dtype=[("token", "S24"), ("comma", "S1")])
-    row["comma"] = b","
-    row_tokens, row_bytes = row["token"], row.view(np.uint8)
-    n_tokens = 0
-    for i in range(n):
-        if i and i % stride == 0:
-            # Keep columns i.. of rows ..i-1, one leftward slice copy a row.
-            for j, a in enumerate((offset[:i] + i).tolist()):
-                store[j * (n - i) : (j + 1) * (n - i)] = store[a : a + n - i]
-            offset[:i], n_tokens = m[:i] * (n - i) - i, i * (n - i)
-        bits, inverse = np.unique(values[i, i:].view(np.int64), return_inverse=True)
-        text = ("%-24r" * len(bits)) % tuple(bits.view(np.float64).tolist())
-        row_tokens[i:] = np.frombuffer(text.encode(), dtype="S24")[inverse]
-        # Columns ..i-1: token (j, i) of every earlier row j, in one gather.
-        row_tokens[:i] = store[offset[:i] + i]
-        line = row_bytes[row_bytes != ord(" ")]
-        line[-1] = ord("\n")
-        yield line.tobytes()
-        store[n_tokens : n_tokens + n - i - 1] = row_tokens[i + 1 :]
-        offset[i], n_tokens = n_tokens - i - 1, n_tokens + n - i - 1
+    k = max(1, n // 32)
+    buffer = np.empty((k, n), dtype=[("token", "S24"), ("comma", "S1")])
+    buffer["comma"] = b","
+    tokens = buffer["token"]
+    tiles = {}  # tiles[c]: one tile from each earlier block, for the block at row c
+    for a in range(0, n, k):
+        b = min(a + k, n)
+        # Only the last block is short, so block j's tile fills columns jk..jk+k.
+        for j, tile in enumerate(tiles.pop(a, [])):
+            tokens[: b - a, j * k : j * k + k] = tile.T
+        for i in range(a, b):
+            bits, inverse = np.unique(values[i, i:].view(np.int64), return_inverse=True)
+            text = ("%-24r" * len(bits)) % tuple(bits.view(np.float64).tolist())
+            tokens[i - a, i:] = np.frombuffer(text.encode(), dtype="S24")[inverse]
+            tokens[i - a, a:i] = tokens[: i - a, i]
+            row_bytes = buffer[i - a].view(np.uint8)
+            line = row_bytes[row_bytes != ord(" ")]
+            line[-1] = ord("\n")
+            yield line.tobytes()
+        del bits, inverse, text, line  # the last row's; not to wait beside the tiles
+        for c in range(b, n, k):
+            tiles.setdefault(c, []).append(tokens[:, c : c + k].copy())
 
 
 def cmd_analyze(args) -> int:

@@ -32,7 +32,8 @@ from chantool.core import (
 # Byte ceiling on run_scenario's complex128 (time, tx, rx, delay) cube.  The
 # cube is allocated whole, and its size grows with the delay grid as well as
 # the snapshot count, so the budget is on bytes: a larger request is refused
-# with SizingError rather than failing in np.zeros after the evolution.
+# with SizingError rather than failing in np.zeros after the evolution.  The
+# cluster states the evolution keeps for the synthesis have the same ceiling.
 MAX_CIR_BYTES = 2 << 30
 
 
@@ -321,9 +322,16 @@ class CirSequence:
 
 def _evolution(cfg: GbsmConfig, n_steps: int) -> list[ClusterState]:
     states = [init_clusters(cfg, derive_substream(cfg.seed, "gbsm-init", 0))]
+    kept = states[0].clusters.nbytes
     for step in range(1, n_steps):
         rng = derive_substream(cfg.seed, "gbsm-evolve", step)
         states.append(evolve_clusters(states[-1], cfg, cfg.snapshot_interval_s, rng))
+        kept += states[-1].clusters.nbytes
+        if kept > MAX_CIR_BYTES:
+            raise SizingError(
+                f"cluster states of the first {step + 1} steps take {kept} bytes; "
+                f"limit {MAX_CIR_BYTES}"
+            )
     return states
 
 

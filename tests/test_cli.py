@@ -85,6 +85,15 @@ class TestBlockage:
         assert float(rows[-1][0]) == pytest.approx(9.0)
         assert float(rows[1][0]) - float(rows[0][0]) == pytest.approx(0.2)
 
+    def test_along_sweep_spans_the_link(self, tmp_path):
+        # From 10% to 90% of the link in 2% steps, whatever its length.
+        cfg = write(tmp_path / "c.ini", "[blockage]\nscenario = along\nlink_length_m = 20.0\n")
+        out = str(tmp_path / "along.csv")
+        assert main(["blockage", "--config", cfg, "--model", "gtd", "--out", out]) == 0
+        _, rows = read_rows(out)
+        assert [row[0] for row in rows[:2]] + [rows[-1][0]] == ["2.0", "2.4", "18.0"]
+        assert len(rows) == 41
+
     def test_missing_section_exit_2(self, tmp_path, capsys):
         cfg = write(tmp_path / "c.ini", "[gbsm]\nseed = 1\n")
         assert main(["blockage", "--config", cfg, "--out", str(tmp_path / "x.csv")]) == 2
@@ -333,6 +342,20 @@ class TestGbsm:
         assert "unrecognized arguments: --seed 7" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("key", ["n_tx", "n_rx"])
+    def test_antenna_count_past_the_archive_exit_2_before_the_run(
+        self, tmp_path, capsys, monkeypatch, key
+    ):
+        def no_run(gcfg):
+            raise AssertionError("scenario ran")
+
+        monkeypatch.setattr(cli, "run_scenario", no_run)
+        cfg = write(tmp_path / "g.ini", f"[gbsm]\nduration_s = 0.00625\n{key} = 256\n")
+        out = tmp_path / "x.cirb"
+        assert main(["gbsm", "--config", cfg, "--out", str(out)]) == 2
+        assert f"{cfg}:3: {key} must be at most 255" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_oversized_run_exit_3(self, tmp_path, capsys):
         cfg = write(tmp_path / "g.ini", "[gbsm]\nduration_s = 1000.0\n")
         code = main(["gbsm", "--config", cfg, "--out", str(tmp_path / "x.cirb")])
@@ -421,6 +444,17 @@ class TestSounder:
         assert float(mpc_rows[0][1]) == 0.0
         assert float(mpc_rows[0][2]) == pytest.approx(0.0, abs=1e-6)
         assert float(stat_rows[0][3]) == 0.0  # single path: zero spread
+
+    def test_silent_captures_report_the_floor(self, tmp_path):
+        # All-zero captures hold no path: floor power, no delay spread.
+        rx, cal = make_captures(tmp_path)
+        n_samples = read_archive(cal).cir.shape[3]
+        write_archive(rx, capture_sequence(np.zeros((2, n_samples), complex), FS, 1.0))
+        out = str(tmp_path / "silent.csv")
+        assert main(["sounder", "--rx", rx, "--cal", cal, "--out", out]) == 0
+        mpc_rows, stat_rows = split_tables(out)
+        assert mpc_rows == []
+        assert stat_rows == [["0", "-300.0", "385.0", "nan"], ["1", "-300.0", "385.0", "nan"]]
 
     def test_budget_override_shifts_path_loss_exactly(self, tmp_path):
         rx, cal = make_captures(tmp_path)
@@ -594,7 +628,8 @@ REPEATED_CELLS = (
 class TestMatrixRows:
     @settings(max_examples=80, deadline=None)
     @given(
-        n=st.sampled_from([1, 2, 3, 15, 16, 17, 33]) | st.integers(1, 80),
+        n=st.sampled_from([1, 2, 3, 15, 16, 17, 33, 64, 65, 95, 96, 97, 129])
+        | st.integers(1, 80),
         seed=st.integers(0, 2**32 - 1),
         cells=st.lists(
             st.tuples(st.integers(0, 10**4), st.integers(0, 10**4), st.sampled_from(SPECIAL_CELLS)),
@@ -611,7 +646,7 @@ class TestMatrixRows:
         assert list(cli.symmetric_matrix_rows(values)) == expected
 
     @settings(max_examples=40, deadline=None)
-    @given(n=st.sampled_from([16, 17, 33]), seed=st.integers(0, 2**32 - 1))
+    @given(n=st.sampled_from([16, 17, 33, 64, 97]), seed=st.integers(0, 2**32 - 1))
     def test_repeated_cells_are_the_repr_join(self, n, seed):
         # Rows repeat a few values, among them both zeros in one row and
         # the 24-character reprs that fill a token.
@@ -622,6 +657,16 @@ class TestMatrixRows:
         expected = [(",".join(map(repr, row)) + "\n").encode() for row in values.tolist()]
         assert list(cli.symmetric_matrix_rows(values)) == expected
 
+    def test_short_last_block(self):
+        # Blocks of 200 // 32 = 6 rows: 33 full ones, then one of 2 rows.
+        rng = np.random.default_rng(200)
+        a = rng.uniform(-1.0, 1.0, (200, 200))
+        values = (a + a.T) / 2.0
+        for j, cell in zip((0, 5, 6, 197), SPECIAL_CELLS):
+            values[199, j] = values[j, 199] = cell
+        expected = [(",".join(map(repr, row)) + "\n").encode() for row in values.tolist()]
+        assert list(cli.symmetric_matrix_rows(values)) == expected
+
     def test_asymmetry_in_the_last_bit_refused(self):
         values = np.eye(40)
         values[5, 33] = values[33, 5] = 0.3
@@ -629,9 +674,9 @@ class TestMatrixRows:
         with pytest.raises(ValueError, match="exactly symmetric"):
             next(cli.symmetric_matrix_rows(values))
 
-    def test_int32_offsets_overrun_refused(self):
-        # 17 600 rows would take a 2 GB token store; analyze's budget stops
-        # at about 5800, so only a library caller gets here
+    def test_oversized_text_store_refused(self):
+        # 17 600 rows would leave 1.9 GB of tokens waiting; analyze's budget
+        # stops at about 5800, so only a library caller gets here
         with pytest.raises(SizingError, match="text store"):
             next(cli.symmetric_matrix_rows(np.broadcast_to(0.5, (17600, 17600))))
 
@@ -711,9 +756,10 @@ class TestAnalyze:
 
     def test_text_store_stays_below_the_matrix(self, tmp_path, monkeypatch, traced_peak):
         # The peak from the start of the matrix text: the matrix itself plus
-        # the token store.  Measured 1.94 matrices (2.22 with variable-length
-        # tokens and int32 offsets); a store that kept all n^2/2 tokens
-        # measured 2.91 (growing) and 2.98 (allocated up front).
+        # the waiting tiles.  Measured 1.93 matrices (1.94 with a compacting
+        # token store, 2.22 with variable-length tokens and int32 offsets); a
+        # store that kept all n^2/2 tokens measured 2.91 (growing) and 2.98
+        # (allocated up front).
         n = 400
         rng = np.random.default_rng(12)
         cir = rng.normal(size=(n, 1, 1, 64)) + 1j * rng.normal(size=(n, 1, 1, 64))

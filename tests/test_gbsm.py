@@ -520,6 +520,14 @@ class TestRunScenario:
         with pytest.raises(SizingError, match="snapshots"):
             run_scenario(cfg)
 
+    def test_kept_cluster_states_budgeted(self, monkeypatch):
+        # A birth rate of 1e5 /s keeps about 80 MiB of cluster states over
+        # 200 steps, although the cube fits.
+        monkeypatch.setattr(gbsm, "MAX_CIR_BYTES", 4 << 20)
+        cfg = GbsmConfig(seed=31, birth_rate_hz=1e5, duration_s=200 * 62.5e-6)
+        with pytest.raises(SizingError, match="cluster states of the first"):
+            run_scenario(cfg)
+
     def test_ray_delays_too_wide_rejected_before_allocation(self):
         # The LOS grid fits; the rays' sub-delays (scale 10 s) would need
         # terabytes, known only after the evolution.
