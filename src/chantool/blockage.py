@@ -2,14 +2,17 @@
 
 Three models of the extra loss a blocker inserts on a line-of-sight link:
 
-* a four-edge knife-edge model over a rectangular absorbing screen,
-* a Kirchhoff aperture-integral model over the same screen (via Babinet's
-  principle and separable Fresnel integrals),
-* a creeping-wave series around a conducting circular cylinder.
+* metis: four knife edges of a rectangular absorbing Screen (3GPP TR 38.901
+  7.6.4, blockage model B),
+* kirchhoff: a Kirchhoff aperture integral over the same Screen (via
+  Babinet's principle and separable Fresnel integrals),
+* gtd: a creeping-wave series around a conducting circular Cylinder.
 
 Screens are vertical rectangles auto-oriented perpendicular to the top-view
 Tx-Rx line; cylinders have a vertical axis.  All attenuations are in dB
-relative to the unobstructed field (positive = loss).
+relative to the unobstructed field (positive = loss).  In a sweep, a blocker
+that does not cut the LOS adds exactly 0 dB, and a position whose geometry
+the model refuses is NaN.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from __future__ import annotations
 import cmath
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.special import ai_zeros, airy
@@ -108,43 +111,48 @@ class BlockageScenario:
 # Shared geometry helpers (top-view = projection onto the horizontal plane).
 
 
-def _top_view_axis(tx: Point3, rx: Point3) -> tuple[np.ndarray, np.ndarray, float]:
-    """Unit LOS direction and lateral unit vector in the top view."""
+def _crossing(tx: Point3, rx: Point3, center: Point3):
+    """LOS crossing of the blocker's vertical plane, as (t, z_los, lat_los,
+    v_hat, length): the crossing parameter along the top-view LOS (0 at tx,
+    1 at rx), the LOS height there, its lateral offset from the blocker
+    center along the screen-plane unit vector v_hat, and the top-view length.
+    """
     axis = np.array([rx.x - tx.x, rx.y - tx.y])
     length = float(np.hypot(axis[0], axis[1]))
     if length < 1e-12:
         raise GeometryError("tx and rx coincide in top view; screen orientation undefined")
     u_hat = axis / length
     v_hat = np.array([-u_hat[1], u_hat[0]])
-    return u_hat, v_hat, length
-
-
-def _crossing(tx: Point3, rx: Point3, center: Point3):
-    """LOS crossing of the blocker's vertical plane.
-
-    Returns (t, z_los, lat_los): the crossing parameter along the top-view
-    LOS (0 at tx, 1 at rx), the LOS height there, and the lateral offset of
-    the LOS from the blocker center, measured in the screen plane.
-    """
-    u_hat, v_hat, length = _top_view_axis(tx, rx)
     rel = np.array([center.x - tx.x, center.y - tx.y])
     t = float(rel @ u_hat) / length
     cross2 = np.array([tx.x, tx.y]) + t * length * u_hat
     z_los = tx.z + t * (rx.z - tx.z)
     lat_los = float((cross2 - np.array([center.x, center.y])) @ v_hat)
-    return t, z_los, lat_los, u_hat, v_hat, length, cross2
+    return t, z_los, lat_los, v_hat, length
+
+
+def _spans_height(blocker: Screen | Cylinder, z: float) -> bool:
+    """True when height z lies within the blocker's vertical extent (grazing counts)."""
+    half = 0.5 * blocker.height_m
+    return blocker.center.z - half - GRAZING_TIE_M <= z <= blocker.center.z + half + GRAZING_TIE_M
 
 
 def _screen_shadows(tx: Point3, rx: Point3, screen: Screen) -> bool:
     """True when the LOS pierces the screen rectangle (grazing counts)."""
-    t, z_los, lat_los, *_ = _crossing(tx, rx, screen.center)
+    t, z_los, lat_los, _, _ = _crossing(tx, rx, screen.center)
     if not 0.0 < t < 1.0:
         return False
     if abs(lat_los) > 0.5 * screen.width_m + GRAZING_TIE_M:
         return False
-    z_bot = screen.center.z - 0.5 * screen.height_m
-    z_top = screen.center.z + 0.5 * screen.height_m
-    return z_bot - GRAZING_TIE_M <= z_los <= z_top + GRAZING_TIE_M
+    return _spans_height(screen, z_los)
+
+
+def _loss_db(field: complex) -> float:
+    """-20 log10 |field| against a unit free-space field, capped at 6000 dB."""
+    mag = abs(field)
+    if mag < 1e-300:
+        return 6000.0
+    return -20.0 * math.log10(mag)
 
 
 # ---------------------------------------------------------------------------
@@ -185,7 +193,7 @@ def metis_screen_attenuation(
     tx and rx contributes 0 dB.
     """
     lam = band.wavelength_m
-    t, z_los, lat_los, u_hat, v_hat, length, cross2 = _crossing(tx, rx, screen.center)
+    t, z_los, lat_los, v_hat, length = _crossing(tx, rx, screen.center)
     if not (0.0 < t < 1.0):
         return 0.0
 
@@ -195,14 +203,13 @@ def metis_screen_attenuation(
     c2 = np.array([screen.center.x, screen.center.y])
     half_w = 0.5 * screen.width_m
     f_sides = 0.0
-    for lat_edge in (-half_w, half_w):
+    for lat_edge, shadowed in (
+        (-half_w, lat_los >= -half_w - GRAZING_TIE_M),
+        (half_w, lat_los <= half_w + GRAZING_TIE_M),
+    ):
         edge2 = c2 + lat_edge * v_hat
         d1 = float(np.hypot(*(edge2 - tx2)))
         d2 = float(np.hypot(*(edge2 - rx2)))
-        if lat_edge < 0.0:
-            shadowed = lat_los >= lat_edge - GRAZING_TIE_M
-        else:
-            shadowed = lat_los <= lat_edge + GRAZING_TIE_M
         f_sides += metis_edge_term(d1, d2, length, lam, shadowed)
 
     # Top/bottom edges: distances in the vertical plane through the LOS.
@@ -212,27 +219,22 @@ def metis_screen_attenuation(
     z_top = screen.center.z + 0.5 * screen.height_m
     z_bot = screen.center.z - 0.5 * screen.height_m
     f_vert = 0.0
-    for z_edge, is_top in ((z_top, True), (z_bot, False)):
+    for z_edge, shadowed in (
+        (z_top, z_los <= z_top + GRAZING_TIE_M),
+        (z_bot, z_los >= z_bot - GRAZING_TIE_M),
+    ):
         d1 = math.hypot(d_tx2, z_edge - tx.z)
         d2 = math.hypot(d_rx2, z_edge - rx.z)
-        if is_top:
-            shadowed = z_los <= z_edge + GRAZING_TIE_M
-        else:
-            shadowed = z_los >= z_edge - GRAZING_TIE_M
         f_vert += metis_edge_term(d1, d2, r3, lam, shadowed)
 
-    field = 1.0 - f_vert * f_sides
-    if abs(field) < 1e-300:
-        return 6000.0
-    return -20.0 * math.log10(abs(field))
+    return _loss_db(1.0 - f_vert * f_sides)
 
 
 def metis_multi_screen_attenuation(scn: BlockageScenario) -> float:
     """Sum of per-screen knife-edge losses in dB (sparse-blocker assumption)."""
+    _require_blockers("metis", scn.blockers)
     total = 0.0
     for blocker in scn.blockers:
-        if not isinstance(blocker, Screen):
-            raise GeometryError("knife-edge screen model requires Screen blockers")
         total += metis_screen_attenuation(scn.tx, scn.rx, scn.band, blocker)
     return total
 
@@ -275,7 +277,7 @@ def kirchhoff_screen_attenuation(
     1-D Fresnel integrals in normalized coordinates u = sqrt(2) x / R1.
     A screen whose plane does not separate tx and rx contributes 0 dB.
     """
-    t, z_los, lat_los, u_hat, v_hat, length, cross2 = _crossing(tx, rx, screen.center)
+    t, z_los, lat_los, _, length = _crossing(tx, rx, screen.center)
     if not (0.0 < t < 1.0):
         return 0.0
     d1 = t * length
@@ -292,10 +294,7 @@ def kirchhoff_screen_attenuation(
     u_hi = (z_top - z_los) * scale
 
     rect = 0.5j * _fresnel_segment(u_lo, u_hi) * _fresnel_segment(v_lo, v_hi)
-    field = 1.0 - rect
-    if abs(field) < 1e-300:
-        return 6000.0
-    return -20.0 * math.log10(abs(field))
+    return _loss_db(1.0 - rect)
 
 
 # ---------------------------------------------------------------------------
@@ -364,14 +363,8 @@ def gtd_cylinder_attenuation(
     s_clamped = min(max(s, 0.0), 1.0)
     closest = tx2 + s_clamped * seg
     dist = float(np.hypot(*(closest - c2)))
-    if dist >= a - GRAZING_TIE_M or not (0.0 < s < 1.0):
-        raise NotShadowingError("cylinder does not shadow LOS")
-    z_los = tx.z + s * (rx.z - tx.z)
-    if not (
-        cylinder.center.z - 0.5 * cylinder.height_m - GRAZING_TIE_M
-        <= z_los
-        <= cylinder.center.z + 0.5 * cylinder.height_m + GRAZING_TIE_M
-    ):
+    cuts = dist < a - GRAZING_TIE_M and 0.0 < s < 1.0
+    if not (cuts and _spans_height(cylinder, tx.z + s * (rx.z - tx.z))):
         raise NotShadowingError("cylinder does not shadow LOS")
 
     k = band.wavenumber
@@ -398,42 +391,35 @@ def gtd_cylinder_attenuation(
         along = sum(cmath.exp(-decay * g) for g in arcs)
         total += weight * spread * along
     total *= cmath.exp(-1j * k * s_src)  # tx-side leg: unit magnitude
-
-    mag = abs(total)
-    if mag < 1e-300:
-        return 6000.0
-    return -20.0 * math.log10(mag)
+    return _loss_db(total)
 
 
 # ---------------------------------------------------------------------------
 # Trajectory sweeps.
 
-MODELS = ("metis", "kirchhoff", "gtd")
+# Each model and the blocker type it takes, in the CLI's column order.
+MODELS = {"metis": Screen, "kirchhoff": Screen, "gtd": Cylinder}
 
 
-def _translate(blocker, offset: Point3):
-    center = blocker.center + offset
-    if isinstance(blocker, Screen):
-        return Screen(center, blocker.width_m, blocker.height_m)
-    return Cylinder(center, blocker.radius_m, blocker.height_m)
+def _require_blockers(model: str, blockers: tuple) -> None:
+    kind = MODELS[model]
+    if not all(isinstance(blocker, kind) for blocker in blockers):
+        raise GeometryError(f"{model} model requires {kind.__name__} blockers")
 
 
 def _sweep_point(scn: BlockageScenario, model: str, position: Point3) -> float:
     offset = position - scn.blockers[0].center
     total = 0.0
     for blocker in scn.blockers:
-        moved = _translate(blocker, offset)
+        moved = replace(blocker, center=blocker.center + offset)
         if model == "gtd":
             try:
                 total += gtd_cylinder_attenuation(scn.tx, scn.rx, scn.band, moved)
             except NotShadowingError:
-                total += 0.0  # out of shadow: no creeping contribution
-        elif not _screen_shadows(scn.tx, scn.rx, moved):
-            total += 0.0  # out of shadow: no blockage loss at this position
-        elif model == "metis":
-            total += metis_screen_attenuation(scn.tx, scn.rx, scn.band, moved)
-        else:
-            total += kirchhoff_screen_attenuation(scn.tx, scn.rx, scn.band, moved)
+                pass  # a blocker that does not cut the LOS adds nothing
+        elif _screen_shadows(scn.tx, scn.rx, moved):
+            loss = metis_screen_attenuation if model == "metis" else kirchhoff_screen_attenuation
+            total += loss(scn.tx, scn.rx, scn.band, moved)
     return total
 
 
@@ -451,12 +437,10 @@ def sweep_blocker(
     in a single warning; any other error propagates to the caller.
     """
     if model not in MODELS:
-        raise ValueError(f"unknown model {model!r}; expected one of {MODELS}")
-    for blocker in scn.blockers:
-        if model == "gtd" and not isinstance(blocker, Cylinder):
-            raise GeometryError("gtd model requires Cylinder blockers")
-        if model != "gtd" and not isinstance(blocker, Screen):
-            raise GeometryError(f"{model} model requires Screen blockers")
+        raise ValueError(f"unknown model {model!r}; expected one of {tuple(MODELS)}")
+    if not scn.blockers:
+        raise ValueError("sweep needs at least one blocker; the blocker set is empty")
+    _require_blockers(model, scn.blockers)
 
     def run(position: Point3) -> float:
         try:

@@ -119,15 +119,14 @@ def cmd_blockage(args) -> int:
         h = settings["antenna_height_m"]
         tx = Point3(0.0, 0.0, h)
         rx = Point3(settings["link_length_m"], 0.0, h)
-        screen = Screen(centers[0], settings["screen_width_m"], settings["screen_height_m"])
-        cylinder = Cylinder(
-            centers[0], settings["cylinder_radius_m"], settings["cylinder_height_m"]
+        blockers = (
+            Screen(centers[0], settings["screen_width_m"], settings["screen_height_m"]),
+            Cylinder(centers[0], settings["cylinder_radius_m"], settings["cylinder_height_m"]),
         )
-        screened = BlockageScenario(tx, rx, band, (screen,))
-        cylindered = BlockageScenario(tx, rx, band, (cylinder,))
+        scenarios = {type(b): BlockageScenario(tx, rx, band, (b,)) for b in blockers}
     columns = []
     for model in models:
-        scn = cylindered if model == "gtd" else screened
+        scn = scenarios[MODELS[model]]
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             result = sweep_blocker(scn, model, centers)

@@ -88,6 +88,11 @@ class GbsmConfig:
             raise ValueError("mean_clusters must be positive")
         if self.rays_per_cluster < 1:
             raise ValueError("rays_per_cluster must be >= 1")
+        # A cluster_dtype record is 32 + 32 m bytes, and numpy sizes a dtype
+        # in a C int: past that it refuses the dtype or wraps its size negative.
+        max_rays = (np.iinfo(np.intc).max - 32) // 32
+        if self.rays_per_cluster > max_rays:
+            raise ValueError(f"rays_per_cluster must be at most {max_rays}")
         if not self.delay_scale_s > 0.0 or not self.ray_delay_scale_s > 0.0:
             raise ValueError("delay scales must be positive")
         if self.per_cluster_shadow_db < 0.0:

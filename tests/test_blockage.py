@@ -8,6 +8,7 @@ Oracles used here and nowhere in the implementation:
 """
 
 import cmath
+import hashlib
 import math
 import warnings
 
@@ -19,6 +20,7 @@ from scipy.special import airy
 from chantool.blockage import (
     DEFAULT_ANTENNA_HEIGHT_M,
     DEFAULT_BLOCKER_CENTER_Z_M,
+    MODELS,
     BlockageScenario,
     Cylinder,
     GeometryError,
@@ -577,6 +579,32 @@ def test_sweep_model_validation():
         sweep_blocker(scn_c, "metis", crossing_trajectory())
 
 
+def test_sweep_refuses_an_empty_blocker_set():
+    # Refused before any position is evaluated, even with no positions at all.
+    empty = BlockageScenario(TX, RX, BAND_28, ())
+    for model in MODELS:
+        for traj in (crossing_trajectory(), []):
+            with pytest.raises(ValueError, match="blocker set is empty"):
+                sweep_blocker(empty, model, traj)
+
+
+def test_model_table_is_the_one_blocker_type_check():
+    assert list(MODELS.items()) == [
+        ("metis", Screen), ("kirchhoff", Screen), ("gtd", Cylinder)
+    ]
+    screened = BlockageScenario(TX, RX, BAND_28, (default_screen(MID),))
+    mixed = BlockageScenario(TX, RX, BAND_28, (default_screen(MID), default_cylinder(MID)))
+    with pytest.raises(ValueError, match=r"expected one of \('metis', 'kirchhoff', 'gtd'\)$"):
+        sweep_blocker(screened, "ray-tracing", [])
+    with pytest.raises(GeometryError, match="^gtd model requires Cylinder blockers$"):
+        sweep_blocker(screened, "gtd", [])
+    with pytest.raises(GeometryError, match="^kirchhoff model requires Screen blockers$"):
+        sweep_blocker(mixed, "kirchhoff", [])
+    # The knife-edge sum reads the same table as the sweep.
+    with pytest.raises(GeometryError, match="^metis model requires Screen blockers$"):
+        metis_multi_screen_attenuation(mixed)
+
+
 def test_sweep_rigid_group_translation():
     # two screens: the trajectory moves the first, the second keeps its offset
     s1 = default_screen(Point3(4.0, 0.0, ZC))
@@ -612,3 +640,68 @@ def test_scenario_validation():
         Screen(MID, -1.0, 1.75)
     with pytest.raises(ValueError):
         Cylinder(MID, 0.25, -1.0)
+
+
+# ---------------------------------------------------------------------------
+# Bitwise pins: SHA-256 of the float.hex of each case's attenuations, so a
+# refactor that moves any value by one bit fails here, away from the CLI's
+# default sweeps.
+
+
+def pinned_cases():
+    s1 = default_screen(Point3(4.0, 0.0, ZC))
+    s2 = Screen(Point3(6.5, 0.15, ZC), 0.3, 1.6)
+    group = BlockageScenario(TX, RX, BAND_28, (s1, s2))
+    group_traj = [Point3(4.0, round(-0.8 + 0.1 * i, 10), ZC) for i in range(17)]
+
+    rx20 = Point3(20.0, 0.0, H)
+    along_traj = [Point3(round(20.0 * (0.1 + 0.02 * i), 10), 0.05, ZC) for i in range(41)]
+    along_s = BlockageScenario(TX, rx20, BAND_39, (default_screen(MID),))
+    along_c = BlockageScenario(TX, rx20, BAND_39, (default_cylinder(MID),))
+
+    half = 0.5 * default_screen(MID).width_m
+    ties = [-half - 1e-11, -half, -half + 1e-13, half - 1e-13, half, half + 5e-13, half + 1e-11]
+    tie_traj = [Point3(5.0, y, ZC) for y in ties]
+    single = BlockageScenario(TX, RX, BAND_28, (default_screen(MID),))
+
+    gtd_traj = [Point3(5.0, round(-0.3 + 0.05 * i, 10), ZC) for i in range(13)]
+    gtd_traj[4] = Point3(0.0, 0.0, ZC)  # onto the tx antenna: NaN
+    cyl = BlockageScenario(TX, RX, BAND_28, (default_cylinder(MID),))
+
+    beside = Screen(Point3(7.0, 0.5, ZC), 0.4, 1.75)
+    behind = default_screen(Point3(12.0, 0.0, ZC))
+    multi = [
+        BlockageScenario(TX, RX, BAND_28, screens)
+        for screens in ((beside,), (default_screen(MID), beside), (behind, beside))
+    ]
+
+    def sweep(scn, model, traj):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            return [v for _, v in sweep_blocker(scn, model, traj)]
+
+    return {
+        "group": sweep(group, "metis", group_traj) + sweep(group, "kirchhoff", group_traj),
+        "along39": sweep(along_s, "metis", along_traj)
+        + sweep(along_s, "kirchhoff", along_traj)
+        + sweep(along_c, "gtd", along_traj),
+        "ties": sweep(single, "metis", tie_traj) + sweep(single, "kirchhoff", tie_traj),
+        "gtd_nan": sweep(cyl, "gtd", gtd_traj),
+        "multi": [metis_multi_screen_attenuation(scn) for scn in multi],
+    }
+
+
+PINNED = {
+    "group": "6d9d07ea4f7f6023c0057628dff90f338a056df3b355dabe69bad012c396f374",
+    "along39": "f71dbf49b8a4d0445883fc11ae16384e2d1aa4ea760e1dbead5c7cb0d11a38d1",
+    "ties": "57132850e34de21018f07e2a740fd9cab901f0f304bf4666b8ebe0e27e87209d",
+    "gtd_nan": "deac3cdb1089ec29cddf4bf9d764b158ddd474851931e6824dca012db2c7f08e",
+    "multi": "43445bf58435a0cc852684eaf1dea3efc44bf561b384bffaa2206fc5b7013512",
+}
+
+
+@pytest.mark.parametrize("case", sorted(PINNED))
+def test_blockage_values_pinned_bitwise(case):
+    values = pinned_cases()[case]
+    text = "\n".join(float(v).hex() for v in values)
+    assert hashlib.sha256(text.encode()).hexdigest() == PINNED[case]

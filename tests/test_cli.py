@@ -356,6 +356,21 @@ class TestGbsm:
         assert f"{cfg}:3: {key} must be at most 255" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_rays_per_cluster_past_the_record_size_exit_2_before_the_run(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        def no_run(gcfg):
+            raise AssertionError("scenario ran")
+
+        monkeypatch.setattr(cli, "run_scenario", no_run)
+        text = "[gbsm]\nduration_s = 0.00625\nrays_per_cluster = 100000000\n"
+        cfg = write(tmp_path / "g.ini", text)
+        out = tmp_path / "x.cirb"
+        assert main(["gbsm", "--config", cfg, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {cfg}:1: rays_per_cluster must be at most 67108862\n"
+        assert not out.exists()
+
     def test_oversized_run_exit_3(self, tmp_path, capsys):
         cfg = write(tmp_path / "g.ini", "[gbsm]\nduration_s = 1000.0\n")
         code = main(["gbsm", "--config", cfg, "--out", str(tmp_path / "x.cirb")])

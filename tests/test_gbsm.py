@@ -91,6 +91,16 @@ class TestConfig:
         with pytest.raises(ValueError):
             GbsmConfig(**kwargs)
 
+    def test_rays_per_cluster_bounded_by_the_record_size(self):
+        # A cluster_dtype record is 32 + 32 m bytes and numpy sizes a dtype
+        # in a C int.  Only dtypes and configs are built here: nothing is drawn.
+        limit = (np.iinfo(np.intc).max - 32) // 32
+        assert cluster_dtype(limit).itemsize == 32 + 32 * limit
+        assert GbsmConfig(rays_per_cluster=limit).rays_per_cluster == limit
+        for rays in (limit + 1, 100_000_000):
+            with pytest.raises(ValueError, match=f"rays_per_cluster must be at most {limit}$"):
+                GbsmConfig(rays_per_cluster=rays)
+
     @pytest.mark.parametrize("value", NON_FINITE)
     @pytest.mark.parametrize("name", FLOAT_FIELDS)
     def test_rejects_non_finite_number(self, name, value):
