@@ -18,6 +18,7 @@ the model refuses is NaN.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 import warnings
 from dataclasses import dataclass, replace
@@ -312,6 +313,14 @@ def airy_zero(n: int) -> float:
     return float(-zeros[n - 1])
 
 
+@functools.lru_cache(maxsize=20)
+def _creeping_mode(n: int) -> tuple[float, float]:
+    """(a_n, Ai'(-a_n)) of creeping mode n; they depend on n alone, so each
+    mode's scipy calls run once per process rather than once per position."""
+    alpha = airy_zero(n)
+    return alpha, float(airy(-alpha)[1])
+
+
 def _wrap_pi(angle: float) -> float:
     return math.atan2(math.sin(angle), math.cos(angle))
 
@@ -384,8 +393,7 @@ def gtd_cylinder_attenuation(
     spread = cmath.exp(-1j * k * s_det) / cmath.sqrt(8j * k * s_det)
     total = 0.0 + 0.0j
     for n in range(1, n_terms + 1):
-        alpha = airy_zero(n)
-        ai_prime = float(airy(-alpha)[1])
+        alpha, ai_prime = _creeping_mode(n)
         weight = 2.0 * big_m / (ai_prime * ai_prime) * cmath.exp(-1j * math.pi / 6.0)
         decay = 1j * k + (alpha / a) * big_m * cmath.exp(1j * math.pi / 6.0)
         along = sum(cmath.exp(-decay * g) for g in arcs)

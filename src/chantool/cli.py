@@ -327,8 +327,10 @@ def cmd_analyze(args) -> int:
     header, samples = _read_pair(args.archive)
     if args.los_track:
         track = los_power_track(samples, header.t0_s, header.dt_s, header.sample_period_s)
-    corr = pdp_correlation_matrix(pdp_from_cir(samples))
-    del samples  # the matrix text below needs no samples
+    pdp_db = pdp_from_cir(samples)
+    del samples  # so the correlation and the matrix text run without them
+    corr = pdp_correlation_matrix(pdp_db)
+    del pdp_db
     atomic_write_bytes(args.out, symmetric_matrix_rows(corr.values))
 
     stem, ext = os.path.splitext(args.out)

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import astuple, dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -112,6 +113,25 @@ class GbsmConfig:
         if self.tx_position == self.rx_position:
             raise ValueError("tx and rx positions must differ")
 
+    # The LOS geometry depends on the fields alone, so it is derived once per
+    # config, not on every step.  cached_property writes the instance dict
+    # directly, which a frozen dataclass allows.
+
+    @cached_property
+    def los_base_delay_s(self) -> float:
+        """Time-zero line-of-sight delay between the configured positions."""
+        return (self.rx_position - self.tx_position).norm() / SPEED_OF_LIGHT
+
+    @cached_property
+    def radial_velocity_mps(self) -> float:
+        """Rate at which the tx-rx distance grows, from the velocities'
+        components along the time-zero LOS."""
+        los = self.rx_position - self.tx_position
+        d = los.norm()
+        u = los.scale(1.0 / d)
+        rel = self.rx_velocity - self.tx_velocity
+        return rel.dot(u)
+
 
 # One record per ray of a cluster: angles of arrival and departure, the
 # fixed ray phase, and the delay offset from the cluster delay.  The fields
@@ -170,7 +190,14 @@ def _make_clusters(
     """Draw `count` fresh cluster records; power_linear is left at zero for
     the caller to normalize."""
     m = cfg.rays_per_cluster
-    recs = np.zeros(count, cluster_dtype(m))
+    dtype = cluster_dtype(m)
+    # Checked before the allocation, for the first draw and for births alike.
+    if count * dtype.itemsize > MAX_CIR_BYTES:
+        raise SizingError(
+            f"drawing {count} clusters of {m} rays would take "
+            f"{count * dtype.itemsize} bytes; limit {MAX_CIR_BYTES}"
+        )
+    recs = np.zeros(count, dtype)
     for i in range(count):
         delay = float(rng.exponential(cfg.delay_scale_s))
         shadow = float(rng.normal(0.0, cfg.per_cluster_shadow_db))
@@ -199,14 +226,6 @@ def init_clusters(cfg: GbsmConfig, rng: np.random.Generator) -> ClusterState:
     return ClusterState(recs, next_id=count)
 
 
-def _radial_velocity(cfg: GbsmConfig) -> float:
-    los = cfg.rx_position - cfg.tx_position
-    d = los.norm()
-    u = los.scale(1.0 / d)
-    rel = cfg.rx_velocity - cfg.tx_velocity
-    return rel.dot(u)
-
-
 def evolve_clusters(
     state: ClusterState, cfg: GbsmConfig, dt_s: float, rng: np.random.Generator
 ) -> ClusterState:
@@ -216,7 +235,7 @@ def evolve_clusters(
     if not dt_s > 0.0:
         raise ValueError("dt_s must be positive")
     p_survive = math.exp(-cfg.death_rate_hz * dt_s)
-    drift = _radial_velocity(cfg) / SPEED_OF_LIGHT * dt_s
+    drift = cfg.radial_velocity_mps / SPEED_OF_LIGHT * dt_s
     recs = state.clusters.view(np.ndarray)
     # The survivors: one vector draw gives the same values as one uniform()
     # per cluster.
@@ -234,8 +253,7 @@ def evolve_clusters(
 
 
 def _los_delay(cfg: GbsmConfig, t_s: float) -> float:
-    base = (cfg.rx_position - cfg.tx_position).norm() / SPEED_OF_LIGHT
-    return max(base + _radial_velocity(cfg) / SPEED_OF_LIGHT * t_s, 0.0)
+    return max(cfg.los_base_delay_s + cfg.radial_velocity_mps / SPEED_OF_LIGHT * t_s, 0.0)
 
 
 def synthesize_snapshot(

@@ -125,6 +125,28 @@ class TestCorrelationMatrix:
         assert corr.snapshot_count == 5
 
 
+class TestSymmetriseInPlace:
+    @pytest.mark.parametrize("n", [1, 255, 256, 257, 700])
+    def test_bitwise_the_averaged_transpose(self, n):
+        # Orders inside one tile, at its edge, just past it, and with a
+        # short last tile; signed zeros must keep their sign bits.
+        rng = np.random.default_rng(n)
+        m = rng.uniform(-1.0, 1.0, (n, n))
+        m[rng.random((n, n)) < 0.05] = 0.0
+        m[rng.random((n, n)) < 0.05] = -0.0
+        expected = (m + m.T) / 2.0
+        analysis.symmetrise_in_place(m)
+        assert np.array_equal(m.view(np.int64), expected.view(np.int64))
+        assert np.signbit(m).any() or n == 1
+
+    def test_scratch_is_tiles_not_a_matrix(self, traced_peak):
+        # A step's sum, and the last step's until the name is rebound: 2.25
+        # tiles measured, against 7.5 tiles for the 700^2 matrix.
+        m = np.random.default_rng(6).uniform(-1.0, 1.0, (700, 700))
+        tile = 8 * analysis.SYMMETRISE_TILE**2
+        assert traced_peak(analysis.symmetrise_in_place, m) <= 2.5 * tile
+
+
 class TestCorrelationBudget:
     def test_boundary(self):
         n = math.isqrt(MAX_CORR_BYTES // 8)
@@ -149,13 +171,15 @@ class TestMemory:
     # The chain's analyze size: 1500 snapshots of 205 delay bins.
     N, BINS = 1500, 205
 
-    def test_correlation_holds_about_two_matrices(self, traced_peak):
+    def test_correlation_holds_one_matrix(self, traced_peak):
+        # The matrix plus the (snapshots, bins) inputs: measured 1.12-1.14
+        # matrices.  Symmetrising through a second n^2 array measured 2.00.
         rng = np.random.default_rng(4)
         linear = rng.exponential(size=(self.N, self.BINS))
         linear[rng.random(linear.shape) < 0.3] = 0.0
         pdp_db = pdp_of(linear)
         result = 8 * self.N**2
-        assert traced_peak(pdp_correlation_matrix, pdp_db) <= 2.75 * result
+        assert traced_peak(pdp_correlation_matrix, pdp_db) <= 1.2 * result
 
     def test_matrix_checks_hold_row_blocks(self, traced_peak):
         rng = np.random.default_rng(5)

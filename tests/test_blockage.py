@@ -17,6 +17,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.special import airy
 
+from chantool import blockage
 from chantool.blockage import (
     DEFAULT_ANTENNA_HEIGHT_M,
     DEFAULT_BLOCKER_CENTER_Z_M,
@@ -347,6 +348,21 @@ def test_airy_zero_range():
         airy_zero(0)
     with pytest.raises(ValueError):
         airy_zero(21)
+
+
+def test_creeping_modes_computed_once_per_mode():
+    # The scipy values themselves, bit for bit, computed on a mode's first
+    # use only: a second position reuses all five.
+    blockage._creeping_mode.cache_clear()
+    tx, rx = Point3(0.0, 0.0, 1.5), Point3(10.0, 0.0, 1.5)
+    for x in (4.0, 6.0):
+        cyl = Cylinder(Point3(x, 0.0, 1.0), 0.15, 2.0)
+        gtd_cylinder_attenuation(tx, rx, BAND_28, cyl)
+    info = blockage._creeping_mode.cache_info()
+    assert (info.misses, info.hits) == (5, 5)
+    for n in range(1, 21):
+        alpha = airy_zero(n)
+        assert blockage._creeping_mode(n) == (alpha, float(airy(-alpha)[1]))
 
 
 def test_gtd_mid_path_reference():

@@ -378,6 +378,33 @@ class TestGbsm:
         assert "snapshots" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
+        "line", ["mean_clusters = 1e9", "birth_rate_hz = 1e15"],
+        ids=["first-draw", "births"],
+    )
+    def test_oversized_cluster_draw_exit_3(self, tmp_path, line):
+        # Hundreds of GiB of cluster records, refused before np.zeros.  The
+        # child's 1.5 GiB address-space cap makes a build that allocates
+        # fail at once instead of exhausting the machine's memory.
+        cfg = write(tmp_path / "g.ini", f"[gbsm]\n{line}\n")
+        out = tmp_path / "x.cirb"
+        child = (
+            "import resource, sys\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (3 << 29, 3 << 29))\n"
+            "from chantool.cli import main\n"
+            "sys.exit(main(sys.argv[1:]))\n"
+        )
+        src = os.path.dirname(os.path.dirname(chantool.__file__))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+        argv = ["gbsm", "--config", cfg, "--out", str(out)]
+        proc = subprocess.run([sys.executable, "-c", child, *argv], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 3, proc.stderr
+        assert proc.stderr.startswith("error: drawing ")
+        assert proc.stderr.count("\n") == 1 and "clusters of 20 rays" in proc.stderr
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
         "line", ["delay_scale_s = 1.0", "delay_resolution_s = 1e-15"],
         ids=["wide-cluster-delays", "fine-delay-grid"],
     )

@@ -224,6 +224,19 @@ class TestEvolveClusters:
                 3.0 / C * dt, rel=1e-9
             )
 
+    def test_los_geometry_derived_once_per_config(self):
+        cfg = GbsmConfig(rx_velocity=Point3(3.0, 0.0, 0.0), tx_velocity=Point3(0.0, 1.0, 0.0))
+        assert cfg.radial_velocity_mps == 3.0
+        assert cfg.los_base_delay_s == 10.0 / C
+        assert {"radial_velocity_mps", "los_base_delay_s"} <= set(vars(cfg))
+        # The cached values are not fields: equality, hashing and replace()
+        # see only the fields, and a replaced config derives its own.
+        assert cfg == GbsmConfig(rx_velocity=Point3(3.0, 0.0, 0.0),
+                                 tx_velocity=Point3(0.0, 1.0, 0.0))
+        assert hash(cfg) == hash(dataclasses.replace(cfg))
+        moved = dataclasses.replace(cfg, rx_velocity=Point3(-1.0, 0.0, 0.0))
+        assert moved.radial_velocity_mps == -1.0
+
     def test_delay_clamped_at_zero(self):
         cfg = GbsmConfig(
             seed=5,
@@ -537,6 +550,16 @@ class TestRunScenario:
         cfg = GbsmConfig(seed=31, birth_rate_hz=1e5, duration_s=200 * 62.5e-6)
         with pytest.raises(SizingError, match="cluster states of the first"):
             run_scenario(cfg)
+
+    def test_cluster_draw_budgeted_before_allocation(self, monkeypatch):
+        # The draw's records are checked against the byte ceiling before
+        # np.zeros: ten records fit exactly, eleven are refused.
+        cfg = GbsmConfig(seed=31)
+        monkeypatch.setattr(gbsm, "MAX_CIR_BYTES", 10 * cluster_dtype(20).itemsize)
+        rng = np.random.default_rng(0)
+        assert len(gbsm._make_clusters(cfg, rng, 10, first_id=0)) == 10
+        with pytest.raises(SizingError, match="drawing 11 clusters of 20 rays"):
+            gbsm._make_clusters(cfg, rng, 11, first_id=0)
 
     def test_ray_delays_too_wide_rejected_before_allocation(self):
         # The LOS grid fits; the rays' sub-delays (scale 10 s) would need
