@@ -2,8 +2,9 @@
 
 Subcommands: blockage, pathloss-fit, gbsm, sounder, analyze.  Exit codes:
 0 success, 2 input or config error, 3 resource/sizing error.  All output
-files are written atomically.  Every computation runs serially in one
-thread, so repeated runs with identical inputs produce byte-identical files.
+files are written atomically.  chantool's own code runs serially in one
+thread, so repeated runs with identical inputs produce byte-identical files
+under the same BLAS thread count: analyze's Gram product goes through BLAS.
 """
 
 from __future__ import annotations
@@ -47,12 +48,13 @@ from chantool.blockage import (
 from chantool.config import (
     Config,
     blockage_settings,
+    field_key,
     gbsm_config,
     load_config,
     sounder_settings,
 )
 from chantool.core import FrequencyBand, Point3, pdp_from_cir
-from chantool.gbsm import SizingError, run_scenario
+from chantool.gbsm import FieldError, SizingError, run_scenario
 from chantool.pathloss import RankDeficientError, abg_fit, ci_fit, sample_columns
 from chantool.sounder import (
     calibrate,
@@ -83,9 +85,12 @@ def _require_section(cfg: Config, name: str) -> dict[str, object]:
 @contextmanager
 def _cited(cfg: Config, name: str):
     """Report a ValueError raised while building section name's parameter
-    objects as a ConfigError at the line of the section's header."""
+    objects as a ConfigError: at the line of the key a FieldError names, and
+    at the line of the section's header for any other."""
     try:
         yield
+    except FieldError as err:
+        raise cfg.error(name, field_key(err), str(err)) from None
     except ValueError as err:
         raise cfg.error(name, None, str(err)) from None
 
@@ -141,36 +146,57 @@ def cmd_blockage(args) -> int:
     return EXIT_OK
 
 
-def _parse_sample_rows(rows: list[str]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Checked columns of 'distance,frequency,loss' rows, by one float conversion."""
+SAMPLES_HEADER = "distance_m,freq_ghz,pl_db"
+
+# The samples CSV is read in blocks of whole lines of about this many
+# characters, so the reader holds the parsed values and one block's text,
+# never the whole file's text or one string per field of it.
+SAMPLES_BLOCK_CHARS = 1 << 16
+
+
+def _parse_sample_rows(rows: list[str]) -> np.ndarray:
+    """The (row, column) float64 values of 'distance,frequency,loss' rows,
+    by one float conversion, with their columns checked by sample_columns."""
     counts = {row.count(",") for row in rows} - {2}
     if counts:
         raise ValueError(f"expected 3 columns, got {min(counts) + 1}")
     values = np.array(",".join(rows).split(",") if rows else [], dtype=np.float64)
-    return sample_columns(*values.reshape(-1, 3).T)
+    values = values.reshape(-1, 3)
+    sample_columns(*values.T)
+    return values
 
 
 def _read_samples_csv(path: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The checked columns of a distance_m,freq_ghz,pl_db CSV; if the body
-    fails as a whole, its lines are parsed one by one to cite the first bad one."""
+    """The checked columns of a distance_m,freq_ghz,pl_db CSV, read in one
+    pass of SAMPLES_BLOCK_CHARS blocks.  If a block fails as a whole, its
+    lines are parsed one by one to cite the first bad one; blank lines count."""
+    blocks, header, end = [], None, 0
     with open(path, "r", encoding="utf-8") as handle:
-        lines = handle.read().split("\n")
-    body = [line for line in map(str.strip, lines) if line]
-    if not body or body[0] != "distance_m,freq_ghz,pl_db":
-        raise ValueError(
-            f"{path}: expected header 'distance_m,freq_ghz,pl_db', "
-            f"got {body[0] if body else '<empty>'!r}"
-        )
-    try:
-        return _parse_sample_rows(body[1:])
-    except ValueError as err:
-        numbered = [(n, line.strip()) for n, line in enumerate(lines, 1) if line.strip()]
-        for lineno, line in numbered[1:]:
+        while lines := handle.readlines(SAMPLES_BLOCK_CHARS):
+            start, end = end, end + len(lines)
+            rows = [line for line in map(str.strip, lines) if line]
+            skip = 0  # 1 in the block that holds the header
+            if header is None and rows:
+                header, skip = rows[0], 1
+                if header != SAMPLES_HEADER:
+                    break
             try:
-                _parse_sample_rows([line])
-            except ValueError as line_err:
-                raise ValueError(f"{path}:{lineno}: {line_err}") from None
-        raise ValueError(f"{path}: {err}") from None
+                blocks.append(_parse_sample_rows(rows[skip:]))
+            except ValueError as err:
+                numbered = enumerate(map(str.strip, lines), start + 1)
+                for lineno, line in [(n, line) for n, line in numbered if line][skip:]:
+                    try:
+                        _parse_sample_rows([line])
+                    except ValueError as line_err:
+                        raise ValueError(f"{path}:{lineno}: {line_err}") from None
+                raise ValueError(f"{path}: {err}") from None
+    if header != SAMPLES_HEADER:
+        raise ValueError(
+            f"{path}: expected header {SAMPLES_HEADER!r}, got {header or '<empty>'!r}"
+        )
+    # The columns are views of one (row, column) array, as one conversion
+    # of the whole body gives them.
+    return tuple(np.concatenate(blocks).T)
 
 
 def cmd_pathloss_fit(args) -> int:

@@ -29,7 +29,7 @@ from chantool.blockage import (
     DEFAULT_SCREEN_WIDTH_M,
 )
 from chantool.core import FrequencyBand, Point3
-from chantool.gbsm import GbsmConfig
+from chantool.gbsm import FieldError, GbsmConfig
 from chantool.sounder import DEFAULT_BAND_FRACTION, LinkBudget, MpcExtractionPolicy
 
 
@@ -87,6 +87,11 @@ _VECTORS = {"tx_velocity": "mps", "rx_velocity": "mps", "tx_position": "m", "rx_
 
 def _vector_keys(name: str) -> list[str]:
     return [f"{name}_{axis}_{_VECTORS[name]}" for axis in "xyz"]
+
+
+def field_key(err: FieldError) -> str:
+    """The [gbsm] key that sets the GbsmConfig value err refuses."""
+    return err.field if err.axis is None else _vector_keys(err.field)["xyz".index(err.axis)]
 
 
 def _scalar_fields(*classes) -> dict[str, object]:

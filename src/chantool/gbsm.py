@@ -42,6 +42,16 @@ class SizingError(RuntimeError):
     """A requested scenario would produce an unreasonable amount of output."""
 
 
+class FieldError(ValueError):
+    """A GbsmConfig value refused on its own: field names it, and axis is
+    the component ("x", "y" or "z") of a Point3 field, else None."""
+
+    def __init__(self, message: str, field: str, axis: str | None = None) -> None:
+        super().__init__(message)
+        self.field = field
+        self.axis = axis
+
+
 @dataclass(frozen=True)
 class GbsmConfig:
     """Scenario parameters for the cluster channel generator.
@@ -78,38 +88,32 @@ class GbsmConfig:
         # Non-finite numbers would otherwise fail late and untyped (an
         # OverflowError sizing the run) or run to a cube of NaN.
         for name, value in vars(self).items():
-            numbers = astuple(value) if isinstance(value, Point3) else (value,)
-            if any(isinstance(x, float) and not math.isfinite(x) for x in numbers):
-                raise ValueError(f"{name} must be finite, got {value}")
-        if self.n_tx < 1 or self.n_rx < 1:
-            raise ValueError("antenna counts must be >= 1")
-        if not self.antenna_spacing_m > 0.0:
-            raise ValueError("antenna_spacing_m must be positive")
-        if not self.mean_clusters > 0.0:
-            raise ValueError("mean_clusters must be positive")
-        if self.rays_per_cluster < 1:
-            raise ValueError("rays_per_cluster must be >= 1")
+            axes = zip("xyz", astuple(value)) if isinstance(value, Point3) else [(None, value)]
+            for axis, x in axes:
+                if isinstance(x, float) and not math.isfinite(x):
+                    raise FieldError(f"{name} must be finite, got {value}", name, axis)
         # A cluster_dtype record is 32 + 32 m bytes, and numpy sizes a dtype
         # in a C int: past that it refuses the dtype or wraps its size negative.
         max_rays = (np.iinfo(np.intc).max - 32) // 32
-        if self.rays_per_cluster > max_rays:
-            raise ValueError(f"rays_per_cluster must be at most {max_rays}")
-        if not self.delay_scale_s > 0.0 or not self.ray_delay_scale_s > 0.0:
-            raise ValueError("delay scales must be positive")
-        if self.per_cluster_shadow_db < 0.0:
-            raise ValueError("per_cluster_shadow_db must be >= 0")
-        if self.birth_rate_hz < 0.0 or self.death_rate_hz < 0.0:
-            raise ValueError("birth and death rates must be >= 0")
-        if not self.snapshot_interval_s > 0.0:
-            raise ValueError("snapshot_interval_s must be positive")
-        if self.duration_s < 0.0:
-            raise ValueError("duration_s must be >= 0")
-        if not self.ray_angle_spread_rad >= 0.0:
-            raise ValueError("ray_angle_spread_rad must be >= 0")
-        if not self.delay_resolution_s > 0.0:
-            raise ValueError("delay_resolution_s must be positive")
-        if self.tx_velocity.z != 0.0 or self.rx_velocity.z != 0.0:
-            raise ValueError("velocities must be horizontal: z components must be 0")
+        for rule, ok, names in (
+            (">= 1", lambda v: v >= 1, ("n_tx", "n_rx", "rays_per_cluster")),
+            (f"at most {max_rays}", lambda v: v <= max_rays, ("rays_per_cluster",)),
+            ("positive", lambda v: v > 0.0, (
+                "antenna_spacing_m", "mean_clusters", "delay_scale_s", "ray_delay_scale_s",
+                "snapshot_interval_s", "delay_resolution_s",
+            )),
+            (">= 0", lambda v: v >= 0.0, (
+                "per_cluster_shadow_db", "birth_rate_hz", "death_rate_hz", "duration_s",
+                "ray_angle_spread_rad",
+            )),
+        ):
+            for name in names:
+                if not ok(getattr(self, name)):
+                    raise FieldError(f"{name} must be {rule}", name)
+        for name in ("tx_velocity", "rx_velocity"):
+            if getattr(self, name).z != 0.0:
+                raise FieldError("velocities must be horizontal: z components must be 0", name, "z")
+        # The one refusal of several fields together.
         if self.tx_position == self.rx_position:
             raise ValueError("tx and rx positions must differ")
 
@@ -372,13 +376,25 @@ def run_scenario(cfg: GbsmConfig) -> CirSequence:
     call per step onto a delay grid sized once for the whole run.
 
     The cube's size is checked twice: before the evolution against the grid
-    the LOS alone needs, and after it against the exact grid.
+    the LOS alone needs, and after it against the exact grid.  The cluster
+    draws' means are checked before the evolution too.
     """
     n_steps = max(1, int(round(cfg.duration_s / cfg.snapshot_interval_s)))
     dt = cfg.snapshot_interval_s
     # The LOS delay is monotone in time, so its maximum lies at an end.
     los_max = max(_los_delay(cfg, 0.0), _los_delay(cfg, (n_steps - 1) * dt))
     _check_size(cfg, n_steps, int(round(los_max / cfg.delay_resolution_s)) + 11)
+    # A Poisson draw of fresh clusters is refused before any draw when its
+    # mean's records alone would pass the ceiling; numpy cannot draw a mean
+    # past about 9.2e18 at all.
+    record = cluster_dtype(cfg.rays_per_cluster).itemsize
+    births = cfg.birth_rate_hz * dt if n_steps > 1 else 0.0
+    for key, mean in (("mean_clusters", cfg.mean_clusters), ("birth_rate_hz", births)):
+        if mean * record > MAX_CIR_BYTES:
+            raise SizingError(
+                f"drawing a mean of {mean:g} clusters of {cfg.rays_per_cluster} rays "
+                f"({key}) would take {mean * record:g} bytes; limit {MAX_CIR_BYTES}"
+            )
     states = _evolution(cfg, n_steps)
 
     ray_max = max(

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import chantool
-from chantool import archive, cli
+from chantool import archive, cli, gbsm
 from chantool.analysis import CorrelationMatrix, pdp_correlation_matrix
 from chantool.archive import BLOCK_BYTES, capture_sequence, read_archive, write_archive
 from chantool.cli import main
@@ -289,6 +289,71 @@ class TestPathlossFit:
         assert code == 2
         assert "expected header" in capsys.readouterr().err
 
+    def test_reader_holds_the_columns_and_one_block(self, tmp_path, traced_peak):
+        # One string per field of 200 000 rows peaked at 15.3 times the
+        # three float64 columns; blocks hold one block's text beside them.
+        n = 200_000
+        samples = write(tmp_path / "s.csv", samples_text(frozen_sample_rows(n)))
+        assert traced_peak(cli._read_samples_csv, samples) <= 3 * 3 * 8 * n
+
+    @pytest.mark.parametrize("block_chars", [None, 64])
+    def test_bad_row_past_the_first_block_cites_its_line(
+        self, tmp_path, capsys, monkeypatch, block_chars
+    ):
+        # A later bad line is not the one reported; blank lines count.
+        if block_chars:
+            monkeypatch.setattr(cli, "SAMPLES_BLOCK_CHARS", block_chars)
+        rows = [",".join(row) for row in frozen_sample_rows(5000)]
+        rows[3000] = "10.0,28 GHz,90.0"
+        rows[4000] = "0.5,28.0,90.0"
+        text = "distance_m,freq_ghz,pl_db\n\n" + "\n".join(rows) + "\n"
+        assert len(text.encode()) > 2 * cli.SAMPLES_BLOCK_CHARS
+        samples = write(tmp_path / "samples.csv", text)
+        out = tmp_path / "fit.json"
+        assert main(["pathloss-fit", samples, "--model", "ci", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {samples}:3003: could not convert string to float: '28 GHz'\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("block_chars", [1, 23, 64, 97])
+    @pytest.mark.parametrize("layout", sorted(LAYOUTS))
+    def test_layout_across_block_boundaries(self, tmp_path, monkeypatch, layout, block_chars):
+        rows = frozen_sample_rows(200)
+        clean = write(tmp_path / "clean.csv", samples_text(rows))
+        assert main(["pathloss-fit", clean, "--model", "abg",
+                     "--out", str(tmp_path / "clean.json")]) == 0
+        monkeypatch.setattr(cli, "SAMPLES_BLOCK_CHARS", block_chars)
+        samples = tmp_path / "s.csv"
+        samples.write_bytes(LAYOUTS[layout](rows).encode())
+        out = tmp_path / "fit.json"
+        assert main(["pathloss-fit", str(samples), "--model", "abg", "--out", str(out)]) == 0
+        assert out.read_bytes() == (tmp_path / "clean.json").read_bytes()
+
+    @pytest.mark.parametrize("block_chars", [None, 4])
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("", "<path>: expected header 'distance_m,freq_ghz,pl_db', got '<empty>'"),
+            ("\n \r\n\t\n" * 40,
+             "<path>: expected header 'distance_m,freq_ghz,pl_db', got '<empty>'"),
+            ("\n" * 40 + "d,f,pl\n1.0,28.0,100.0\n",
+             "<path>: expected header 'distance_m,freq_ghz,pl_db', got 'd,f,pl'"),
+            ("\n \n" * 40 + "distance_m,freq_ghz,pl_db\n\n", "ci_fit needs at least 2 samples"),
+        ],
+        ids=["empty", "blank-lines-only", "late-bad-header", "header-only"],
+    )
+    def test_header_and_empty_bodies(
+        self, tmp_path, capsys, monkeypatch, block_chars, text, message
+    ):
+        if block_chars:
+            monkeypatch.setattr(cli, "SAMPLES_BLOCK_CHARS", block_chars)
+        samples = write(tmp_path / "s.csv", text)
+        out = tmp_path / "fit.json"
+        assert main(["pathloss-fit", samples, "--model", "ci", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {message.replace('<path>', samples)}\n"
+        assert not out.exists()
+
     def test_model_defaults_to_ci(self, tmp_path):
         samples = make_ci_samples(tmp_path / "s.csv")
         out = tmp_path / "fit.json"
@@ -368,7 +433,55 @@ class TestGbsm:
         out = tmp_path / "x.cirb"
         assert main(["gbsm", "--config", cfg, "--out", str(out)]) == 2
         err = capsys.readouterr().err
-        assert err == f"error: {cfg}:1: rays_per_cluster must be at most 67108862\n"
+        assert err == f"error: {cfg}:3: rays_per_cluster must be at most 67108862\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("mean_clusters = -1", "mean_clusters must be positive"),
+            ("rays_per_cluster = 0", "rays_per_cluster must be >= 1"),
+            ("rx_velocity_z_mps = 1.0", "velocities must be horizontal: z components must be 0"),
+            ("death_rate_hz = -2.0", "death_rate_hz must be >= 0"),
+            ("ray_delay_scale_s = 0.0", "ray_delay_scale_s must be positive"),
+        ],
+    )
+    def test_refused_value_cites_its_key(self, tmp_path, capsys, line, message):
+        cfg = write(tmp_path / "g.ini", f"[gbsm]\nduration_s = 0.001\n{line}\nseed = 3\n")
+        out = tmp_path / "x.cirb"
+        assert main(["gbsm", "--config", cfg, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {cfg}:3: {message}\n"
+        assert not out.exists()
+
+    def test_refusal_of_several_keys_cites_the_header(self, tmp_path, capsys):
+        # rx_position_x_m = 0 puts the receiver on the default transmitter.
+        cfg = write(tmp_path / "g.ini", "[gbsm]\nduration_s = 0.001\nrx_position_x_m = 0.0\n")
+        assert main(["gbsm", "--config", cfg, "--out", str(tmp_path / "x.cirb")]) == 2
+        assert capsys.readouterr().err == f"error: {cfg}:1: tx and rx positions must differ\n"
+
+    @pytest.mark.parametrize(
+        "line, key",
+        [
+            ("mean_clusters = 1e19", "mean_clusters"),
+            ("mean_clusters = 1e30", "mean_clusters"),
+            ("birth_rate_hz = 1e30", "birth_rate_hz"),
+        ],
+    )
+    def test_poisson_mean_past_the_budget_exit_3_before_any_draw(
+        self, tmp_path, capsys, monkeypatch, line, key
+    ):
+        # numpy cannot draw a Poisson mean past about 9.2e18 at all; the
+        # mean's records are checked before the first substream is derived.
+        def no_draw(*args):
+            raise AssertionError("a draw began")
+
+        monkeypatch.setattr(gbsm, "derive_substream", no_draw)
+        cfg = write(tmp_path / "g.ini", f"[gbsm]\n{line}\n")
+        out = tmp_path / "x.cirb"
+        assert main(["gbsm", "--config", cfg, "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: drawing a mean of ") and err.count("\n") == 1
+        assert f"clusters of 20 rays ({key}) would take" in err
         assert not out.exists()
 
     def test_oversized_run_exit_3(self, tmp_path, capsys):
@@ -1055,9 +1168,11 @@ class TestConfigContract:
         assert code == 0
         if (section, key) in ZERO_ONLY:
             assert run({**base, key: "0.0"}, "zero") == (0, before)
-            assert run({**base, key: value}, "set") == (2, None)
+            keys = {**base, key: value}
+            assert run(keys, "set") == (2, None)
             err = capsys.readouterr().err
-            assert f"{tmp_path / 'set.ini'}:1: velocities must be horizontal" in err
+            line = 2 + list(keys).index(key)  # the key's own line, not the header's
+            assert f"{tmp_path / 'set.ini'}:{line}: velocities must be horizontal" in err
         else:
             code, after = run({**base, key: value}, "set")
             assert code == 0

@@ -9,11 +9,13 @@ from chantool.config import (
     SCHEMA,
     ConfigError,
     blockage_settings,
+    field_key,
     gbsm_config,
     parse_config,
     sounder_settings,
 )
 from chantool.core import Point3
+from chantool.gbsm import FieldError, GbsmConfig
 
 
 def float_keys():
@@ -209,6 +211,22 @@ class TestBuilders:
         assert cfg.tx_velocity == Point3(1.5, 0.0, 0.0)
         assert cfg.rx_position == Point3(25.0, 0.0, 1.5)
         assert cfg.n_tx == 1  # untouched default
+
+    @pytest.mark.parametrize(
+        "kwargs, key",
+        [
+            ({"n_rx": 0}, "n_rx"),
+            ({"rays_per_cluster": 0}, "rays_per_cluster"),
+            ({"ray_delay_scale_s": 0.0}, "ray_delay_scale_s"),
+            ({"tx_velocity": Point3(0.0, 0.0, 1.0)}, "tx_velocity_z_mps"),
+            ({"rx_position": Point3(10.0, float("nan"), 1.5)}, "rx_position_y_m"),
+        ],
+    )
+    def test_field_refusal_names_its_key(self, kwargs, key):
+        with pytest.raises(FieldError) as info:
+            GbsmConfig(**kwargs)
+        assert field_key(info.value) == key
+        assert key in SCHEMA["gbsm"]
 
     def test_sounder_builder(self):
         section = parse_config(GOOD, "demo.ini").section("sounder")
