@@ -65,16 +65,19 @@ def atomic_write_bytes(path: str, chunks: Iterable[bytes]) -> None:
     target directory plus rename, so a crash never leaves a partial file.
     Each buffer is released before the next one is drawn from chunks.  The
     file gets the mode open() would give it, 0o666 less the umask, not the
-    temp file's 0o600."""
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
+    temp file's 0o600.  A symlink is written through: its target is the one
+    replaced.  An existing target that is not a regular file is refused."""
+    target = os.path.realpath(path)
+    if os.path.lexists(target) and not os.path.isfile(target):
+        raise ArchiveError(f"{path}: exists and is not a regular file")
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(target), prefix=".tmp-", suffix="~")
     umask = os.umask(0)  # reading the umask means setting it
     os.umask(umask)
     try:
         os.chmod(tmp, 0o666 & ~umask)
         with os.fdopen(fd, "wb") as handle:
             handle.writelines(chunks)
-        os.replace(tmp, path)
+        os.replace(tmp, target)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)

@@ -118,7 +118,8 @@ def cmd_blockage(args) -> int:
         centers = [Point3(along, settings["lateral_offset_m"], zc) for along in positions]
 
     # Every parameter object is built before the first sweep, so a value
-    # they refuse is reported against the file, before any output.
+    # they refuse is reported against the file, before any output; a value
+    # the sweeps refuse is cited at the section too.
     with _cited(cfg, "blockage"):
         band = FrequencyBand.preset(settings["carrier_ghz"])
         h = settings["antenna_height_m"]
@@ -129,16 +130,15 @@ def cmd_blockage(args) -> int:
             Cylinder(centers[0], settings["cylinder_radius_m"], settings["cylinder_height_m"]),
         )
         scenarios = {type(b): BlockageScenario(tx, rx, band, (b,)) for b in blockers}
-    columns = []
-    for model in models:
-        scn = scenarios[MODELS[model]]
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            result = sweep_blocker(scn, model, centers)
-        values = [value for _, value in result]
-        nan_count = sum(1 for v in values if math.isnan(v))
-        print(f"{model}: {nan_count} NaN point(s)", file=sys.stderr)
-        columns.append(values)
+        columns = []
+        for model in models:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                result = sweep_blocker(scenarios[MODELS[model]], model, centers)
+            values = [value for _, value in result]
+            nan_count = sum(1 for v in values if math.isnan(v))
+            print(f"{model}: {nan_count} NaN point(s)", file=sys.stderr)
+            columns.append(values)
 
     header = "position_m," + ",".join(f"{m}_att_db" for m in models) + "\n"
     rows = [",".join(map(_fmt, row)) + "\n" for row in zip(positions, *columns)]

@@ -212,4 +212,7 @@ def sounder_settings(
 ) -> tuple[LinkBudget, MpcExtractionPolicy, float]:
     budget = LinkBudget(**_overrides(LinkBudget, section))
     policy = MpcExtractionPolicy(**_overrides(MpcExtractionPolicy, section))
-    return budget, policy, float(section.get("band_fraction", DEFAULT_BAND_FRACTION))
+    band_fraction = float(section.get("band_fraction", DEFAULT_BAND_FRACTION))
+    if not 0.0 < band_fraction <= 1.0:  # calibrate's rule, checked before any capture
+        raise FieldError("band_fraction must be in (0, 1]", "band_fraction")
+    return budget, policy, band_fraction

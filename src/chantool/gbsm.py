@@ -30,21 +30,30 @@ from chantool.core import (
     derive_substream,
 )
 
-# Byte ceiling on run_scenario's complex128 (time, tx, rx, delay) cube.  The
-# cube is allocated whole, and its size grows with the delay grid as well as
-# the snapshot count, so the budget is on bytes: a larger request is refused
-# with SizingError rather than failing in np.zeros after the evolution.  The
-# cluster states the evolution keeps for the synthesis have the same ceiling.
+# Byte ceiling on each of run_scenario's allocations, which _budget refuses
+# before they are made: the complex128 (time, tx, rx, delay) cube, the kept
+# cluster states, each cluster draw and one step's synthesis temporaries.
 MAX_CIR_BYTES = 2 << 30
+
+# One step's synthesis temporaries, from tracemalloc peaks of one
+# synthesize_snapshot call: past 1e4 terms at most 165.9 B per pair and term
+# (the LOS or a ray; 65.6 at 8x8), and 32.0-32.4 B per pair and delay bin.
+SYNTH_BYTES_PER_TERM, SYNTH_BYTES_PER_BIN = 168, 33
 
 
 class SizingError(RuntimeError):
     """A requested scenario would produce an unreasonable amount of output."""
 
 
+def _budget(nbytes: float, what: str) -> None:
+    """Refuse nbytes past MAX_CIR_BYTES, and NaN and inf, as an overflow gives."""
+    if not nbytes <= MAX_CIR_BYTES:
+        raise SizingError(f"{what} would take {nbytes:g} bytes; limit {MAX_CIR_BYTES}")
+
+
 class FieldError(ValueError):
-    """A GbsmConfig value refused on its own: field names it, and axis is
-    the component ("x", "y" or "z") of a Point3 field, else None."""
+    """A config value refused on its own: field names it, and axis is the
+    component ("x", "y" or "z") of a GbsmConfig Point3 field, else None."""
 
     def __init__(self, message: str, field: str, axis: str | None = None) -> None:
         super().__init__(message)
@@ -98,6 +107,11 @@ class GbsmConfig:
         for rule, ok, names in (
             (">= 1", lambda v: v >= 1, ("n_tx", "n_rx", "rays_per_cluster")),
             (f"at most {max_rays}", lambda v: v <= max_rays, ("rays_per_cluster",)),
+            # 10 ** (k / 10) passes the float64 maximum, 1.8e308, past 3082 dB.
+            ("at most 3082", lambda v: v <= 3082.0, ("k_factor_db",)),
+            # numpy's normal draws lie within 12.3 sigma and exponential ones within 45 scales
+            # (ziggurat tails log 53-bit uniforms), so each weight stays in [1e-313, 1e294].
+            ("at most 240", lambda v: v <= 240.0, ("per_cluster_shadow_db",)),
             ("positive", lambda v: v > 0.0, (
                 "antenna_spacing_m", "mean_clusters", "delay_scale_s", "ray_delay_scale_s",
                 "snapshot_interval_s", "delay_resolution_s",
@@ -167,23 +181,16 @@ class ClusterState:
 
     clusters holds one cluster_dtype record per live cluster, stored as a
     read-only np.recarray so that a record reads as c.id, c.delay_s,
-    c.power_linear and c.rays.  The generator itself indexes columns of
-    its plain ndarray view, which is several times cheaper per access.
+    c.power_linear and c.rays; the generator indexes its plain ndarray view.
+    init_clusters and evolve_clusters keep powers summing to 1, ids unique
+    and increasing and delays >= 0; the state does not check them again.
     """
 
     clusters: np.ndarray
     next_id: int
 
     def __post_init__(self) -> None:
-        recs = np.asarray(self.clusters)
-        total = float(recs["power_linear"].sum())
-        if recs.size and abs(total - 1.0) > 1e-9:
-            raise ValueError(f"cluster powers must sum to 1, got {total}")
-        if len(set(recs["id"].tolist())) != recs.size:
-            raise ValueError("cluster ids must be unique")
-        if np.any(recs["delay_s"] < 0.0):
-            raise ValueError("cluster delays must be >= 0")
-        clusters = recs.view(np.recarray)
+        clusters = np.asarray(self.clusters).view(np.recarray)
         clusters.flags.writeable = False
         object.__setattr__(self, "clusters", clusters)
 
@@ -196,11 +203,7 @@ def _make_clusters(
     m = cfg.rays_per_cluster
     dtype = cluster_dtype(m)
     # Checked before the allocation, for the first draw and for births alike.
-    if count * dtype.itemsize > MAX_CIR_BYTES:
-        raise SizingError(
-            f"drawing {count} clusters of {m} rays would take "
-            f"{count * dtype.itemsize} bytes; limit {MAX_CIR_BYTES}"
-        )
+    _budget(count * dtype.itemsize, f"drawing {count} clusters of {m} rays")
     recs = np.zeros(count, dtype)
     for i in range(count):
         delay = float(rng.exponential(cfg.delay_scale_s))
@@ -354,64 +357,49 @@ def _evolution(cfg: GbsmConfig, n_steps: int) -> list[ClusterState]:
         rng = derive_substream(cfg.seed, "gbsm-evolve", step)
         states.append(evolve_clusters(states[-1], cfg, cfg.snapshot_interval_s, rng))
         kept += states[-1].clusters.nbytes
-        if kept > MAX_CIR_BYTES:
-            raise SizingError(
-                f"cluster states of the first {step + 1} steps take {kept} bytes; "
-                f"limit {MAX_CIR_BYTES}"
-            )
+        _budget(kept, f"cluster states of the first {step + 1} steps")
     return states
-
-
-def _check_size(cfg: GbsmConfig, n_steps: int, n_bins: int) -> None:
-    n_snapshots = n_steps * cfg.n_tx * cfg.n_rx
-    if 16 * n_snapshots * n_bins > MAX_CIR_BYTES:
-        raise SizingError(
-            f"scenario would produce {n_snapshots} snapshots of {n_bins} delay bins "
-            f"({16 * n_snapshots * n_bins} bytes; limit {MAX_CIR_BYTES})"
-        )
 
 
 def run_scenario(cfg: GbsmConfig) -> CirSequence:
     """Full deterministic run: cluster evolution, then one synthesize_snapshot
     call per step onto a delay grid sized once for the whole run.
 
-    The cube's size is checked twice: before the evolution against the grid
-    the LOS alone needs, and after it against the exact grid.  The cluster
-    draws' means are checked before the evolution too.
+    The step count and the grids are floats until _budget has passed them,
+    so a size that overflows is refused like one that is merely too large.
+    Before the evolution: the cube on the grid the LOS alone needs, and each
+    Poisson mean's records.  After it: the cube on the exact grid, and one
+    step's synthesis temporaries.
     """
-    n_steps = max(1, int(round(cfg.duration_s / cfg.snapshot_interval_s)))
-    dt = cfg.snapshot_interval_s
+    dt, pairs = cfg.snapshot_interval_s, cfg.n_tx * cfg.n_rx
+    steps = max(1.0, round(cfg.duration_s / dt, 0))
+
+    def grid(delay_max: float) -> int:
+        bins = round(delay_max / cfg.delay_resolution_s, 0) + 11.0
+        _budget(16.0 * steps * pairs * bins, f"{steps * pairs:g} snapshots of {bins:g} delay bins")
+        return int(bins)
+
     # The LOS delay is monotone in time, so its maximum lies at an end.
-    los_max = max(_los_delay(cfg, 0.0), _los_delay(cfg, (n_steps - 1) * dt))
-    _check_size(cfg, n_steps, int(round(los_max / cfg.delay_resolution_s)) + 11)
-    # A Poisson draw of fresh clusters is refused before any draw when its
-    # mean's records alone would pass the ceiling; numpy cannot draw a mean
-    # past about 9.2e18 at all.
+    los_max = max(_los_delay(cfg, 0.0), _los_delay(cfg, (steps - 1.0) * dt))
+    grid(los_max)
+    # numpy cannot draw a Poisson mean past about 9.2e18 at all.
     record = cluster_dtype(cfg.rays_per_cluster).itemsize
-    births = cfg.birth_rate_hz * dt if n_steps > 1 else 0.0
+    births = cfg.birth_rate_hz * dt if steps > 1.0 else 0.0
     for key, mean in (("mean_clusters", cfg.mean_clusters), ("birth_rate_hz", births)):
-        if mean * record > MAX_CIR_BYTES:
-            raise SizingError(
-                f"drawing a mean of {mean:g} clusters of {cfg.rays_per_cluster} rays "
-                f"({key}) would take {mean * record:g} bytes; limit {MAX_CIR_BYTES}"
-            )
-    states = _evolution(cfg, n_steps)
+        what = f"drawing a mean of {mean:g} clusters of {cfg.rays_per_cluster} rays ({key})"
+        _budget(mean * record, what)
+    states = _evolution(cfg, int(steps))
 
-    ray_max = max(
-        float(np.max(recs["delay_s"] + recs["rays"]["sub_delay_s"].max(axis=1)))
-        for recs in (state.clusters.view(np.ndarray) for state in states)
-    )
-    n_bins = int(round(max(los_max, ray_max) / cfg.delay_resolution_s)) + 11
-    _check_size(cfg, n_steps, n_bins)
+    recs = [state.clusters.view(np.ndarray) for state in states]
+    ray_max = max(float(np.max(r["delay_s"] + r["rays"]["sub_delay_s"].max(axis=1))) for r in recs)
+    n_bins = grid(max(los_max, ray_max))
+    rays = max(r.size for r in recs) * cfg.rays_per_cluster
+    temps = pairs * (SYNTH_BYTES_PER_TERM * (1.0 + rays) + SYNTH_BYTES_PER_BIN * n_bins)
+    _budget(temps, f"synthesizing {rays} rays on {n_bins} delay bins for {pairs} antenna pairs")
 
-    cir = np.zeros((n_steps, cfg.n_tx, cfg.n_rx, n_bins), dtype=np.complex128)
+    cir = np.zeros((len(states), cfg.n_tx, cfg.n_rx, n_bins), dtype=np.complex128)
     for t_idx, state in enumerate(states):
         cir[t_idx] = synthesize_snapshot(state, cfg, t_idx * dt, n_bins)
 
-    return CirSequence(
-        t0_s=0.0,
-        dt_s=dt,
-        sample_period_s=cfg.delay_resolution_s,
-        cir=cir,
-        mean_cluster_count=float(np.mean([len(s.clusters) for s in states])),
-    )
+    mean_count = float(np.mean([r.size for r in recs]))
+    return CirSequence(0.0, dt, cfg.delay_resolution_s, cir, mean_count)

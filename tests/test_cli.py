@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import stat
 import struct
 import subprocess
 import sys
@@ -126,8 +127,10 @@ class TestBlockage:
             ("screen_width_m = -1", "screen width and height must be positive"),
             ("link_length_m = 0.0", "tx and rx must differ"),
             ("carrier_ghz = -28", "carrier_hz must be positive, got -28000000000.0"),
+            # Refused by the sweep, not by a parameter type.
+            ("link_length_m = 1e308", "non-finite path excess"),
         ],
-        ids=["screen", "endpoints", "band"],
+        ids=["screen", "endpoints", "band", "sweep"],
     )
     def test_refused_value_cites_the_file(self, tmp_path, capsys, line, message):
         cfg = write(tmp_path / "b.ini", f"[blockage]\n{line}\n")
@@ -518,6 +521,29 @@ class TestGbsm:
         assert not out.exists()
 
     @pytest.mark.parametrize(
+        "lines, code, message",
+        [
+            ("duration_s = 1e308\nsnapshot_interval_s = 1e-308", 3, "inf snapshots of "),
+            ("delay_resolution_s = 1e-320", 3, " of inf delay bins"),
+            ("rx_position_x_m = 1e300", 3, " of inf delay bins"),
+            ("delay_scale_s = 1e300", 3, " of inf delay bins"),
+            ("k_factor_db = 1e6", 2, ":2: k_factor_db must be at most 3082"),
+            ("per_cluster_shadow_db = 1e300", 2, ":2: per_cluster_shadow_db must be at most 240"),
+        ],
+        ids=["steps", "grid-resolution", "los-delay", "cluster-delays", "k-factor", "shadow"],
+    )
+    def test_overflowing_value_refused_without_traceback(
+        self, tmp_path, capsys, lines, code, message
+    ):
+        cfg = write(tmp_path / "g.ini", f"[gbsm]\n{lines}\n")
+        out = tmp_path / "x.cirb"
+        assert main(["gbsm", "--config", cfg, "--out", str(out)]) == code
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert message in err and "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
         "line", ["delay_scale_s = 1.0", "delay_resolution_s = 1e-15"],
         ids=["wide-cluster-delays", "fine-delay-grid"],
     )
@@ -637,8 +663,9 @@ class TestSounder:
         [
             ("[sounder]\ngr_dbi = 25.0\nmax_path = 5\n", ":3: unknown key 'max_path'"),
             ("\n[sounder]\nmax_paths = 0\n", ":2: max_paths must be >= 1"),
+            ("[sounder]\nband_fraction = 0\n", ":2: band_fraction must be in (0, 1]"),
         ],
-        ids=["unknown-key", "bad-value"],
+        ids=["unknown-key", "bad-value", "band-fraction"],
     )
     def test_config_error_reported_before_captures_read(
         self, tmp_path, capsys, text, message
@@ -1048,6 +1075,30 @@ class TestOutputMode:
         finally:
             os.umask(previous)
         assert [path.stat().st_mode & 0o777 for path in (arc, out)] == [mode, mode]
+
+
+class TestOutputPath:
+    def test_symlink_is_written_through(self, tmp_path):
+        samples = make_ci_samples(tmp_path / "s.csv")
+        target = tmp_path / "fits" / "fit.json"
+        target.parent.mkdir()
+        target.write_text("stale\n")
+        link = tmp_path / "link.json"
+        link.symlink_to(target)
+        assert main(["pathloss-fit", samples, "--out", str(link)]) == 0
+        assert link.is_symlink() and os.readlink(link) == str(target)
+        assert json.loads(target.read_text())["sample_count"] == 400
+        assert os.listdir(target.parent) == ["fit.json"]
+
+    @pytest.mark.parametrize("kind", ["fifo", "directory"])
+    def test_non_regular_target_exit_2(self, tmp_path, capsys, kind):
+        samples = make_ci_samples(tmp_path / "s.csv")
+        out = tmp_path / "fit.json"
+        os.mkfifo(out) if kind == "fifo" else out.mkdir()
+        assert main(["pathloss-fit", samples, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {out}: exists and is not a regular file\n"
+        assert stat.S_ISFIFO(out.lstat().st_mode) if kind == "fifo" else out.is_dir()
+        assert sorted(os.listdir(tmp_path)) == ["fit.json", "s.csv"]
 
 
 class TestDeterminism:

@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chantool import gbsm
 from chantool.core import Point3, derive_substream
@@ -91,6 +93,14 @@ class TestConfig:
         with pytest.raises(ValueError):
             GbsmConfig(**kwargs)
 
+    @pytest.mark.parametrize(
+        "name, limit", [("k_factor_db", 3082.0), ("per_cluster_shadow_db", 240.0)]
+    )
+    def test_power_bounds_keep_weights_in_float_range(self, name, limit):
+        GbsmConfig(**{name: limit})
+        with pytest.raises(gbsm.FieldError, match=f"^{name} must be at most {limit:g}$"):
+            GbsmConfig(**{name: math.nextafter(limit, math.inf)})
+
     def test_rays_per_cluster_bounded_by_the_record_size(self):
         # A cluster_dtype record is 32 + 32 m bytes and numpy sizes a dtype
         # in a C int.  Only dtypes and configs are built here: nothing is drawn.
@@ -165,12 +175,6 @@ class TestInitClusters:
         assert recs.power_linear == pytest.approx(recs.weight / recs.weight.sum(), rel=1e-12)
 
     def test_state_invariants_enforced(self):
-        with pytest.raises(ValueError, match="sum to 1"):
-            ClusterState(cluster_records([0], [1e-8], [0.5]), 1)
-        with pytest.raises(ValueError, match="unique"):
-            ClusterState(cluster_records([0, 0], [1e-8, 2e-8], [0.5, 0.5]), 1)
-        with pytest.raises(ValueError, match=">= 0"):
-            ClusterState(cluster_records([0], [-1e-9], [1.0]), 1)
         ClusterState(cluster_records([0], [1e-8], [1.0]), 1)
         # A state is its clusters and the next id; it carries no time.
         assert [f.name for f in dataclasses.fields(ClusterState)] == ["clusters", "next_id"]
@@ -344,6 +348,36 @@ class TestEvolveClusters:
         assert mean_count == pytest.approx(oracle, rel=0.06)
         # with birth_rate = death_rate * n0 the count holds near n0
         assert abs(mean_count - n0) / n0 < 0.2
+
+
+class TestEvolvedStateInvariants:
+    # What ClusterState once checked on every step, held by the producers:
+    # powers sum to 1, ids are unique and increasing, delays are >= 0.
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        birth_rate_hz=st.sampled_from([0.0, 50.0, 2000.0, 20000.0]),
+        death_rate_hz=st.sampled_from([0.0, 50.0, 2000.0, 20000.0]),
+        approach_mps=st.floats(0.0, 1e6),
+        steps=st.integers(100, 150),
+    )
+    def test_every_step_keeps_the_invariants(
+        self, seed, birth_rate_hz, death_rate_hz, approach_mps, steps
+    ):
+        # The receiver closes on the transmitter, fast enough at the top of
+        # the range to drive cluster delays into the clamp at 0.
+        cfg = GbsmConfig(
+            seed=seed, birth_rate_hz=birth_rate_hz, death_rate_hz=death_rate_hz,
+            rx_velocity=Point3(-approach_mps, 0.0, 0.0),
+        )
+        state = init_for(cfg)
+        for step in range(steps):
+            recs = state.clusters
+            assert abs(float(recs.power_linear.sum()) - 1.0) <= 1e-9
+            assert np.all(np.diff(recs.id) > 0) and recs.id[-1] < state.next_id
+            assert np.all(recs.delay_s >= 0.0)
+            rng = derive_substream(seed, "property-evolve", step)
+            state = evolve_clusters(state, cfg, cfg.snapshot_interval_s, rng)
 
 
 class TestSynthesizeSnapshot:
@@ -568,6 +602,51 @@ class TestRunScenario:
         with pytest.raises(SizingError, match="snapshots"):
             run_scenario(cfg)
 
+    def test_synthesis_temporaries_budgeted_before_the_cube(self, monkeypatch):
+        # One step of 4x4 pairs: the temporaries' bound passes the cube, the
+        # kept state and the draw, so a ceiling one byte under it refuses
+        # the run before any synthesis, and one at it lets the run through.
+        cfg = GbsmConfig(seed=31, n_tx=4, n_rx=4, duration_s=0.0)
+        seq = run_scenario(cfg)
+        rays = init_for(cfg).clusters.size * cfg.rays_per_cluster
+        n_bins = seq.cir.shape[3]
+        need = 16 * (gbsm.SYNTH_BYTES_PER_TERM * (1 + rays) + gbsm.SYNTH_BYTES_PER_BIN * n_bins)
+        assert need > max(seq.cir.nbytes, init_for(cfg).clusters.nbytes)
+        monkeypatch.setattr(gbsm, "MAX_CIR_BYTES", need)
+        assert run_scenario(cfg).cir.tobytes() == seq.cir.tobytes()
+
+        def no_synthesis(*args):
+            raise AssertionError("synthesis ran")
+
+        monkeypatch.setattr(gbsm, "synthesize_snapshot", no_synthesis)
+        monkeypatch.setattr(gbsm, "MAX_CIR_BYTES", need - 1)
+        with pytest.raises(
+            SizingError,
+            match=f"^synthesizing {rays} rays on {n_bins} delay bins for 16 antenna pairs would",
+        ):
+            run_scenario(cfg)
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            dict(rays_per_cluster=5000),
+            dict(n_tx=2, rays_per_cluster=1000),
+            dict(n_tx=2, n_rx=2, rays_per_cluster=1000),
+            dict(n_tx=8, n_rx=8, rays_per_cluster=100),
+            dict(n_tx=4, n_rx=4, rays_per_cluster=1, mean_clusters=1.0, delay_resolution_s=1e-12),
+        ],
+        ids=["1x1", "2x1", "2x2", "8x8", "4x4-fine-grid"],
+    )
+    def test_temporaries_bound_covers_the_traced_peak(self, traced_peak, kwargs):
+        cfg = GbsmConfig(seed=3, rx_velocity=Point3(1.0, 0.5, 0.0), **kwargs)
+        state = init_for(cfg)
+        pairs = cfg.n_tx * cfg.n_rx
+        rays = state.clusters.size * cfg.rays_per_cluster
+        n_bins = synthesize_snapshot(state, cfg, 1e-3).shape[2]
+        peak = traced_peak(synthesize_snapshot, state, cfg, 1e-3)
+        bound = gbsm.SYNTH_BYTES_PER_TERM * (1 + rays) + gbsm.SYNTH_BYTES_PER_BIN * n_bins
+        assert peak <= pairs * bound
+
     def test_zero_duration_gives_single_snapshot(self):
         cfg = GbsmConfig(seed=31, duration_s=0.0)
         assert run_scenario(cfg).n_time == 1
@@ -599,3 +678,13 @@ class TestRunScenario:
         # per-ray operation order.
         cir = run_scenario(GbsmConfig(**kwargs)).cir
         assert hashlib.sha256(cir.tobytes()).hexdigest() == digest
+
+
+class TestBudget:
+    def test_boundary(self, monkeypatch):
+        monkeypatch.setattr(gbsm, "MAX_CIR_BYTES", 1000)
+        gbsm._budget(1000, "the limit")
+        gbsm._budget(1000.0, "the limit")
+        for nbytes in (1001, 1000.5, math.nan, math.inf):
+            with pytest.raises(SizingError, match=f"^x would take {nbytes:g} bytes; limit 1000$"):
+                gbsm._budget(nbytes, "x")
