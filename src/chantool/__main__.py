@@ -1,5 +1,5 @@
 import sys
 
-from chantool.cli import main
+from chantool.cli import entry
 
-sys.exit(main())
+sys.exit(entry())

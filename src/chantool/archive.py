@@ -70,7 +70,10 @@ def atomic_write_bytes(path: str, chunks: Iterable[bytes]) -> None:
     target = os.path.realpath(path)
     if os.path.lexists(target) and not os.path.isfile(target):
         raise ArchiveError(f"{path}: exists and is not a regular file")
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(target), prefix=".tmp-", suffix="~")
+    try:
+        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(target), prefix=".tmp-", suffix="~")
+    except OSError as err:  # the temp file's name means nothing to the caller
+        raise OSError(err.errno, err.strerror, path) from None
     umask = os.umask(0)  # reading the umask means setting it
     os.umask(umask)
     try:

@@ -5,11 +5,13 @@ Subcommands: blockage, pathloss-fit, gbsm, sounder, analyze.  Exit codes:
 files are written atomically.  chantool's own code runs serially in one
 thread, so repeated runs with identical inputs produce byte-identical files
 under the same BLAS thread count: analyze's Gram product goes through BLAS.
+A process starts at entry(), which freezes the heap; main(argv) runs in process.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import math
 import os
@@ -431,5 +433,14 @@ def main(argv=None) -> int:
         return EXIT_INPUT
 
 
+def entry() -> int:
+    """Process entry of `python -m chantool` and the `chantool` script.  It
+    freezes the objects alive at dispatch, numpy's and scipy's among them, so
+    the interpreter's final collection at exit skips them.  main() never
+    freezes: a long-lived caller would stop collecting its own garbage."""
+    gc.freeze()
+    return main()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(entry())

@@ -1,5 +1,6 @@
 """End-to-end tests for the command line front end."""
 
+import gc
 import json
 import math
 import os
@@ -31,6 +32,15 @@ FS = 1.28e9
 def write(path, text):
     path.write_text(text)
     return str(path)
+
+
+def run_child(*args):
+    """`python *args` on this checkout's chantool, stdout and stderr as pipes."""
+    src = os.path.dirname(os.path.dirname(chantool.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    return subprocess.run([sys.executable, *args], env=env,
+                          capture_output=True, text=True, timeout=120)
 
 
 def poke_nan(path, step):
@@ -509,12 +519,8 @@ class TestGbsm:
             "from chantool.cli import main\n"
             "sys.exit(main(sys.argv[1:]))\n"
         )
-        src = os.path.dirname(os.path.dirname(chantool.__file__))
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        env = dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
         argv = ["gbsm", "--config", cfg, "--out", str(out)]
-        proc = subprocess.run([sys.executable, "-c", child, *argv], env=env,
-                              capture_output=True, text=True, timeout=120)
+        proc = run_child("-c", child, *argv)
         assert proc.returncode == 3, proc.stderr
         assert proc.stderr.startswith("error: drawing ")
         assert proc.stderr.count("\n") == 1 and "clusters of 20 rays" in proc.stderr
@@ -1038,13 +1044,9 @@ class TestAnalyze:
             "code = main(sys.argv[1:])\n"
             "print(code, tracemalloc.get_traced_memory()[1])\n"
         )
-        src = os.path.dirname(os.path.dirname(chantool.__file__))
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        env = dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
         argv = ["analyze", str(arc), "--stationarity", "--los-track",
                 "--out", str(tmp_path / "c.csv")]
-        proc = subprocess.run([sys.executable, "-c", child, *argv], env=env,
-                              capture_output=True, text=True, timeout=120)
+        proc = run_child("-c", child, *argv)
         assert proc.returncode == 0, proc.stderr
         code, peak = map(int, proc.stdout.split())
         assert code == 3
@@ -1099,6 +1101,62 @@ class TestOutputPath:
         assert capsys.readouterr().err == f"error: {out}: exists and is not a regular file\n"
         assert stat.S_ISFIFO(out.lstat().st_mode) if kind == "fifo" else out.is_dir()
         assert sorted(os.listdir(tmp_path)) == ["fit.json", "s.csv"]
+
+    def test_dangling_link_error_names_the_out_path(self, tmp_path, capsys):
+        samples = make_ci_samples(tmp_path / "s.csv")
+        link = tmp_path / "link.json"
+        link.symlink_to(tmp_path / "missing" / "fit.json")
+        assert main(["pathloss-fit", samples, "--out", str(link)]) == 2
+        assert capsys.readouterr().err == f"error: [Errno 2] No such file or directory: '{link}'\n"
+        assert sorted(os.listdir(tmp_path)) == ["link.json", "s.csv"]
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="/dev/stdout of a pipe is Linux procfs")
+    def test_stdout_pipe_error_names_the_out_path(self, tmp_path):
+        # /dev/stdout of a pipe resolves to /proc/<pid>/fd/pipe:[...], which
+        # cannot hold a temp file beside it.
+        samples = make_ci_samples(tmp_path / "s.csv")
+        proc = run_child("-m", "chantool", "pathloss-fit", samples, "--out", "/dev/stdout")
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert proc.stderr.startswith("error: [Errno ") and proc.stderr.count("\n") == 1
+        assert proc.stderr.endswith(": '/dev/stdout'\n")
+
+
+# Runs the package as `python -m chantool` does; the last atexit hook prints
+# how many objects the process entry froze.
+AS_MAIN = (
+    "import atexit, gc, runpy\n"
+    "atexit.register(lambda: print(gc.get_freeze_count()))\n"
+    "runpy.run_module('chantool', run_name='__main__', alter_sys=True)\n"
+)
+
+
+class TestEntry:
+    @pytest.mark.parametrize("code", [0, 2, 3], ids=["fit", "missing-archive", "huge-gbsm"])
+    def test_package_as_main_freezes_and_keeps_the_exit_code(self, tmp_path, code):
+        huge = "[gbsm]\nduration_s = 1e308\nsnapshot_interval_s = 1e-308\n"
+        argv = {
+            0: ["pathloss-fit", make_ci_samples(tmp_path / "s.csv")],
+            2: ["analyze", str(tmp_path / "missing.cirb")],
+            3: ["gbsm", "--config", write(tmp_path / "g.ini", huge)],
+        }[code]
+        out = tmp_path / "out"
+        proc = run_child("-c", AS_MAIN, *argv, "--out", str(out))
+        assert proc.returncode == code, proc.stderr
+        assert int(proc.stdout.splitlines()[-1]) > 0
+        if code:
+            assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+            assert not out.exists()
+        else:
+            assert proc.stderr == ""
+            assert json.loads(out.read_text())["sample_count"] == 400
+
+    def test_main_in_process_does_not_freeze(self, tmp_path):
+        before = gc.get_freeze_count()
+        samples = make_ci_samples(tmp_path / "s.csv")
+        assert main(["pathloss-fit", samples, "--out", str(tmp_path / "fit.json")]) == 0
+        missing = ["analyze", str(tmp_path / "missing.cirb"), "--out", str(tmp_path / "x.csv")]
+        assert main(missing) == 2
+        assert gc.get_freeze_count() == before
 
 
 class TestDeterminism:
