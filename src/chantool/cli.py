@@ -5,6 +5,10 @@ Subcommands: blockage, pathloss-fit, gbsm, sounder, analyze.  Exit codes:
 files are written atomically.  chantool's own code runs serially in one
 thread, so repeated runs with identical inputs produce byte-identical files
 under the same BLAS thread count: analyze's Gram product goes through BLAS.
+Importing this module defaults OPENBLAS_THREAD_TIMEOUT to 4 before numpy
+loads, so OpenBLAS's idle workers sleep at once instead of spinning on a
+second core; that changes when they sleep, not how many threads split the
+product, and a value already set wins.
 A process starts at entry(), which freezes the heap; main(argv) runs in process.
 """
 
@@ -19,7 +23,9 @@ import sys
 import warnings
 from contextlib import contextmanager
 
-import numpy as np
+os.environ.setdefault("OPENBLAS_THREAD_TIMEOUT", "4")
+
+import numpy as np  # noqa: E402  (after the OpenBLAS default)
 
 from chantool.analysis import (
     MAX_CORR_BYTES,

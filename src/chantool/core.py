@@ -83,7 +83,7 @@ class FrequencyBand:
 
     def __post_init__(self) -> None:
         if not (self.carrier_hz > 0.0 and math.isfinite(self.carrier_hz)):
-            raise ValueError(f"carrier_hz must be positive, got {self.carrier_hz}")
+            raise ValueError(f"carrier_hz must be finite and positive, got {self.carrier_hz}")
 
     @property
     def wavelength_m(self) -> float:
@@ -113,8 +113,10 @@ class CirSnapshot:
     samples: np.ndarray  # complex, delay-indexed
 
     def __post_init__(self) -> None:
-        if self.sample_period_s <= 0.0:
-            raise ValueError("sample_period_s must be positive")
+        if not (self.sample_period_s > 0.0 and math.isfinite(self.sample_period_s)):
+            raise ValueError(
+                f"sample_period_s must be finite and positive, got {self.sample_period_s}"
+            )
         object.__setattr__(
             self, "samples", np.asarray(self.samples, dtype=np.complex128)
         )
@@ -133,9 +135,11 @@ class Mpc:
     power_db: float = field(init=False)
 
     def __post_init__(self) -> None:
-        if self.delay_s < 0.0:
-            raise ValueError("delay_s must be non-negative")
+        if not (self.delay_s >= 0.0 and math.isfinite(self.delay_s)):
+            raise ValueError(f"delay_s must be finite and non-negative, got {self.delay_s}")
         mag = abs(self.amplitude)
+        if not math.isfinite(mag):
+            raise ValueError(f"amplitude must be finite, got {self.amplitude}")
         power_db = 20.0 * math.log10(mag) if mag > 0.0 else DB_FLOOR
         object.__setattr__(self, "power_db", power_db)
 

@@ -34,11 +34,14 @@ def write(path, text):
     return str(path)
 
 
-def run_child(*args):
-    """`python *args` on this checkout's chantool, stdout and stderr as pipes."""
+def run_child(*args, blas_env=(("OPENBLAS_NUM_THREADS", "1"), ("OMP_NUM_THREADS", "1"))):
+    """`python *args` on this checkout's chantool, stdout and stderr as pipes.
+    blas_env replaces every OPENBLAS_* and OMP_* variable of this process;
+    by default it pins BLAS to one thread."""
     src = os.path.dirname(os.path.dirname(chantool.__file__))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    env = {k: v for k, v in os.environ.items() if not k.startswith(("OPENBLAS_", "OMP_"))}
+    env.update(blas_env, PYTHONPATH=path)
     return subprocess.run([sys.executable, *args], env=env,
                           capture_output=True, text=True, timeout=120)
 
@@ -136,7 +139,7 @@ class TestBlockage:
         [
             ("screen_width_m = -1", "screen width and height must be positive"),
             ("link_length_m = 0.0", "tx and rx must differ"),
-            ("carrier_ghz = -28", "carrier_hz must be positive, got -28000000000.0"),
+            ("carrier_ghz = -28", "carrier_hz must be finite and positive, got -28000000000.0"),
             # Refused by the sweep, not by a parameter type.
             ("link_length_m = 1e308", "non-finite path excess"),
         ],
@@ -1129,6 +1132,18 @@ AS_MAIN = (
     "runpy.run_module('chantool', run_name='__main__', alter_sys=True)\n"
 )
 
+# The same as a cold `python -m chantool`, whose last atexit hook prints the
+# CPU seconds spent outside the main thread and the OpenBLAS timeout in force.
+IDLE_WORKERS = (
+    "import atexit, os, resource, runpy, time\n"
+    "def report():\n"
+    "    usage = resource.getrusage(resource.RUSAGE_SELF)\n"
+    "    spent = usage.ru_utime + usage.ru_stime - time.thread_time()\n"
+    "    print(f'{spent:.3f}', os.environ.get('OPENBLAS_THREAD_TIMEOUT'))\n"
+    "atexit.register(report)\n"
+    "runpy.run_module('chantool', run_name='__main__', alter_sys=True)\n"
+)
+
 
 class TestEntry:
     @pytest.mark.parametrize("code", [0, 2, 3], ids=["fit", "missing-archive", "huge-gbsm"])
@@ -1157,6 +1172,31 @@ class TestEntry:
         missing = ["analyze", str(tmp_path / "missing.cirb"), "--out", str(tmp_path / "x.csv")]
         assert main(missing) == 2
         assert gc.get_freeze_count() == before
+
+    @pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="OpenBLAS starts no workers on one CPU")
+    def test_blas_workers_stay_idle(self):
+        # OpenBLAS's default timeout spun each idle worker for about 2^28
+        # cycles after numpy and scipy loaded: 0.23-0.27 s of CPU per job.
+        proc = run_child("-c", IDLE_WORKERS, "--help", blas_env={})
+        assert proc.returncode == 0, proc.stderr
+        spent, timeout = proc.stdout.splitlines()[-1].split()
+        assert float(spent) <= 0.05
+        assert timeout == "4"
+
+    def test_a_thread_timeout_already_set_is_kept(self):
+        proc = run_child("-c", IDLE_WORKERS, "--help", blas_env={"OPENBLAS_THREAD_TIMEOUT": "28"})
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1].split()[1] == "28"
+
+    def test_import_chantool_loads_neither_numpy_nor_scipy(self):
+        probe = (
+            "import sys, chantool\n"
+            "print(sorted({'numpy', 'scipy'} & {*sys.modules}))\n"
+            "print(chantool.blockage.__name__, chantool.Point3.__module__)\n"
+        )
+        proc = run_child("-c", probe)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[]\nchantool.blockage chantool.core\n"
 
 
 class TestDeterminism:

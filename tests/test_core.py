@@ -11,6 +11,7 @@ from chantool.core import (
     BAND_39,
     DB_FLOOR,
     SPEED_OF_LIGHT,
+    CirSnapshot,
     FrequencyBand,
     Mpc,
     Point3,
@@ -62,6 +63,16 @@ def test_frequency_band_presets():
 def test_frequency_band_validation():
     with pytest.raises(ValueError):
         FrequencyBand(-1.0)
+    with pytest.raises(ValueError, match="carrier_hz must be finite and positive, got inf"):
+        FrequencyBand.preset(1e300)
+    with pytest.raises(ValueError, match="got nan"):
+        FrequencyBand(math.nan)
+
+
+@pytest.mark.parametrize("period", [math.nan, math.inf, 0.0, -1e-9])
+def test_cir_snapshot_refuses_a_non_finite_or_non_positive_period(period):
+    with pytest.raises(ValueError, match="sample_period_s must be finite and positive"):
+        CirSnapshot(period, np.ones(4, dtype=complex))
 
 
 def test_mpc_power_consistency():
@@ -69,6 +80,21 @@ def test_mpc_power_consistency():
     assert m.power_db == pytest.approx(-20.0 * math.log10(2.0))
     with pytest.raises(ValueError):
         Mpc(delay_s=-1e-9, amplitude=1.0 + 0.0j)
+
+
+@pytest.mark.parametrize("delay", [math.nan, math.inf])
+def test_mpc_refuses_a_non_finite_delay(delay):
+    with pytest.raises(ValueError, match="delay_s must be finite and non-negative"):
+        Mpc(delay, 1.0 + 0.0j)
+
+
+@pytest.mark.parametrize(
+    "amplitude", [complex(math.nan, 0.0), complex(0.0, math.inf), complex(math.inf, math.nan)]
+)
+def test_mpc_refuses_a_non_finite_amplitude(amplitude):
+    # A NaN amplitude would otherwise get power_db = DB_FLOOR, as if it were 0.
+    with pytest.raises(ValueError, match="amplitude must be finite"):
+        Mpc(10e-9, amplitude)
 
 
 def test_pdp_from_cir_examples():
@@ -188,3 +214,6 @@ def test_public_names_resolve():
     namespace = {}
     exec("from chantool import *", namespace)
     assert set(chantool.__all__) <= set(namespace)
+    assert set(chantool.__all__) <= set(dir(chantool))
+    with pytest.raises(AttributeError, match="no attribute 'not_a_name'"):
+        chantool.not_a_name
