@@ -6,8 +6,11 @@ searches the whole block for peaks at once; callers slice the antenna
 pair, seq.cir[:, tx, rx].  A correlation matrix is (snapshots x snapshots)
 float64, so its size is budgeted by bytes: check_correlation_size refuses
 an oversized request with SizingError before anything is allocated.  The
-matrix is the one n^2 array pdp_correlation_matrix allocates: the product
-x @ x.T is symmetrised in place, one pair of tiles at a time.
+matrix is the one n^2 array pdp_correlation_matrix allocates.  The product
+x @ x.T is exactly symmetric by construction: numpy runs it as one syrk and
+copies the triangle it computed into the other.  CorrelationMatrix checks
+that to the last bit, so a product that ever stops being symmetric is
+refused, not averaged.
 """
 
 from __future__ import annotations
@@ -23,18 +26,16 @@ from chantool.gbsm import SizingError
 from chantool.sounder import MpcExtractionPolicy, extract_mpcs, peak_candidates, received_power
 
 
-# Byte ceiling on the float64 (snapshots, snapshots) correlation matrix.
-# pdp_correlation_matrix builds it in place, so it holds one such matrix plus
-# its (snapshots, bins) inputs.  analyze then formats each distinct value of a
-# row once, from the upper triangle, and the tokens it keeps for later rows,
-# 24 bytes each and at most n^2/4 of them, wait beside the matrix at up to
-# 0.75 of its size, so the text phase alone sets the peak.  Both grow as n^2:
-# 256 MiB admits about 5800 snapshots (roughly 0.45 GiB of peak memory and
-# 0.7 GB of text) and refuses a larger count up front.
+# Byte ceiling on the float64 (snapshots, snapshots) correlation matrix, and
+# through it on the matrix text.  pdp_correlation_matrix holds one such
+# matrix plus its (snapshots, bins) inputs.  analyze then formats each
+# distinct value of a row once, from the upper triangle, and the tokens it
+# keeps for later rows, 24 bytes each and at most n^2/4 of them (6n^2
+# bytes), wait beside the 8n^2-byte matrix at up to 0.75 of its size, so
+# this one budget bounds both and the text phase alone sets the peak.  Both
+# grow as n^2: 256 MiB admits about 5800 snapshots (roughly 0.45 GiB of
+# peak memory and 0.7 GB of text) and refuses a larger count up front.
 MAX_CORR_BYTES = 1 << 28
-
-# Rows and columns of the square tiles that symmetrise_in_place averages.
-SYMMETRISE_TILE = 256
 
 
 def check_correlation_size(n_snapshots: int) -> None:
@@ -44,25 +45,6 @@ def check_correlation_size(n_snapshots: int) -> None:
             f"correlation of {n_snapshots} snapshots would take "
             f"{8 * n_snapshots**2} bytes; limit {MAX_CORR_BYTES}"
         )
-
-
-def symmetrise_in_place(m: np.ndarray) -> None:
-    """Overwrite the square float64 matrix m with (m + m.T) / 2, bit for bit.
-
-    Each pair of tiles (a, b >= a) is summed into one tile-sized temporary,
-    halved, and written back to both, so no second matrix is allocated.  Each
-    cell is the sum of the same two operands as in (m + m.T) / 2, so the
-    result does not depend on whether the BLAS left m symmetric.
-    """
-    n = len(m)
-    for a in range(0, n, SYMMETRISE_TILE):
-        for b in range(a, n, SYMMETRISE_TILE):
-            up = m[a : a + SYMMETRISE_TILE, b : b + SYMMETRISE_TILE]
-            lo = m[b : b + SYMMETRISE_TILE, a : a + SYMMETRISE_TILE]
-            s = up + lo.T
-            s /= 2.0
-            up[...] = s
-            lo[...] = s.T
 
 
 def require_exact_symmetry(values: np.ndarray) -> None:
@@ -130,7 +112,6 @@ def pdp_correlation_matrix(pdp_db: np.ndarray) -> CorrelationMatrix:
     corr[constant, :] = 0.0
     corr[:, constant] = 0.0
     corr[np.ix_(constant, constant)] = 1.0
-    symmetrise_in_place(corr)
     np.clip(corr, -1.0, 1.0, out=corr)
     np.fill_diagonal(corr, 1.0)
     return CorrelationMatrix(corr)

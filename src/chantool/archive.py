@@ -8,11 +8,13 @@ Layout, all little endian:
 The payload is float32 (re, im) pairs in (time, tx, rx, delay) row-major
 order; its length must be exactly 8 * n_time * n_tx * n_rx * n_delay
 bytes, and only n_time may be 0.  Values must be finite and are stored at
-float32 precision (about -150 dB quantization noise); the header's times
-must be finite and both spacings positive.  Files are written in blocks of
-whole time steps of about BLOCK_BYTES.  open_archive checks every size
-against the file before the payload, then yields it in such blocks through
-one reused <c8 buffer; read_archive collects them into complex128.
+float32 precision (about -150 dB quantization noise); the header's times,
+the last snapshot's t0_s + dt_s * (n_time - 1) and the last delay bin's
+sample_period_s * (n_delay - 1) must be finite, and both spacings positive.
+Files are written in blocks of whole time steps of about BLOCK_BYTES.
+open_archive checks every size against the file before the payload, then
+yields it in such blocks through one reused <c8 buffer; read_archive
+collects them into complex128.
 
 Raw capture waveforms reuse the same container with n_tx = n_rx = 1 and
 the sample axis in the delay slot.
@@ -53,11 +55,21 @@ class ArchiveHeader(NamedTuple):
     dt_s: float
 
     def check_times(self, path: str) -> None:
-        """The one check of the times, for writer and reader alike."""
+        """The one check of the times, for writer and reader alike.  The last
+        snapshot's time and the last delay bin's must be finite too, so every
+        time a reader computes as t0_s + dt_s * t or sample_period_s * d is."""
         for name, value in zip(self._fields[1:], self[1:]):
             if not math.isfinite(value) or (name != "t0_s" and value <= 0.0):
                 kind = "finite" if name == "t0_s" else "finite and positive"
                 raise ArchiveError(f"{path}: {name} must be {kind}, got {value}")
+        last_time = self.t0_s + self.dt_s * max(self.shape[0] - 1, 0)
+        last_delay = self.sample_period_s * (self.shape[3] - 1)
+        for what, value in (
+            ("snapshot time t0_s + dt_s * (n_time - 1)", last_time),
+            ("delay sample_period_s * (n_delay - 1)", last_delay),
+        ):
+            if not math.isfinite(value):
+                raise ArchiveError(f"{path}: last {what} must be finite, got {value}")
 
 
 def atomic_write_bytes(path: str, chunks: Iterable[bytes]) -> None:

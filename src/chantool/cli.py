@@ -5,10 +5,12 @@ Subcommands: blockage, pathloss-fit, gbsm, sounder, analyze.  Exit codes:
 files are written atomically.  chantool's own code runs serially in one
 thread, so repeated runs with identical inputs produce byte-identical files
 under the same BLAS thread count: analyze's Gram product goes through BLAS.
-Importing this module defaults OPENBLAS_THREAD_TIMEOUT to 4 before numpy
-loads, so OpenBLAS's idle workers sleep at once instead of spinning on a
+Importing this module before numpy loads defaults OPENBLAS_THREAD_TIMEOUT
+to 4, so OpenBLAS's idle workers sleep at once instead of spinning on a
 second core; that changes when they sleep, not how many threads split the
-product, and a value already set wins.
+product, and a value already set wins.  Once numpy is loaded the value can
+no longer act in this process and would only reach its children, so the
+environment is left as it is.
 A process starts at entry(), which freezes the heap; main(argv) runs in process.
 """
 
@@ -23,12 +25,12 @@ import sys
 import warnings
 from contextlib import contextmanager
 
-os.environ.setdefault("OPENBLAS_THREAD_TIMEOUT", "4")
+if "numpy" not in sys.modules:
+    os.environ.setdefault("OPENBLAS_THREAD_TIMEOUT", "4")
 
 import numpy as np  # noqa: E402  (after the OpenBLAS default)
 
 from chantool.analysis import (
-    MAX_CORR_BYTES,
     check_correlation_size,
     los_power_track,
     pdp_correlation_matrix,
@@ -322,14 +324,10 @@ def symmetric_matrix_rows(values: np.ndarray):
     token is padded with spaces to 24 bytes, the longest float64 repr.  Rows
     go in blocks of n/32 through one (block, n) buffer.  After a block, its
     columns of each later block are copied out as one tile, which that block
-    takes transposed as its left columns, so at most n^2/4 tokens wait.  A
-    wait over MAX_CORR_BYTES raises SizingError before the first row.
+    takes transposed as its left columns, so at most n^2/4 tokens wait:
+    6n^2 bytes, which analysis.MAX_CORR_BYTES bounds through the matrix.
     """
     n = len(values)
-    if 6 * n * n > MAX_CORR_BYTES:
-        raise SizingError(
-            f"{n} rows need a {6 * n * n}-byte matrix text store; limit {MAX_CORR_BYTES}"
-        )
     require_exact_symmetry(values)
     k = max(1, n // 32)
     buffer = np.empty((k, n), dtype=[("token", "S24"), ("comma", "S1")])

@@ -38,6 +38,7 @@ from chantool.sounder import (
     extract_mpcs,
     simulate_capture,
 )
+from test_cli import run_child
 
 FS = 1.28e9
 
@@ -125,26 +126,33 @@ class TestCorrelationMatrix:
         assert corr.snapshot_count == 5
 
 
-class TestSymmetriseInPlace:
-    @pytest.mark.parametrize("n", [1, 255, 256, 257, 700])
-    def test_bitwise_the_averaged_transpose(self, n):
-        # Orders inside one tile, at its edge, just past it, and with a
-        # short last tile; signed zeros must keep their sign bits.
-        rng = np.random.default_rng(n)
-        m = rng.uniform(-1.0, 1.0, (n, n))
-        m[rng.random((n, n)) < 0.05] = 0.0
-        m[rng.random((n, n)) < 0.05] = -0.0
-        expected = (m + m.T) / 2.0
-        analysis.symmetrise_in_place(m)
-        assert np.array_equal(m.view(np.int64), expected.view(np.int64))
-        assert np.signbit(m).any() or n == 1
+# Prints, per (snapshots, bins) input, whether pdp_correlation_matrix gave a
+# matrix whose bits equal its transpose's: the chain's analyze size, odd
+# sizes, one bin (every row constant), and constant rows among varying ones.
+SYMMETRY_PROBE = (
+    "import numpy as np\n"
+    "from chantool.analysis import pdp_correlation_matrix\n"
+    "from chantool.core import to_db\n"
+    "rng = np.random.default_rng(8)\n"
+    "for n, bins in [(1500, 205), (2, 3), (3, 1), (257, 31), (701, 97)]:\n"
+    "    linear = rng.exponential(size=(n, bins))\n"
+    "    linear[rng.random(linear.shape) < 0.3] = 0.0\n"
+    "    linear[::7] = linear[::7, :1]\n"
+    "    bits = pdp_correlation_matrix(to_db(linear)).values.view(np.int64)\n"
+    "    print(n, bins, np.array_equal(bits, bits.T))\n"
+)
 
-    def test_scratch_is_tiles_not_a_matrix(self, traced_peak):
-        # A step's sum, and the last step's until the name is rebound: 2.25
-        # tiles measured, against 7.5 tiles for the 700^2 matrix.
-        m = np.random.default_rng(6).uniform(-1.0, 1.0, (700, 700))
-        tile = 8 * analysis.SYMMETRISE_TILE**2
-        assert traced_peak(analysis.symmetrise_in_place, m) <= 2.5 * tile
+
+class TestSymmetryByConstruction:
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_bitwise_symmetric_at_each_blas_thread_count(self, threads):
+        # No pass repairs the product: numpy's x @ x.T computes one triangle
+        # and mirrors it, on every thread count.
+        proc = run_child("-c", SYMMETRY_PROBE,
+                         blas_env={"OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads})
+        assert proc.returncode == 0, proc.stderr
+        cases = "1500 205", "2 3", "3 1", "257 31", "701 97"
+        assert proc.stdout == "".join(f"{case} True\n" for case in cases)
 
 
 class TestCorrelationBudget:
@@ -173,7 +181,8 @@ class TestMemory:
 
     def test_correlation_holds_one_matrix(self, traced_peak):
         # The matrix plus the (snapshots, bins) inputs: measured 1.12-1.14
-        # matrices.  Symmetrising through a second n^2 array measured 2.00.
+        # matrices.  One more n^2 temporary, as (corr + corr.T) / 2 built,
+        # measured 2.00.
         rng = np.random.default_rng(4)
         linear = rng.exponential(size=(self.N, self.BINS))
         linear[rng.random(linear.shape) < 0.3] = 0.0

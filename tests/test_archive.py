@@ -156,6 +156,38 @@ class TestValidation:
             write_archive(str(tmp_path / "t.cirb"), seq)
         assert os.listdir(tmp_path) == []
 
+    @pytest.mark.parametrize(
+        "shape, t0, dt, period",
+        [((0, 1, 1, 4), -1e308, 1e308, 1.0), ((1, 1, 1, 4), 1e308, 1e308, 1.0),
+         ((2, 1, 1, 4), -1e308, 1e308, 1.0), ((1, 1, 1, 2), 0.0, 1.0, 1e308)],
+    )
+    def test_huge_spacing_with_finite_last_times_kept(self, tmp_path, shape, t0, dt, period):
+        seq = dataclasses.replace(make_sequence(shape=shape), t0_s=t0, dt_s=dt, sample_period_s=period)
+        path = str(tmp_path / "f.cirb")
+        write_archive(path, seq)
+        assert read_archive(path).cir.shape == shape
+
+    @pytest.mark.parametrize(
+        "shape, t0, dt, period, message",
+        [((3, 1, 1, 4), 0.0, 1e308, 1.0, "last snapshot time"),
+         ((20, 1, 1, 4), 0.0, 1e308, 1.0, "last snapshot time"),
+         ((2, 1, 1, 4), 1e308, 1e308, 1.0, "last snapshot time"),
+         # as a reader computes t0_s + dt_s * 2, the product overflows first
+         ((3, 1, 1, 4), -1e308, 1e308, 1.0, "last snapshot time"),
+         ((1, 1, 1, 3), 0.0, 1.0, 1e308, "last delay")],
+    )
+    def test_infinite_last_time_rejected(self, tmp_path, shape, t0, dt, period, message):
+        # Each header time is finite alone; the last snapshot's or delay's is not.
+        path = header_only(str(tmp_path / "i.cirb"), shape, period=period, dt=dt, t0=t0)
+        with open(path, "ab") as handle:
+            handle.write(bytes(8 * math.prod(shape)))
+        with pytest.raises(ArchiveError, match=f"{message} .* must be finite, got inf"):
+            read_archive(path)
+        seq = dataclasses.replace(make_sequence(shape=shape), t0_s=t0, dt_s=dt, sample_period_s=period)
+        with pytest.raises(ArchiveError, match=message):
+            write_archive(str(tmp_path / "w.cirb"), seq)
+        assert os.listdir(tmp_path) == ["i.cirb"]
+
     @pytest.mark.parametrize("shape", [(2, 0, 1, 4), (2, 1, 0, 4), (2, 1, 1, 0)])
     def test_empty_axis_rejected(self, tmp_path, shape):
         path = header_only(str(tmp_path / "e.cirb"), shape)

@@ -8,21 +8,22 @@ import stat
 import struct
 import subprocess
 import sys
+import tempfile
 import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import chantool
-from chantool import archive, cli, gbsm
+from chantool import analysis, archive, cli, gbsm
 from chantool.analysis import CorrelationMatrix, pdp_correlation_matrix
 from chantool.archive import BLOCK_BYTES, capture_sequence, read_archive, write_archive
 from chantool.cli import main
 from chantool.config import SCHEMA
 from chantool.core import Mpc, derive_substream, pdp_from_cir
-from chantool.gbsm import CirSequence, SizingError
+from chantool.gbsm import CirSequence
 from chantool.sounder import WaveformSpec, simulate_capture
 from test_pathloss import FROZEN_FITS, frozen_sample_columns
 
@@ -865,12 +866,6 @@ class TestMatrixRows:
         with pytest.raises(ValueError, match="exactly symmetric"):
             next(cli.symmetric_matrix_rows(values))
 
-    def test_oversized_text_store_refused(self):
-        # 17 600 rows would leave 1.9 GB of tokens waiting; analyze's budget
-        # stops at about 5800, so only a library caller gets here
-        with pytest.raises(SizingError, match="text store"):
-            next(cli.symmetric_matrix_rows(np.broadcast_to(0.5, (17600, 17600))))
-
     def test_asymmetric_matrix_exit_2_without_output(self, tmp_path, capsys, monkeypatch):
         arc = two_regime_archive(str(tmp_path / "two.cirb"))
         correlate = cli.pdp_correlation_matrix
@@ -1011,6 +1006,17 @@ class TestAnalyze:
         assert f"{field} must be finite" in capsys.readouterr().err
         assert not os.path.exists(out)
 
+    def test_infinite_time_axis_exit_2(self, tmp_path, capsys):
+        # dt_s = 1e308 is finite, but the third snapshot's time is not.
+        arc = two_regime_archive(str(tmp_path / "two.cirb"), n_time=20)
+        poke_header_time(arc, "dt_s", 1e308)
+        out = tmp_path / "c.csv"
+        assert main(["analyze", arc, "--los-track", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "last snapshot time t0_s + dt_s * (n_time - 1) must be finite" in err
+        assert os.listdir(tmp_path) == ["two.cirb"]
+
     def test_single_snapshot_refused_before_decoding(self, tmp_path, capsys):
         arc = poke_nan(two_regime_archive(str(tmp_path / "one.cirb"), n_time=1), 0)
         assert main(["analyze", arc, "--out", str(tmp_path / "c.csv")]) == 2
@@ -1064,6 +1070,156 @@ class TestAnalyze:
         code = main(["analyze", str(arc), "--out", str(tmp_path / "c.csv")])
         assert code == 2
         assert "empty axis" in capsys.readouterr().err
+
+
+# The header fields after magic and version: name -> (offset, struct format).
+HEADER_FIELDS = {
+    "n_time": (6, "<I"), "n_tx": (10, "<B"), "n_rx": (11, "<B"), "n_delay": (12, "<I"),
+    "sample_period_s": (16, "<d"), "t0_s": (24, "<d"), "dt_s": (32, "<d"),
+}
+INT_EXTREMES = (0, 1, 2, 2**32 - 1)  # a u8 field takes 255 for the last
+FLOAT_EXTREMES = (0.0, -1.0, 5e-324, 1e-300, 1e308, -1e308, math.inf, -math.inf, math.nan)
+PAYLOAD_EXTREMES = (math.inf, -math.inf, math.nan, 3.4e38, -3.4e38, 1e-45)
+OUTPUT_HEADERS = {
+    "start_index,end_index", "t_s,power_db", "snapshot,delay_ns,power_db",
+    "snapshot,received_power_db,path_loss_db,rms_ds_ns",
+}
+
+# One archive edit as plain data, so one draw can edit the rx and the cal
+# alike; positions are taken modulo the length of the bytes they edit.
+archive_edits = st.one_of(
+    st.tuples(st.just("truncate"), st.integers(0, 10**6)),
+    st.tuples(st.just("flip"), st.integers(0, 10**6), st.integers(0, 7)),
+    st.tuples(st.just("field"), st.sampled_from(sorted(HEADER_FIELDS)), st.integers(0, 8)),
+    st.tuples(st.just("payload"), st.integers(0, 10**6), st.sampled_from(PAYLOAD_EXTREMES)),
+    st.tuples(st.just("resize"), st.sampled_from([0, 1, 2, 3, 600])),
+)
+
+
+def edit_archive(blob, edits):
+    """Apply archive_edits to an archive's bytes: cut the file, flip a bit,
+    set a header field to an extreme, set a payload float, or set n_time
+    with a zero-padded or cut payload to match (skipped past 2 MiB)."""
+    data = bytearray(blob)
+    for op, *args in edits:
+        if op == "truncate":
+            del data[args[0] % (len(data) + 1) :]
+        elif op == "flip" and data:
+            data[args[0] % len(data)] ^= 1 << args[1]
+        elif op == "field" and len(data) >= 40:
+            offset, fmt = HEADER_FIELDS[args[0]]
+            if fmt == "<d":
+                value = FLOAT_EXTREMES[args[1] % len(FLOAT_EXTREMES)]
+            else:
+                value = INT_EXTREMES[args[1] % len(INT_EXTREMES)]
+                value = min(value, 255) if fmt == "<B" else value
+            struct.pack_into(fmt, data, offset, value)
+        elif op == "payload" and len(data) >= 44:
+            struct.pack_into("<f", data, 40 + 4 * (args[0] % ((len(data) - 40) // 4)), args[1])
+        elif op == "resize" and len(data) >= 40:
+            n_tx, n_rx, n_delay = struct.unpack_from("<BBI", data, 10)
+            size = 8 * args[0] * n_tx * n_rx * n_delay
+            if size <= 2 << 20:
+                struct.pack_into("<I", data, 6, args[0])
+                data[40:] = bytes(data[40 : 40 + size]).ljust(size, b"\0")
+    return bytes(data)
+
+
+def fuzz_analyze_archive(path):
+    """24 snapshots of 128 bins: two regimes of two paths each, 36-path rows
+    (past max_paths, so the LOS track extracts them), and noise rows."""
+    rng = np.random.default_rng(23)
+    cir = np.zeros((24, 1, 1, 128), dtype=complex)
+    cir[:10, 0, 0, [5, 20]] = 1.0, 0.5
+    cir[10:16, 0, 0, [40, 55]] = 1.0, 0.5
+    cir[16:20, 0, 0, :108:3] = np.linspace(1.0, 0.5, 36)
+    cir[20:] = rng.normal(size=(4, 1, 1, 128)) + 1j * rng.normal(size=(4, 1, 1, 128))
+    write_archive(path, CirSequence(t0_s=0.25, dt_s=1e-3, sample_period_s=1.0 / FS, cir=cir))
+    return path
+
+
+def check_fuzzed_run(capsys, code, directory, outputs):
+    """A run exits 0, 2 or 3.  A failure prints one error line and writes
+    no output; a success writes only finite numbers, but for the delay
+    spread of a capture without paths, which is nan."""
+    err = capsys.readouterr().err
+    assert code in (0, 2, 3), err
+    written = [name for name in outputs if os.path.exists(os.path.join(directory, name))]
+    if code:
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert written == []
+        return
+    assert err == "" and written == outputs
+    for name in outputs:
+        header = None
+        for line in open(os.path.join(directory, name)).read().splitlines():
+            if line in OUTPUT_HEADERS:
+                header = line
+                continue
+            cells = [float(cell) for cell in line.split(",")]
+            if header and header.endswith("rms_ds_ns") and math.isnan(cells[-1]):
+                cells.pop()
+            assert all(map(math.isfinite, cells)), (name, line)
+
+
+FUZZ_SETTINGS = settings(
+    max_examples=250, derandomize=True, database=None, deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+
+
+class TestArchiveFuzz:
+    """Edited archives through cli.main, in process, under a correlation
+    budget of 2 MiB (512 snapshots), so a 600-snapshot resize exits 3.  The
+    fixtures run once per test, not once per example."""
+
+    @pytest.fixture
+    def budget(self, monkeypatch):
+        monkeypatch.setattr(analysis, "MAX_CORR_BYTES", 2 << 20)
+
+    @pytest.fixture
+    def analyze_base(self, tmp_path):
+        return fuzz_analyze_archive(str(tmp_path / "base.cirb"))
+
+    @pytest.fixture
+    def sounder_bases(self, tmp_path):
+        rx, cal = make_captures(tmp_path)
+        # a second, silent capture: its delay spread is nan
+        y_rx = read_archive(rx).cir[0, 0, 0]
+        write_archive(rx, capture_sequence(np.stack([y_rx, 0 * y_rx]), FS, 1e-3))
+        return {"rx": rx, "cal": cal}
+
+    @FUZZ_SETTINGS
+    @given(edits=st.lists(archive_edits, min_size=1, max_size=3))
+    @example(edits=[("field", "dt_s", 4)])  # dt_s = 1e308: inf times from the third
+    def test_analyze(self, tmp_path, capsys, budget, analyze_base, edits):
+        directory = tempfile.mkdtemp(dir=tmp_path)
+        arc = os.path.join(directory, "in.cirb")
+        with open(analyze_base, "rb") as base, open(arc, "wb") as handle:
+            handle.write(edit_archive(base.read(), edits))
+        argv = ["analyze", arc, "--stationarity", "--los-track",
+                "--out", os.path.join(directory, "corr.csv")]
+        outputs = ["corr.csv", "corr_intervals.csv", "corr_los.csv"]
+        check_fuzzed_run(capsys, main(argv), directory, outputs)
+
+    @FUZZ_SETTINGS
+    @given(
+        edits=st.lists(archive_edits, min_size=1, max_size=3),
+        which=st.sampled_from(["rx", "cal", "both"]),
+    )
+    @example(edits=[("field", "sample_period_s", 4)], which="both")  # inf delays
+    def test_sounder(self, tmp_path, capsys, budget, sounder_bases, edits, which):
+        directory = tempfile.mkdtemp(dir=tmp_path)
+        paths = {}
+        for name, base in sounder_bases.items():
+            paths[name] = os.path.join(directory, f"{name}.cirb")
+            with open(base, "rb") as handle:
+                blob = handle.read()
+            with open(paths[name], "wb") as handle:
+                handle.write(edit_archive(blob, edits) if which in (name, "both") else blob)
+        argv = ["sounder", "--rx", paths["rx"], "--cal", paths["cal"],
+                "--out", os.path.join(directory, "mpcs.csv")]
+        check_fuzzed_run(capsys, main(argv), directory, ["mpcs.csv"])
 
 
 class TestOutputMode:
@@ -1187,6 +1343,13 @@ class TestEntry:
         proc = run_child("-c", IDLE_WORKERS, "--help", blas_env={"OPENBLAS_THREAD_TIMEOUT": "28"})
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines()[-1].split()[1] == "28"
+
+    def test_no_thread_timeout_once_numpy_is_loaded(self):
+        # Set after numpy loads, the timeout would act only in the children.
+        probe = "import os, numpy, chantool.cli\nprint(os.environ.get('OPENBLAS_THREAD_TIMEOUT'))\n"
+        proc = run_child("-c", probe, blas_env={})
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "None\n"
 
     def test_import_chantool_loads_neither_numpy_nor_scipy(self):
         probe = (
