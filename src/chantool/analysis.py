@@ -15,15 +15,17 @@ refused, not averaged.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from chantool.archive import BLOCK_BYTES
-from chantool.core import DB_FLOOR, CirSnapshot, Mpc, from_db
+from chantool.core import DB_FLOOR, Mpc, from_db
 from chantool.gbsm import SizingError
-from chantool.sounder import MpcExtractionPolicy, extract_mpcs, peak_candidates, received_power
+from chantool.sounder import MpcExtractionPolicy, peak_candidates, received_power
+from chantool.sounder import extract_mpcs  # noqa: F401  (perfbench/tracing.py wraps it here)
 
 
 # Byte ceiling on the float64 (snapshots, snapshots) correlation matrix, and
@@ -149,36 +151,29 @@ def los_power_track(
     samples: np.ndarray,
     t0_s: float,
     dt_s: float,
-    sample_period_s: float,
     policy: MpcExtractionPolicy | None = None,
 ) -> list[tuple[float, float]]:
-    """Power of the strongest MPC inside the earliest-arriving 3-bin
+    """Power of the strongest path inside the earliest-arriving 3-bin
     window, per row of a (time, delay) block of CIR samples.
 
-    One peak_candidates call covers every row; only a window's at most two
-    candidates, its first bin f and f + 2, become Mpcs.  A row with more
-    than max_paths candidates goes through extract_mpcs, whose trim may drop
-    f.  Rows with no detectable paths report the dB floor.  Row t_idx lies
-    at time t0_s + dt_s * t_idx.
+    One peak_candidates call gives every row's paths.  A window holds its
+    first path f and f + 2 when that bin is a path (f + 1 never is), and a
+    path's level is 20 log10|s|, bitwise Mpc.power_db.  Rows with no
+    detectable paths report the dB floor.  Row t_idx lies at time
+    t0_s + dt_s * t_idx.
     """
     if len(samples) < 1:
         raise ValueError("samples are empty")
     if policy is None:
         policy = MpcExtractionPolicy()
-    period = sample_period_s
     mask = peak_candidates(np.abs(samples) ** 2, policy)
+    rows = np.arange(len(mask))
     first = mask.argmax(axis=1)
     third = np.minimum(first + 2, mask.shape[1] - 1)
-    pairs = mask[np.arange(len(mask)), third] & (third > first)
-    columns = first.tolist(), pairs.tolist(), mask.sum(axis=1).tolist()
+    in_window = np.stack([mask[rows, first], mask[rows, third] & (third > first)], axis=1)
+    amplitudes = np.stack([samples[rows, first], samples[rows, third]], axis=1)
     track = []
-    for t_idx, (f, pair, count) in enumerate(zip(*columns)):
-        if count > policy.max_paths:
-            mpcs = extract_mpcs(CirSnapshot(period, samples[t_idx]), policy)
-        else:
-            bins = (f, f + 2)[: (count > 0) + pair]
-            mpcs = [Mpc(b * period, complex(samples[t_idx, b])) for b in bins]
-        first_bin = round(mpcs[0].delay_s / period) if mpcs else 0
-        window = (m.power_db for m in mpcs if round(m.delay_s / period) <= first_bin + 2)
-        track.append((t0_s + dt_s * t_idx, max(window, default=DB_FLOOR)))
+    for t_idx, (paths, amps) in enumerate(zip(in_window.tolist(), amplitudes.tolist())):
+        levels = (20.0 * math.log10(abs(s)) for s, path in zip(amps, paths) if path)
+        track.append((t0_s + dt_s * t_idx, max(levels, default=DB_FLOOR)))
     return track

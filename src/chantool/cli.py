@@ -276,7 +276,7 @@ def cmd_sounder(args) -> int:
                 f"rx captures have {rx.shape[3]} samples, cal has {cal.shape[3]}"
             )
         [(_, cal_block)] = cal_blocks
-        calibration = calibrate(cal_block[0, 0, 0], band_fraction, 1.0 / rx.sample_period_s)
+        calibration = calibrate(cal_block[0, 0, 0], band_fraction, rx.sample_period_s)
 
         mpc_rows = ["snapshot,delay_ns,power_db\n"]
         stat_rows = ["snapshot,received_power_db,path_loss_db,rms_ds_ns\n"]
@@ -358,7 +358,7 @@ def cmd_analyze(args) -> int:
         raise ValueError(f"threshold must lie in (0, 1), got {args.threshold}")
     header, samples = _read_pair(args.archive)
     if args.los_track:
-        track = los_power_track(samples, header.t0_s, header.dt_s, header.sample_period_s)
+        track = los_power_track(samples, header.t0_s, header.dt_s)
     pdp_db = pdp_from_cir(samples)
     del samples  # so the correlation and the matrix text run without them
     corr = pdp_correlation_matrix(pdp_db)

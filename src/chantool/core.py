@@ -71,9 +71,6 @@ class Point3:
     def distance_to(self, other: "Point3") -> float:
         return (self - other).norm()
 
-    def as_array(self) -> np.ndarray:
-        return np.array([self.x, self.y, self.z], dtype=float)
-
 
 @dataclass(frozen=True)
 class FrequencyBand:

@@ -163,9 +163,10 @@ def abg_fit(distance_m, freq_ghz, pl_db, fix_gamma: float | None = None) -> AbgM
     target = pl if fix_gamma is None else pl - fix_gamma * col_f  # removes 10*gamma*log10(f)
     design = np.column_stack([col_d, np.ones_like(col_d), col_f][:needed])
 
-    if np.linalg.matrix_rank(design) < design.shape[1]:
+    # The rank counts the singular values above eps * max(M, N) * s_max.
+    coef, _, rank, _ = np.linalg.lstsq(design, target, rcond=None)
+    if rank < design.shape[1]:
         raise RankDeficientError("rank-deficient fit: design columns are collinear")
-    coef, *_ = np.linalg.lstsq(design, target, rcond=None)
     resid = target - design @ coef
     sigma = float(np.sqrt(np.mean(resid * resid)))
     gamma = float(coef[2] if fix_gamma is None else fix_gamma)

@@ -7,9 +7,9 @@ frequency-domain deconvolution against a back-to-back calibration, and
 extracts multipath components with their summary statistics (received
 power, path loss, RMS delay spread).  calibrate does the calibration's
 share of the deconvolution once; deconvolve_cir applies it to each capture.
-peak_candidates finds the paths of many PDPs in one array pass, and
-extract_mpcs is its one-row case.  Noise comes from a numpy Generator the
-caller passes in, such as derive_substream gives.
+peak_candidates, the one path-selection rule, finds the paths of many PDPs
+in one array pass, and extract_mpcs is its one-row case.  Noise comes from
+a numpy Generator the caller passes in, such as derive_substream gives.
 """
 
 from __future__ import annotations
@@ -136,13 +136,10 @@ class MpcExtractionPolicy:
 
 
 @functools.lru_cache(maxsize=16)
-def _lfsr_chips(order: int, taps: tuple[int, ...]) -> np.ndarray:
-    """One full period of the ±1 m-sequence, validating maximality."""
-    for t in taps:
-        if not 1 <= t <= order:
-            raise ValueError(f"tap {t} outside register length {order}")
-    if order not in taps:
-        raise ValueError("taps must include the register length")
+def _lfsr_chips(order: int) -> np.ndarray:
+    """One full period of the ±1 m-sequence from _DEFAULT_TAPS[order],
+    checking that those taps are maximal."""
+    taps = _DEFAULT_TAPS[order]
     period = (1 << order) - 1
     state = (1 << order) - 1
     start = state
@@ -164,18 +161,17 @@ def _lfsr_chips(order: int, taps: tuple[int, ...]) -> np.ndarray:
     return chips
 
 
-def generate_pn(order: int = 12, taps: Sequence[int] | None = None) -> np.ndarray:
+def generate_pn(order: int = 12) -> np.ndarray:
     """Maximal-length ±1 PN sequence of 2**order - 1 chips, cyclically
     extended by one repeated chip to a power-of-two length.
 
     The extension keeps the frame arithmetic on round numbers; the
     unextended core retains the two-level circular autocorrelation of an
-    m-sequence.  Non-maximal tap sets are rejected.
+    m-sequence.
     """
     if not 6 <= order <= 16:
         raise ValueError(f"order must be in [6, 16], got {order}")
-    tap_tuple = tuple(taps) if taps is not None else _DEFAULT_TAPS[order]
-    chips = _lfsr_chips(order, tap_tuple)
+    chips = _lfsr_chips(order)
     return np.concatenate([chips, chips[:1]])
 
 
@@ -249,7 +245,7 @@ class Calibration:
 def calibrate(
     y_cal: np.ndarray,
     band_fraction: float = DEFAULT_BAND_FRACTION,
-    sample_rate_hz: float = 1.28e9,
+    sample_period_s: float = 1 / 1.28e9,
 ) -> Calibration:
     """Everything deconvolve_cir needs from a back-to-back calibration capture.
 
@@ -260,7 +256,7 @@ def calibrate(
     exactly the delay bin.  Denominator bins are clipped from below at a
     small fraction of the peak spectral power so the probe's aperiodic
     spectral nulls cannot amplify noise; bins essentially without
-    calibration energy are zeroed.
+    calibration energy are zeroed.  The CIRs carry sample_period_s as given.
     """
     y_cal = np.asarray(y_cal, dtype=np.complex128)
     if y_cal.ndim != 1:
@@ -306,7 +302,7 @@ def calibrate(
     arrays = keep, np.conj(spec_cal[keep]), denom, weight[keep]
     for array in arrays:
         array.setflags(write=False)
-    return Calibration(*arrays, scale=n / norm, sample_period_s=1.0 / sample_rate_hz)
+    return Calibration(*arrays, scale=n / norm, sample_period_s=sample_period_s)
 
 
 def deconvolve_cir(y_rx: np.ndarray, cal: Calibration) -> CirSnapshot:
@@ -336,12 +332,13 @@ def noise_floor_db(cir: CirSnapshot, tail_fraction: float = 0.1) -> float:
 
 
 def peak_candidates(pdp: np.ndarray, policy: MpcExtractionPolicy) -> np.ndarray:
-    """Mask of each row's candidate paths in a (rows, bins) linear PDP array.
+    """Mask of each row's paths in a (rows, bins) linear PDP array.
 
     A candidate is a local maximum (3-bin neighborhood on the circular delay
     axis of the inverse FFT, plateaus resolved to the lowest index) at or
-    above its row's detection threshold.  An all-zero row has none, and two
-    candidates are never adjacent bins.
+    above its row's detection threshold; a row keeps its strongest max_paths
+    of them, the later bin first among equal powers.  An all-zero row has
+    none, and two paths are never adjacent bins.
     """
     n_tail = max(1, int(pdp.shape[-1] * policy.noise_tail_fraction))
     floor_lin = np.mean(pdp[:, -n_tail:], axis=-1, keepdims=True)
@@ -350,22 +347,24 @@ def peak_candidates(pdp: np.ndarray, policy: MpcExtractionPolicy) -> np.ndarray:
         floor_lin * 10.0 ** (policy.noise_margin_db / 10.0),
     )
     left_ok = pdp > np.roll(pdp, 1, axis=-1)
-    return left_ok & (pdp >= np.roll(pdp, -1, axis=-1)) & (pdp >= threshold)
+    mask = left_ok & (pdp >= np.roll(pdp, -1, axis=-1)) & (pdp >= threshold)
+    crowded = np.flatnonzero(np.count_nonzero(mask, axis=-1) > policy.max_paths)
+    # Stable ascending: non-candidates (-inf) first, the later of equal powers last.
+    powers = np.where(mask[crowded], pdp[crowded], -np.inf)
+    weakest = np.argsort(powers, axis=-1, kind="stable")[:, : -policy.max_paths]
+    mask[crowded[:, None], weakest] = False
+    return mask
 
 
 def extract_mpcs(cir: CirSnapshot, policy: MpcExtractionPolicy | None = None) -> list[Mpc]:
-    """Multipath extraction from a CIR snapshot: its peak_candidates, of which
-    the strongest max_paths survive if more qualify, sorted by delay."""
+    """The paths of a CIR snapshot by delay: peak_candidates of its one row."""
     if policy is None:
         policy = MpcExtractionPolicy()
     pdp = np.abs(cir.samples) ** 2
     if pdp.size == 0:
         return []
-    candidates = np.flatnonzero(peak_candidates(pdp[None], policy))
-    if candidates.size > policy.max_paths:
-        strongest = candidates[np.argsort(pdp[candidates], kind="stable")][::-1]
-        candidates = np.sort(strongest[: policy.max_paths])
-    return [Mpc(i * cir.sample_period_s, complex(cir.samples[i])) for i in candidates]
+    paths = np.flatnonzero(peak_candidates(pdp[None], policy))
+    return [Mpc(i * cir.sample_period_s, complex(cir.samples[i])) for i in paths]
 
 
 def received_power(mpcs: Sequence[Mpc]) -> float:
@@ -392,14 +391,18 @@ def path_loss_from_power(p_db: float, budget: LinkBudget | None = None) -> float
 
 
 def rms_delay_spread(mpcs: Sequence[Mpc]) -> float:
-    """Power-weighted RMS spread of the path delays, in seconds."""
+    """Power-weighted RMS spread of the path delays, in seconds.  The moments
+    take the delays times 2**k, the latest in [0.5, 1), so tiny delays' squares
+    do not underflow; powers of two are exact, so normal-range bits stay."""
     if not mpcs:
         raise ValueError("rms_delay_spread needs at least one path")
     weights = np.array([10.0 ** (m.power_db / 10.0) for m in mpcs])
     delays = np.array([m.delay_s for m in mpcs])
+    k = -math.frexp(float(delays.max()))[1]
+    delays = np.ldexp(delays, k)
     mean = float(np.sum(weights * delays) / np.sum(weights))
     var = float(np.sum(weights * (delays - mean) ** 2) / np.sum(weights))
-    return math.sqrt(max(var, 0.0))
+    return math.ldexp(math.sqrt(max(var, 0.0)), -k)
 
 
 def _channel_fir(channel: Sequence[Mpc] | CirSnapshot, spec: WaveformSpec) -> np.ndarray:

@@ -309,7 +309,7 @@ def sequence_from_amps(amp_grid: np.ndarray, dt: float = 1e-3) -> CirSequence:
 def track_of(seq, tx_idx=0, rx_idx=0, policy=None):
     """los_power_track on one antenna pair of a sequence."""
     samples = seq.cir[:, tx_idx, rx_idx]
-    return los_power_track(samples, seq.t0_s, seq.dt_s, seq.sample_period_s, policy)
+    return los_power_track(samples, seq.t0_s, seq.dt_s, policy)
 
 
 def los_track_oracle(seq, tx_idx=0, rx_idx=0, policy=None):

@@ -647,6 +647,21 @@ class TestSounder:
         assert mpc_rows == []
         assert stat_rows == [["0", "-300.0", "385.0", "nan"], ["1", "-300.0", "385.0", "nan"]]
 
+    @pytest.mark.parametrize("period", [7.3e-10, 1e-300, 5e-324])
+    def test_delays_are_bins_times_the_archive_period(self, tmp_path, period):
+        # The CIRs take the archives' period as stored: through a rate and
+        # back, 7.3e-10 came out an ulp off and 5e-324 as 0.0 (exit 2).  Tiny
+        # delays keep a non-zero spread: their squares used to underflow.
+        rx, cal = make_captures(tmp_path)
+        for path in (rx, cal):
+            poke_header_time(path, "sample_period_s", period)
+        out = str(tmp_path / "mpcs.csv")
+        assert main(["sounder", "--rx", rx, "--cal", cal, "--out", out]) == 0
+        mpc_rows, stat_rows = split_tables(out)
+        assert [row[1] for row in mpc_rows] == [repr(b * period * 1e9) for b in (10, 50, 120)]
+        assert all(math.isfinite(float(v)) for row in mpc_rows + stat_rows for v in row)
+        assert float(stat_rows[0][3]) > 0.0
+
     def test_budget_override_shifts_path_loss_exactly(self, tmp_path):
         rx, cal = make_captures(tmp_path)
         base = str(tmp_path / "base.csv")

@@ -44,7 +44,6 @@ def test_point3_arithmetic():
     assert (p + q).x == 5.0
     assert p.scale(2.0).z == 6.0
     assert p.dot(q) == pytest.approx(4.0 + 12.0 + 9.0)
-    np.testing.assert_allclose(p.as_array(), [1.0, 2.0, 3.0])
 
 
 def test_frequency_band_wavelength():

@@ -5,6 +5,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from chantool.core import CirSnapshot, Mpc, derive_substream
 from chantool.sounder import (
@@ -18,6 +21,7 @@ from chantool.sounder import (
     generate_pn,
     noise_floor_db,
     path_loss_from_power,
+    peak_candidates,
     received_power,
     rms_delay_spread,
     rrc_filter_taps,
@@ -54,17 +58,6 @@ class TestPnSequence:
     def test_all_supported_orders(self):
         for order in range(6, 17):
             assert generate_pn(order).size == 1 << order
-
-    def test_non_primitive_taps_rejected(self):
-        for taps in [(12, 6), (12, 11), (12, 8, 4, 2)]:
-            with pytest.raises(ValueError, match="not primitive"):
-                generate_pn(12, taps)
-
-    def test_tap_validation(self):
-        with pytest.raises(ValueError, match="outside register"):
-            generate_pn(12, (13, 6, 4, 1))
-        with pytest.raises(ValueError, match="register length"):
-            generate_pn(12, (6, 4, 1))
 
     def test_order_range(self):
         for order in (5, 17):
@@ -140,7 +133,7 @@ class TestDeconvolution:
 
     def test_pure_delay_random_property(self):
         _, y_cal = simulate_capture([make_mpc(0.0, 0.0)], SMALL_SPEC)
-        cal = calibrate(y_cal, sample_rate_hz=SMALL_SPEC.sample_rate_hz)
+        cal = calibrate(y_cal, sample_period_s=1.0 / SMALL_SPEC.sample_rate_hz)
         rng = np.random.default_rng(20260819)
         for _ in range(200):
             d = int(rng.integers(0, 5001))
@@ -157,8 +150,10 @@ class TestDeconvolution:
         assert mpcs[1].power_db == pytest.approx(-12.0412, abs=0.3)
 
     def test_sample_period_recorded(self, default_cal):
-        cir = deconvolve_cir(default_cal, calibrate(default_cal, sample_rate_hz=2.5e9))
-        assert cir.sample_period_s == pytest.approx(1.0 / 2.5e9, rel=1e-12)
+        # As given: through a rate, 7.3e-10 came back an ulp off and 5e-324 as 0.0.
+        for period in (1.0 / 2.5e9, 7.3e-10, 1e-300, 5e-324):
+            cal = calibrate(default_cal, sample_period_s=period)
+            assert deconvolve_cir(default_cal, cal).sample_period_s == period
 
     def test_validation(self, default_cal):
         with pytest.raises(ValueError, match="1-D"):
@@ -238,6 +233,45 @@ def snapshot_from_samples(samples):
     return CirSnapshot(sample_period_s=1.0 / FS, samples=np.asarray(samples))
 
 
+def candidates_oracle(row, policy):
+    """The paths of one linear PDP row, bin by bin in plain Python."""
+    n = len(row)
+    n_tail = max(1, int(n * policy.noise_tail_fraction))
+    floor = sum(row[n - n_tail :]) / n_tail
+    threshold = max(
+        max(row) * 10.0 ** (-policy.rel_threshold_db / 10.0),
+        floor * 10.0 ** (policy.noise_margin_db / 10.0),
+    )
+    # row[-1] is the last bin: the delay axis is circular.
+    found = [
+        i for i in range(n) if row[i - 1] < row[i] >= row[(i + 1) % n] and row[i] >= threshold
+    ]
+    strongest = sorted(found, key=lambda i: (row[i], i))[-policy.max_paths :]
+    return sorted(strongest)
+
+
+@st.composite
+def pdp_blocks(draw):
+    """(rows, bins) linear PDPs of small integer levels times a power of two:
+    plateaus, equal peaks and zero rows are common, and every sum is exact,
+    so the oracle's arithmetic gives numpy's bits.  Some tails are zeroed,
+    so either threshold can decide."""
+    n_rows, n_bins = draw(st.integers(1, 6)), draw(st.integers(1, 40))
+    levels = draw(hnp.arrays(np.int64, (n_rows, n_bins), elements=st.integers(0, 4)))
+    levels[draw(st.lists(st.integers(0, n_rows - 1), max_size=2))] = 0
+    levels[draw(st.lists(st.integers(0, n_rows - 1), max_size=3)), n_bins // 2 :] = 0
+    return levels * 2.0 ** draw(st.integers(-30, 30))
+
+
+EXTRACTION_POLICIES = st.builds(
+    MpcExtractionPolicy,
+    max_paths=st.integers(1, 6),
+    rel_threshold_db=st.sampled_from([3.0, 6.0, 25.0]),
+    noise_margin_db=st.sampled_from([0.5, 3.0, 6.0]),
+    noise_tail_fraction=st.sampled_from([0.05, 0.1, 0.5]),
+)
+
+
 class TestExtraction:
     def test_strongest_30_of_40(self):
         samples = np.zeros(4000, dtype=complex)
@@ -249,6 +283,26 @@ class TestExtraction:
         # the weakest ten are gone, survivors sorted by delay
         bins = [round(m.delay_s * FS) for m in mpcs]
         assert bins == [100 + 10 * i for i in range(10, 40)]
+
+    @settings(max_examples=300, deadline=None)
+    @given(pdp=pdp_blocks(), policy=EXTRACTION_POLICIES)
+    def test_peak_candidates_match_the_plain_oracle(self, pdp, policy):
+        mask = peak_candidates(pdp, policy)
+        assert [np.flatnonzero(r).tolist() for r in mask] == [
+            candidates_oracle(row, policy) for row in pdp.tolist()
+        ]
+
+    def test_equal_powers_past_max_paths_keep_the_later_bins(self):
+        pdp = np.zeros((2, 16))
+        pdp[0, [0, 2, 4, 6]] = 1.0
+        pdp[1, [1, 3, 5, 7]] = 2.0, 1.0, 2.0, 1.0
+        policy = MpcExtractionPolicy(
+            max_paths=2, rel_threshold_db=20.0, noise_margin_db=0.5, noise_tail_fraction=0.5
+        )
+        mask = peak_candidates(pdp, policy)
+        assert [np.flatnonzero(r).tolist() for r in mask] == [[4, 6], [1, 5]]
+        cir = snapshot_from_samples(np.sqrt(pdp[0]))
+        assert [round(m.delay_s * FS) for m in extract_mpcs(cir, policy)] == [4, 6]
 
     def test_weak_path_below_relative_threshold(self):
         samples = np.zeros(4000, dtype=complex)
@@ -333,6 +387,18 @@ class TestSummaryStatistics:
         two_weighted = [make_mpc(0.0, 0.0), make_mpc(100e-9, -6.020599913279624)]
         assert rms_delay_spread(two_weighted) == pytest.approx(40e-9, rel=1e-12)
 
+    def test_rms_ds_of_tiny_delays_does_not_underflow(self):
+        # Their squares underflow: unscaled, all three spreads were 0.0.
+        bins, powers = (10, 50, 120), (0.0, -6.0, -12.0)
+
+        def spread(period):
+            return rms_delay_spread([make_mpc(b * period, p) for b, p in zip(bins, powers)])
+
+        unit = spread(1.0)
+        assert spread(2.0**-1000) == math.ldexp(unit, -1000)
+        assert spread(1e-300) == pytest.approx(unit * 1e-300, rel=1e-12)
+        assert spread(5e-324) == math.ldexp(unit, -1074) > 0.0
+
     def test_rms_ds_empty_rejected(self):
         with pytest.raises(ValueError, match="at least one path"):
             rms_delay_spread([])
@@ -411,7 +477,7 @@ class TestCaptureRoundTrip:
         fs = spec.sample_rate_hz
         channel = [make_mpc(50 / fs, -3.0), make_mpc(56 / fs, -3.0, phase=2.0)]
         y_rx, y_cal = simulate_capture(channel, spec)
-        mpcs = extract_mpcs(deconvolve_cir(y_rx, calibrate(y_cal, sample_rate_hz=fs)))
+        mpcs = extract_mpcs(deconvolve_cir(y_rx, calibrate(y_cal, sample_period_s=1.0 / fs)))
         assert len(mpcs) == 2
         bins = [round(m.delay_s * fs) for m in mpcs]
         assert all(abs(g - b) <= 1 for g, b in zip(bins, (50, 56)))
@@ -436,7 +502,7 @@ class TestCaptureRoundTrip:
             ]
             stream = derive_substream(78, "sounder-prop", int(rng.integers(1 << 30)))
             y_rx, y_cal = simulate_capture(channel, spec, snr_db=55.0, stream=stream)
-            cir = deconvolve_cir(y_rx, calibrate(y_cal, sample_rate_hz=fs))
+            cir = deconvolve_cir(y_rx, calibrate(y_cal, sample_period_s=1.0 / fs))
             mpcs = extract_mpcs(cir)
             assert len(mpcs) == n
             got_bins = [round(m.delay_s * fs) for m in mpcs]
