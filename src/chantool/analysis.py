@@ -21,7 +21,6 @@ from typing import Sequence
 
 import numpy as np
 
-from chantool.archive import BLOCK_BYTES
 from chantool.core import DB_FLOOR, Mpc, from_db
 from chantool.gbsm import SizingError
 from chantool.sounder import MpcExtractionPolicy, peak_candidates, received_power
@@ -49,15 +48,6 @@ def check_correlation_size(n_snapshots: int) -> None:
         )
 
 
-def require_exact_symmetry(values: np.ndarray) -> None:
-    """Raise ValueError unless the square matrix equals its transpose bit for
-    bit; the comparison runs in row blocks, which bound its temporaries."""
-    step = max(1, BLOCK_BYTES // (8 * max(len(values), 1)))
-    for i in range(0, len(values), step):
-        if not np.array_equal(values[i : i + step], values[:, i : i + step].T):
-            raise ValueError("correlation matrix must be exactly symmetric")
-
-
 @dataclass(frozen=True)
 class CorrelationMatrix:
     """Pairwise Pearson correlations between snapshots' PDPs."""
@@ -69,7 +59,9 @@ class CorrelationMatrix:
         object.__setattr__(self, "values", values)
         if values.ndim != 2 or values.shape[0] != values.shape[1]:
             raise ValueError(f"values must be a square matrix, got shape {values.shape}")
-        require_exact_symmetry(values)
+        # One comparison; its temporary is an n^2 bool array, 1/8 of the matrix.
+        if not np.array_equal(values, values.T):
+            raise ValueError("correlation matrix must be exactly symmetric")
         if np.abs(np.diag(values) - 1.0).max() > 1e-12:
             raise ValueError("correlation matrix diagonal must be 1")
         if values.min() < -1.0 - 1e-12 or values.max() > 1.0 + 1e-12:
@@ -104,10 +96,12 @@ def pdp_correlation_matrix(pdp_db: np.ndarray) -> CorrelationMatrix:
     # x is centred and scaled in place: the same values as new arrays would
     # hold, without two more (snapshots, bins) temporaries.
     x = from_db(pdp_db)
+    # Constant rows are found before centring, which can leave rounding
+    # residue in them (a row of 0.3s over 205 bins).
+    constant = (x == x[:, :1]).all(axis=1)
     x -= x.mean(axis=1, keepdims=True)
     norms = np.sqrt(np.sum(x**2, axis=1))
-    constant = norms == 0.0
-    x /= np.where(constant, 1.0, norms)[:, None]
+    x /= np.where(norms == 0.0, 1.0, norms)[:, None]
     corr = x @ x.T
     del x
     # constant vs constant pins to 1, constant vs varying to 0

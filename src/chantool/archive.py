@@ -72,16 +72,22 @@ class ArchiveHeader(NamedTuple):
                 raise ArchiveError(f"{path}: last {what} must be finite, got {value}")
 
 
+def writable_target(path: str) -> str:
+    """The file that writing path replaces: path itself, or a symlink's
+    target.  An existing target that is not a regular file is refused."""
+    target = os.path.realpath(path)
+    if os.path.lexists(target) and not os.path.isfile(target):
+        raise ArchiveError(f"{path}: exists and is not a regular file")
+    return target
+
+
 def atomic_write_bytes(path: str, chunks: Iterable[bytes]) -> None:
     """Write C-contiguous buffers in order, lazily, via a temp file in the
     target directory plus rename, so a crash never leaves a partial file.
     Each buffer is released before the next one is drawn from chunks.  The
     file gets the mode open() would give it, 0o666 less the umask, not the
-    temp file's 0o600.  A symlink is written through: its target is the one
-    replaced.  An existing target that is not a regular file is refused."""
-    target = os.path.realpath(path)
-    if os.path.lexists(target) and not os.path.isfile(target):
-        raise ArchiveError(f"{path}: exists and is not a regular file")
+    temp file's 0o600.  The file replaced is writable_target(path)."""
+    target = writable_target(path)
     try:
         fd, tmp = tempfile.mkstemp(dir=os.path.dirname(target), prefix=".tmp-", suffix="~")
     except OSError as err:  # the temp file's name means nothing to the caller
@@ -113,8 +119,6 @@ def _finite(block: np.ndarray, t: int, path: str) -> np.ndarray:
 
 def write_archive(path: str, seq: CirSequence) -> int:
     """Serialize a sequence; returns the byte count written."""
-    if seq.cir.ndim != 4:
-        raise ArchiveError("sequence data must be (time, tx, rx, delay)")
     n_time, n_tx, n_rx, n_delay = seq.cir.shape
     if not 1 <= n_tx <= MAX_ANTENNAS or not 1 <= n_rx <= MAX_ANTENNAS:
         raise ArchiveError(f"antenna counts {n_tx}x{n_rx} do not fit the format")

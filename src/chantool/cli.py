@@ -34,7 +34,6 @@ from chantool.analysis import (
     check_correlation_size,
     los_power_track,
     pdp_correlation_matrix,
-    require_exact_symmetry,
     stationary_intervals,
 )
 from chantool.archive import (
@@ -46,6 +45,7 @@ from chantool.archive import (
     atomic_write_text,
     open_archive,
     read_archive,  # noqa: F401  (perfbench/tracing.py wraps cli.read_archive)
+    writable_target,
     write_archive,
 )
 from chantool.blockage import (
@@ -145,10 +145,11 @@ def cmd_blockage(args) -> int:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
                 result = sweep_blocker(scenarios[MODELS[model]], model, centers)
-            values = [value for _, value in result]
-            nan_count = sum(1 for v in values if math.isnan(v))
-            print(f"{model}: {nan_count} NaN point(s)", file=sys.stderr)
-            columns.append(values)
+            columns.append([value for _, value in result])
+    # Counted once every sweep has run, so a refusal is the only line.
+    for model, values in zip(models, columns):
+        nan_count = sum(1 for v in values if math.isnan(v))
+        print(f"{model}: {nan_count} NaN point(s)", file=sys.stderr)
 
     header = "position_m," + ",".join(f"{m}_att_db" for m in models) + "\n"
     rows = [",".join(map(_fmt, row)) + "\n" for row in zip(positions, *columns)]
@@ -243,7 +244,10 @@ def cmd_gbsm(args) -> int:
             raise cfg.error(
                 "gbsm", key, f"{key} must be at most {MAX_ANTENNAS}, the archive's limit"
             )
-    seq = run_scenario(gcfg)
+    # Extreme values can overflow synthesis to inf or NaN; write_archive
+    # refuses such a cube, and numpy's warnings would only precede that line.
+    with np.errstate(over="ignore", invalid="ignore"):
+        seq = run_scenario(gcfg)
     size = write_archive(args.out, seq)
     print(
         f"{seq.n_time} snapshots, mean clusters {seq.mean_cluster_count:.3f}, "
@@ -319,8 +323,8 @@ def symmetric_matrix_rows(values: np.ndarray):
 
     Row i formats the distinct bit patterns of its columns i.. in one call
     (bits, so 0.0 and -0.0 stay apart) and takes columns ..i-1 from the
-    tokens that earlier rows formatted, so the matrix must be exactly
-    symmetric: anything else raises ValueError before the first row.  Each
+    tokens that earlier rows formatted, so values must be exactly symmetric,
+    as a CorrelationMatrix's values are; this writer does not check it.  Each
     token is padded with spaces to 24 bytes, the longest float64 repr.  Rows
     go in blocks of n/32 through one (block, n) buffer.  After a block, its
     columns of each later block are copied out as one tile, which that block
@@ -328,7 +332,6 @@ def symmetric_matrix_rows(values: np.ndarray):
     6n^2 bytes, which analysis.MAX_CORR_BYTES bounds through the matrix.
     """
     n = len(values)
-    require_exact_symmetry(values)
     k = max(1, n // 32)
     buffer = np.empty((k, n), dtype=[("token", "S24"), ("comma", "S1")])
     buffer["comma"] = b","
@@ -356,8 +359,15 @@ def symmetric_matrix_rows(values: np.ndarray):
 def cmd_analyze(args) -> int:
     if not 0.0 < args.threshold < 1.0:
         raise ValueError(f"threshold must lie in (0, 1), got {args.threshold}")
+    # Every output path is checked before the archive is read, so a refused
+    # one leaves none of the others written.
+    stem, ext = os.path.splitext(args.out)
+    intervals_out = f"{stem}_intervals{ext or '.csv'}" if args.stationarity else None
+    los_out = f"{stem}_los{ext or '.csv'}" if args.los_track else None
+    for path in filter(None, (args.out, intervals_out, los_out)):
+        writable_target(path)
     header, samples = _read_pair(args.archive)
-    if args.los_track:
+    if los_out:
         track = los_power_track(samples, header.t0_s, header.dt_s)
     pdp_db = pdp_from_cir(samples)
     del samples  # so the correlation and the matrix text run without them
@@ -365,16 +375,13 @@ def cmd_analyze(args) -> int:
     del pdp_db
     atomic_write_bytes(args.out, symmetric_matrix_rows(corr.values))
 
-    stem, ext = os.path.splitext(args.out)
-    if args.stationarity:
+    if intervals_out:
         report = stationary_intervals(corr, args.threshold)
         rows = [f"{start},{end}\n" for start, end in report.intervals]
-        text = "".join(["start_index,end_index\n", *rows])
-        atomic_write_text(f"{stem}_intervals{ext or '.csv'}", text)
-    if args.los_track:
+        atomic_write_text(intervals_out, "".join(["start_index,end_index\n", *rows]))
+    if los_out:
         rows = [f"{_fmt(t)},{_fmt(level)}\n" for t, level in track]
-        text = "".join(["t_s,power_db\n", *rows])
-        atomic_write_text(f"{stem}_los{ext or '.csv'}", text)
+        atomic_write_text(los_out, "".join(["t_s,power_db\n", *rows]))
     return EXIT_OK
 
 

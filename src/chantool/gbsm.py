@@ -127,8 +127,9 @@ class GbsmConfig:
         for name in ("tx_velocity", "rx_velocity"):
             if getattr(self, name).z != 0.0:
                 raise FieldError("velocities must be horizontal: z components must be 0", name, "z")
-        # The one refusal of several fields together.
-        if self.tx_position == self.rx_position:
+        # The one refusal of several fields together.  A separation whose
+        # square underflows has norm 0 too, and the LOS direction divides by it.
+        if not (self.rx_position - self.tx_position).norm() > 0.0:
             raise ValueError("tx and rx positions must differ")
 
     # The LOS geometry depends on the fields alone, so it is derived once per

@@ -131,6 +131,9 @@ class MpcExtractionPolicy:
             raise ValueError("max_paths must be >= 1")
         if not self.rel_threshold_db > 0.0 or not self.noise_margin_db > 0.0:
             raise ValueError("thresholds must be positive")
+        # 10 ** (margin / 10) passes the float64 maximum, 1.8e308, past 3082 dB.
+        if not self.noise_margin_db <= 3082.0:
+            raise ValueError("noise_margin_db must be at most 3082")
         if not 0.0 < self.noise_tail_fraction < 1.0:
             raise ValueError("noise_tail_fraction must be in (0, 1)")
 
@@ -317,18 +320,20 @@ def deconvolve_cir(y_rx: np.ndarray, cal: Calibration) -> CirSnapshot:
     return CirSnapshot(cal.sample_period_s, h)
 
 
-def noise_floor_db(cir: CirSnapshot, tail_fraction: float = 0.1) -> float:
-    """Mean linear power over the trailing delay bins, in dB.
+def _noise_floor(pdp: np.ndarray, policy: MpcExtractionPolicy) -> np.ndarray:
+    """The (rows, 1) mean linear power of each row's trailing
+    noise_tail_fraction of bins, in a (rows, bins) linear PDP array."""
+    n_tail = max(1, int(pdp.shape[-1] * policy.noise_tail_fraction))
+    return np.mean(pdp[:, -n_tail:], axis=-1, keepdims=True)
 
-    The tail is assumed path-free; callers placing paths near the end of
-    the grid (or at delay 0, whose kernel wraps around) should widen the
-    grid instead.
-    """
-    if not 0.0 < tail_fraction < 1.0:
-        raise ValueError("tail_fraction must be in (0, 1)")
-    n = cir.samples.size
-    n_tail = max(1, int(n * tail_fraction))
-    return float(to_db(float(np.mean(np.abs(cir.samples[n - n_tail :]) ** 2))))
+
+def noise_floor_db(cir: CirSnapshot, policy: MpcExtractionPolicy | None = None) -> float:
+    """The noise floor extract_mpcs(cir, policy) detects against, in dB.  The
+    tail is assumed path-free: keep paths away from the grid's end (and from
+    delay 0, whose kernel wraps around) by widening the grid."""
+    if policy is None:
+        policy = MpcExtractionPolicy()
+    return float(to_db(_noise_floor(np.abs(cir.samples[None]) ** 2, policy)[0, 0]))
 
 
 def peak_candidates(pdp: np.ndarray, policy: MpcExtractionPolicy) -> np.ndarray:
@@ -340,11 +345,9 @@ def peak_candidates(pdp: np.ndarray, policy: MpcExtractionPolicy) -> np.ndarray:
     of them, the later bin first among equal powers.  An all-zero row has
     none, and two paths are never adjacent bins.
     """
-    n_tail = max(1, int(pdp.shape[-1] * policy.noise_tail_fraction))
-    floor_lin = np.mean(pdp[:, -n_tail:], axis=-1, keepdims=True)
     threshold = np.maximum(
         pdp.max(axis=-1, keepdims=True) * 10.0 ** (-policy.rel_threshold_db / 10.0),
-        floor_lin * 10.0 ** (policy.noise_margin_db / 10.0),
+        _noise_floor(pdp, policy) * 10.0 ** (policy.noise_margin_db / 10.0),
     )
     left_ok = pdp > np.roll(pdp, 1, axis=-1)
     mask = left_ok & (pdp >= np.roll(pdp, -1, axis=-1)) & (pdp >= threshold)

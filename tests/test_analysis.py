@@ -85,6 +85,17 @@ class TestCorrelationMatrix:
         assert corr.values[0, 2] == pytest.approx(0.0, abs=1e-12)
         assert corr.values[1, 2] == pytest.approx(0.0, abs=1e-12)
 
+    @pytest.mark.parametrize("bins", [3, 64, 205, 1000])
+    def test_flat_profile_is_constant_at_any_bin_count(self, bins):
+        # Centring a row of 0.09s leaves rounding residue at 205 and 1000
+        # bins; the row is still constant, so it correlates 1 with a silent
+        # row and 0 with a varying one.
+        samples = np.zeros((3, bins), dtype=complex)
+        samples[0] = 0.3
+        samples[2, 1] = 1.0
+        values = pdp_correlation_matrix(pdp_from_cir(samples)).values
+        assert values[0, 1] == 1.0 and values[0, 2] == 0.0 and values[1, 2] == 0.0
+
     def test_exactly_symmetric_with_constant_rows(self):
         # analyze's writer formats only the upper triangle, so the matrix
         # must be symmetric to the last bit, constant-PDP rows included.

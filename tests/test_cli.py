@@ -10,6 +10,7 @@ import subprocess
 import sys
 import tempfile
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -143,14 +144,17 @@ class TestBlockage:
             ("carrier_ghz = -28", "carrier_hz must be finite and positive, got -28000000000.0"),
             # Refused by the sweep, not by a parameter type.
             ("link_length_m = 1e308", "non-finite path excess"),
+            # A 5e-315 Hz carrier: metis sweeps it, kirchhoff refuses its
+            # infinite wavelength, and no model's NaN count is printed.
+            ("carrier_ghz = 5e-324", "distances and wavelength must be finite"),
         ],
-        ids=["screen", "endpoints", "band", "sweep"],
+        ids=["screen", "endpoints", "band", "sweep", "wavelength"],
     )
     def test_refused_value_cites_the_file(self, tmp_path, capsys, line, message):
         cfg = write(tmp_path / "b.ini", f"[blockage]\n{line}\n")
         out = tmp_path / "x.csv"
         assert main(["blockage", "--config", cfg, "--out", str(out)]) == 2
-        assert f"error: {cfg}:1: {message}\n" in capsys.readouterr().err
+        assert capsys.readouterr().err == f"error: {cfg}:1: {message}\n"
         assert not out.exists()
 
     @pytest.mark.parametrize(
@@ -476,6 +480,14 @@ class TestGbsm:
         assert main(["gbsm", "--config", cfg, "--out", str(tmp_path / "x.cirb")]) == 2
         assert capsys.readouterr().err == f"error: {cfg}:1: tx and rx positions must differ\n"
 
+    @pytest.mark.parametrize("x", ["5e-324", "1e-200"])
+    def test_separation_whose_square_underflows_cites_the_header(self, tmp_path, capsys, x):
+        cfg = write(tmp_path / "g.ini", f"[gbsm]\nduration_s = 0.001\nrx_position_x_m = {x}\n")
+        out = tmp_path / "x.cirb"
+        assert main(["gbsm", "--config", cfg, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {cfg}:1: tx and rx positions must differ\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "line, key",
         [
@@ -539,8 +551,13 @@ class TestGbsm:
             ("delay_scale_s = 1e300", 3, " of inf delay bins"),
             ("k_factor_db = 1e6", 2, ":2: k_factor_db must be at most 3082"),
             ("per_cluster_shadow_db = 1e300", 2, ":2: per_cluster_shadow_db must be at most 240"),
+            # Synthesis overflows to NaN, and the archive writer refuses the cube.
+            ("tx_velocity_x_mps = 1e308", 2, ".cirb: non-finite value at time step 0"),
+            ("antenna_spacing_m = 1e308", 2, ".cirb: non-finite value at time step 0"),
+            ("ray_angle_spread_rad = 1e308", 2, ".cirb: non-finite value at time step 0"),
         ],
-        ids=["steps", "grid-resolution", "los-delay", "cluster-delays", "k-factor", "shadow"],
+        ids=["steps", "grid-resolution", "los-delay", "cluster-delays", "k-factor", "shadow",
+             "doppler", "array-phase", "ray-angles"],
     )
     def test_overflowing_value_refused_without_traceback(
         self, tmp_path, capsys, lines, code, message
@@ -689,8 +706,10 @@ class TestSounder:
             ("[sounder]\ngr_dbi = 25.0\nmax_path = 5\n", ":3: unknown key 'max_path'"),
             ("\n[sounder]\nmax_paths = 0\n", ":2: max_paths must be >= 1"),
             ("[sounder]\nband_fraction = 0\n", ":2: band_fraction must be in (0, 1]"),
+            # 10 ** (margin / 10) would overflow a float in the peak search.
+            ("[sounder]\nnoise_margin_db = 1e308\n", ":1: noise_margin_db must be at most 3082"),
         ],
-        ids=["unknown-key", "bad-value", "band-fraction"],
+        ids=["unknown-key", "bad-value", "band-fraction", "noise-margin"],
     )
     def test_config_error_reported_before_captures_read(
         self, tmp_path, capsys, text, message
@@ -874,13 +893,6 @@ class TestMatrixRows:
         expected = [(",".join(map(repr, row)) + "\n").encode() for row in values.tolist()]
         assert list(cli.symmetric_matrix_rows(values)) == expected
 
-    def test_asymmetry_in_the_last_bit_refused(self):
-        values = np.eye(40)
-        values[5, 33] = values[33, 5] = 0.3
-        values[33, 5] = np.nextafter(0.3, 1.0)
-        with pytest.raises(ValueError, match="exactly symmetric"):
-            next(cli.symmetric_matrix_rows(values))
-
     def test_asymmetric_matrix_exit_2_without_output(self, tmp_path, capsys, monkeypatch):
         arc = two_regime_archive(str(tmp_path / "two.cirb"))
         correlate = cli.pdp_correlation_matrix
@@ -985,6 +997,22 @@ class TestAnalyze:
         assert header == ["t_s", "power_db"]
         assert len(rows) == 30
         assert float(rows[0][1]) == pytest.approx(0.0, abs=1e-9)
+
+    @pytest.mark.parametrize("refused", ["corr.csv", "corr_intervals.csv", "corr_los.csv"])
+    def test_refused_output_path_exit_2_before_reading(
+        self, tmp_path, capsys, monkeypatch, refused
+    ):
+        def no_read(path):
+            raise AssertionError("archive read")
+
+        arc = two_regime_archive(str(tmp_path / "two.cirb"))
+        monkeypatch.setattr(cli, "_read_pair", no_read)
+        (tmp_path / refused).mkdir()
+        argv = ["analyze", arc, "--stationarity", "--los-track", "--out", str(tmp_path / "corr.csv")]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {tmp_path / refused}: exists and is not a regular file\n"
+        assert sorted(os.listdir(tmp_path)) == sorted([refused, "two.cirb"])
 
     def test_threshold_out_of_range_exit_2(self, tmp_path, capsys):
         arc = two_regime_archive(str(tmp_path / "two.cirb"))
@@ -1177,6 +1205,15 @@ def check_fuzzed_run(capsys, code, directory, outputs):
             assert all(map(math.isfinite, cells)), (name, line)
 
 
+@pytest.fixture
+def sounder_bases(tmp_path):
+    rx, cal = make_captures(tmp_path)
+    # a second, silent capture: its delay spread is nan
+    y_rx = read_archive(rx).cir[0, 0, 0]
+    write_archive(rx, capture_sequence(np.stack([y_rx, 0 * y_rx]), FS, 1e-3))
+    return {"rx": rx, "cal": cal}
+
+
 FUZZ_SETTINGS = settings(
     max_examples=250, derandomize=True, database=None, deadline=None,
     suppress_health_check=[HealthCheck.function_scoped_fixture],
@@ -1195,14 +1232,6 @@ class TestArchiveFuzz:
     @pytest.fixture
     def analyze_base(self, tmp_path):
         return fuzz_analyze_archive(str(tmp_path / "base.cirb"))
-
-    @pytest.fixture
-    def sounder_bases(self, tmp_path):
-        rx, cal = make_captures(tmp_path)
-        # a second, silent capture: its delay spread is nan
-        y_rx = read_archive(rx).cir[0, 0, 0]
-        write_archive(rx, capture_sequence(np.stack([y_rx, 0 * y_rx]), FS, 1e-3))
-        return {"rx": rx, "cal": cal}
 
     @FUZZ_SETTINGS
     @given(edits=st.lists(archive_edits, min_size=1, max_size=3))
@@ -1235,6 +1264,75 @@ class TestArchiveFuzz:
         argv = ["sounder", "--rx", paths["rx"], "--cal", paths["cal"],
                 "--out", os.path.join(directory, "mpcs.csv")]
         check_fuzzed_run(capsys, main(argv), directory, ["mpcs.csv"])
+
+
+# Each value a config key is set to, alone: zero, negatives, extremes of the
+# float range, an overflowing power in dB, and a 20-digit int.
+CONFIG_EXTREMES = (
+    "0", "-1", "1e308", "-1e308", "5e-324", "1e-300", "3083", "1e20", "12345678901234567890",
+)
+CONFIG_KEYS = [(section, key) for section in ("blockage", "gbsm", "sounder") for key in SCHEMA[section]]
+# A short gbsm run with a moving receiver, so the velocity keys bind.
+CONFIG_FUZZ_BASE = {
+    "blockage": {},
+    "gbsm": {"duration_s": "0.000625", "rx_velocity_x_mps": "1.5"},
+    "sounder": {},
+}
+
+
+def check_blockage_curves(err, path):
+    """Finite positions, and per model stderr's count of its NaN points."""
+    header, *rows = open(path).read().splitlines()
+    columns = list(zip(*[[float(cell) for cell in row.split(",")] for row in rows]))
+    assert all(map(math.isfinite, columns[0]))
+    models = [name.removesuffix("_att_db") for name in header.split(",")[1:]]
+    counts = [sum(map(math.isnan, column)) for column in columns[1:]]
+    assert err == "".join(f"{m}: {n} NaN point(s)\n" for m, n in zip(models, counts))
+    for column in columns[1:]:
+        assert all(math.isfinite(v) or math.isnan(v) for v in column)
+
+
+class TestConfigFuzz:
+    """One [blockage], [gbsm] or [sounder] key at a time set to an extreme,
+    through cli.main in process, under a 4 MiB gbsm budget.  Any warning is
+    an error, so a run that exits 2 or 3 shows only its error line."""
+
+    @pytest.fixture
+    def budget(self, monkeypatch):
+        monkeypatch.setattr(gbsm, "MAX_CIR_BYTES", 4 << 20)
+
+    @settings(FUZZ_SETTINGS, max_examples=500)
+    @given(key=st.sampled_from(CONFIG_KEYS), value=st.sampled_from(CONFIG_EXTREMES))
+    @example(key=("blockage", "carrier_ghz"), value="5e-324")  # refused after metis ran
+    @example(key=("gbsm", "rx_position_x_m"), value="5e-324")  # a LOS of length 0
+    @example(key=("sounder", "noise_margin_db"), value="3083")  # 10 ** 308.3 overflows
+    @example(key=("gbsm", "tx_velocity_x_mps"), value="1e308")  # NaN Doppler phases
+    @example(key=("gbsm", "antenna_spacing_m"), value="1e308")  # NaN array phases
+    @example(key=("gbsm", "ray_angle_spread_rad"), value="1e308")  # NaN ray angles
+    def test_one_key(self, tmp_path, capsys, budget, sounder_bases, key, value):
+        section, name = key
+        directory = tempfile.mkdtemp(dir=tmp_path)
+        keys = {**CONFIG_FUZZ_BASE[section], name: value}
+        cfg = os.path.join(directory, "c.ini")
+        with open(cfg, "w") as handle:
+            handle.write(f"[{section}]\n" + "".join(f"{k} = {v}\n" for k, v in keys.items()))
+        command = {"sounder": ["sounder", "--rx", sounder_bases["rx"], "--cal", sounder_bases["cal"]]}
+        out = os.path.join(directory, "out.cirb" if section == "gbsm" else "out.csv")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main([*command.get(section, [section]), "--config", cfg, "--out", out])
+        if section == "sounder":
+            check_fuzzed_run(capsys, code, directory, ["out.csv"])
+            return
+        err = capsys.readouterr().err
+        assert code in (0, 2, 3), err
+        if code:
+            assert err.startswith("error: ") and err.count("\n") == 1, err
+            assert os.listdir(directory) == ["c.ini"]
+        elif section == "gbsm":
+            assert err == "" and np.isfinite(read_archive(out).cir).all()
+        else:
+            check_blockage_curves(err, out)
 
 
 class TestOutputMode:

@@ -87,6 +87,9 @@ class TestConfig:
             {"rx_position": Point3(0.0, 0.0, 1.5)},
             {"tx_velocity": Point3(0.0, 0.0, 1.0)},
             {"rx_velocity": Point3(1.5, 0.0, -0.5)},
+            # distinct positions whose distance's square underflows to 0
+            {"rx_position": Point3(5e-324, 0.0, 1.5)},
+            {"rx_position": Point3(1e-163, 0.0, 1.5)},
         ],
     )
     def test_rejects_bad_values(self, kwargs):

@@ -9,7 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from chantool.core import CirSnapshot, Mpc, derive_substream
+from chantool import sounder
+from chantool.core import CirSnapshot, Mpc, derive_substream, to_db
 from chantool.sounder import (
     LinkBudget,
     MpcExtractionPolicy,
@@ -339,12 +340,37 @@ class TestExtraction:
             MpcExtractionPolicy(rel_threshold_db=0.0)
         with pytest.raises(ValueError, match="noise_tail_fraction"):
             MpcExtractionPolicy(noise_tail_fraction=1.0)
+        # 10 ** (margin / 10) overflows a float past 3082 dB.
+        MpcExtractionPolicy(noise_margin_db=3082.0)
+        with pytest.raises(ValueError, match="noise_margin_db must be at most 3082"):
+            MpcExtractionPolicy(noise_margin_db=3083.0)
 
     def test_noise_floor_db(self):
+        # 900 bins at 0 dB, then a tail of 100 at -60 dB: the default policy's
+        # tenth is the tail alone, and a half takes 400 loud bins with it.
         samples = np.full(1000, 1e-3, dtype=complex)
-        assert noise_floor_db(snapshot_from_samples(samples)) == pytest.approx(-60.0, abs=1e-9)
-        with pytest.raises(ValueError, match="tail_fraction"):
-            noise_floor_db(snapshot_from_samples(samples), tail_fraction=0.0)
+        samples[:900] = 1.0
+        cir = snapshot_from_samples(samples)
+        assert noise_floor_db(cir) == pytest.approx(-60.0, abs=1e-9)
+        half = MpcExtractionPolicy(noise_tail_fraction=0.5)
+        assert noise_floor_db(cir, half) == pytest.approx(10 * math.log10(0.8000002), abs=1e-9)
+
+    @pytest.mark.parametrize("tail_fraction", [0.001, 0.05, 0.1, 0.37, 0.5, 0.999])
+    def test_noise_floor_db_is_the_floor_peak_candidates_uses(self, monkeypatch, tail_fraction):
+        rng = np.random.default_rng(31)
+        scale = 10.0 ** rng.uniform(-6.0, 2.0, (6, 1))
+        samples = (rng.normal(size=(6, 997)) + 1j * rng.normal(size=(6, 997))) * scale
+        policy = MpcExtractionPolicy(noise_tail_fraction=tail_fraction)
+        noise_floor, used = sounder._noise_floor, []
+
+        def recording(pdp, policy):
+            used.append(noise_floor(pdp, policy))
+            return used[-1]
+
+        monkeypatch.setattr(sounder, "_noise_floor", recording)
+        peak_candidates(np.abs(samples) ** 2, policy)
+        floors = [float(to_db(floor)) for floor in used[0][:, 0]]
+        assert [noise_floor_db(snapshot_from_samples(row), policy) for row in samples] == floors
 
 
 class TestSummaryStatistics:
