@@ -14,7 +14,8 @@ sample_period_s * (n_delay - 1) must be finite, and both spacings positive.
 Files are written in blocks of whole time steps of about BLOCK_BYTES.
 open_archive checks every size against the file before the payload, then
 yields it in such blocks through one reused <c8 buffer; read_archive
-collects them into complex128.
+collects them into complex128.  staged holds the output rule of every
+file the command line writes, archives and text alike.
 
 Raw capture waveforms reuse the same container with n_tx = n_rx = 1 and
 the sample axis in the delay slot.
@@ -22,14 +23,13 @@ the sample axis in the delay slot.
 
 from __future__ import annotations
 
-import itertools
 import math
 import os
 import struct
 import tempfile
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterator, Sequence
 from contextlib import contextmanager
-from typing import NamedTuple
+from typing import BinaryIO, NamedTuple
 
 import numpy as np
 
@@ -72,41 +72,47 @@ class ArchiveHeader(NamedTuple):
                 raise ArchiveError(f"{path}: last {what} must be finite, got {value}")
 
 
-def writable_target(path: str) -> str:
-    """The file that writing path replaces: path itself, or a symlink's
-    target.  An existing target that is not a regular file is refused."""
-    target = os.path.realpath(path)
-    if os.path.lexists(target) and not os.path.isfile(target):
-        raise ArchiveError(f"{path}: exists and is not a regular file")
-    return target
-
-
-def atomic_write_bytes(path: str, chunks: Iterable[bytes]) -> None:
-    """Write C-contiguous buffers in order, lazily, via a temp file in the
-    target directory plus rename, so a crash never leaves a partial file.
-    Each buffer is released before the next one is drawn from chunks.  The
-    file gets the mode open() would give it, 0o666 less the umask, not the
-    temp file's 0o600.  The file replaced is writable_target(path)."""
-    target = writable_target(path)
-    try:
-        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(target), prefix=".tmp-", suffix="~")
-    except OSError as err:  # the temp file's name means nothing to the caller
-        raise OSError(err.errno, err.strerror, path) from None
+@contextmanager
+def staged(paths: Sequence[str]) -> Iterator[list[BinaryIO]]:
+    """Yield one binary handle per path, on a temp file made beside its
+    target before the block runs.  Once the block completes every temp file
+    is renamed over its target; on any exception each one left is unlinked.
+    A symlink is written through; an existing target that is not a regular
+    file is refused.  Files get open()'s mode, 0o666 less the umask.  There
+    is no fsync: a failed or killed process never leaves a target partly
+    written (a killed one may leave .tmp-*~ files), a power loss may."""
     umask = os.umask(0)  # reading the umask means setting it
     os.umask(umask)
+    temps, handles = [], []
     try:
-        os.chmod(tmp, 0o666 & ~umask)
-        with os.fdopen(fd, "wb") as handle:
-            handle.writelines(chunks)
-        os.replace(tmp, target)
+        for path in paths:
+            target = os.path.realpath(path)
+            if os.path.lexists(target) and not os.path.isfile(target):
+                raise ArchiveError(f"{path}: exists and is not a regular file")
+            try:
+                fd, tmp = tempfile.mkstemp(dir=os.path.dirname(target), prefix=".tmp-", suffix="~")
+            except OSError as err:  # the temp file's name means nothing to the caller
+                raise OSError(err.errno, err.strerror, path) from None
+            temps.append((tmp, target))
+            handles.append(os.fdopen(fd, "wb"))
+            os.fchmod(fd, 0o666 & ~umask)
+        yield handles
+        for handle in handles:
+            handle.close()
+        while temps:
+            os.replace(*temps[0])
+            temps.pop(0)
     except BaseException:
-        if os.path.exists(tmp):
+        for tmp, _ in temps:
             os.unlink(tmp)
+        for handle in handles:
+            handle.close()
         raise
 
 
 def atomic_write_text(path: str, text: str) -> None:
-    atomic_write_bytes(path, (text.encode("utf-8"),))
+    with staged([path]) as (handle,):
+        handle.write(text.encode("utf-8"))
 
 
 def _finite(block: np.ndarray, t: int, path: str) -> np.ndarray:
@@ -128,11 +134,10 @@ def write_archive(path: str, seq: CirSequence) -> int:
     ArchiveHeader(seq.cir.shape, *times).check_times(path)
     header = _HEADER.pack(MAGIC, VERSION, n_time, n_tx, n_rx, n_delay, *times)
     step = max(1, BLOCK_BYTES // (8 * n_tx * n_rx * n_delay))
-    blocks = (
-        _finite(seq.cir[t : t + step].astype("<c8", order="C"), t, path)
-        for t in range(0, n_time, step)
-    )
-    atomic_write_bytes(path, itertools.chain((header,), blocks))
+    with staged([path]) as (handle,):
+        handle.write(header)
+        for t in range(0, n_time, step):
+            handle.write(_finite(seq.cir[t : t + step].astype("<c8", order="C"), t, path))
     return _HEADER.size + 8 * seq.cir.size
 
 

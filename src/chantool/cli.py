@@ -1,10 +1,11 @@
 """Batch command line: scenario configs in, CSV curves and CIR archives out.
 
 Subcommands: blockage, pathloss-fit, gbsm, sounder, analyze.  Exit codes:
-0 success, 2 input or config error, 3 resource/sizing error.  All output
-files are written atomically.  chantool's own code runs serially in one
-thread, so repeated runs with identical inputs produce byte-identical files
-under the same BLAS thread count: analyze's Gram product goes through BLAS.
+0 success, 2 input or config error, 3 resource/sizing error.  Every output
+file goes through archive.staged, which renames it into place last.
+chantool's own code runs serially in one thread, so repeated runs with
+identical inputs produce byte-identical files under the same BLAS thread
+count: analyze's Gram product goes through BLAS.
 Importing this module before numpy loads defaults OPENBLAS_THREAD_TIMEOUT
 to 4, so OpenBLAS's idle workers sleep at once instead of spinning on a
 second core; that changes when they sleep, not how many threads split the
@@ -41,11 +42,10 @@ from chantool.archive import (
     MAX_ANTENNAS,
     ArchiveError,
     ArchiveHeader,
-    atomic_write_bytes,
     atomic_write_text,
     open_archive,
     read_archive,  # noqa: F401  (perfbench/tracing.py wraps cli.read_archive)
-    writable_target,
+    staged,
     write_archive,
 )
 from chantool.blockage import (
@@ -179,8 +179,9 @@ def _parse_sample_rows(rows: list[str]) -> np.ndarray:
 
 def _read_samples_csv(path: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The checked columns of a distance_m,freq_ghz,pl_db CSV, read in one
-    pass of SAMPLES_BLOCK_CHARS blocks.  If a block fails as a whole, its
-    lines are parsed one by one to cite the first bad one; blank lines count."""
+    pass of SAMPLES_BLOCK_CHARS blocks.  A block that fails is parsed again a
+    line at a time, which cites its first bad line (blank lines count): every
+    check is per row, so some line fails on its own."""
     blocks, header, end = [], None, 0
     with open(path, "r", encoding="utf-8") as handle:
         while lines := handle.readlines(SAMPLES_BLOCK_CHARS):
@@ -193,14 +194,13 @@ def _read_samples_csv(path: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
                     break
             try:
                 blocks.append(_parse_sample_rows(rows[skip:]))
-            except ValueError as err:
+            except ValueError:
                 numbered = enumerate(map(str.strip, lines), start + 1)
                 for lineno, line in [(n, line) for n, line in numbered if line][skip:]:
                     try:
-                        _parse_sample_rows([line])
-                    except ValueError as line_err:
-                        raise ValueError(f"{path}:{lineno}: {line_err}") from None
-                raise ValueError(f"{path}: {err}") from None
+                        blocks.append(_parse_sample_rows([line]))
+                    except ValueError as err:
+                        raise ValueError(f"{path}:{lineno}: {err}") from None
     if header != SAMPLES_HEADER:
         raise ValueError(
             f"{path}: expected header {SAMPLES_HEADER!r}, got {header or '<empty>'!r}"
@@ -359,29 +359,28 @@ def symmetric_matrix_rows(values: np.ndarray):
 def cmd_analyze(args) -> int:
     if not 0.0 < args.threshold < 1.0:
         raise ValueError(f"threshold must lie in (0, 1), got {args.threshold}")
-    # Every output path is checked before the archive is read, so a refused
-    # one leaves none of the others written.
+    # Every output is staged before the archive is read and renamed only
+    # after the last is complete, so a failed run leaves none of them.
     stem, ext = os.path.splitext(args.out)
-    intervals_out = f"{stem}_intervals{ext or '.csv'}" if args.stationarity else None
-    los_out = f"{stem}_los{ext or '.csv'}" if args.los_track else None
-    for path in filter(None, (args.out, intervals_out, los_out)):
-        writable_target(path)
-    header, samples = _read_pair(args.archive)
-    if los_out:
-        track = los_power_track(samples, header.t0_s, header.dt_s)
-    pdp_db = pdp_from_cir(samples)
-    del samples  # so the correlation and the matrix text run without them
-    corr = pdp_correlation_matrix(pdp_db)
-    del pdp_db
-    atomic_write_bytes(args.out, symmetric_matrix_rows(corr.values))
-
-    if intervals_out:
-        report = stationary_intervals(corr, args.threshold)
-        rows = [f"{start},{end}\n" for start, end in report.intervals]
-        atomic_write_text(intervals_out, "".join(["start_index,end_index\n", *rows]))
-    if los_out:
-        rows = [f"{_fmt(t)},{_fmt(level)}\n" for t, level in track]
-        atomic_write_text(los_out, "".join(["t_s,power_db\n", *rows]))
+    names = ["corr"] + ["intervals"] * args.stationarity + ["los"] * args.los_track
+    paths = [args.out] + [f"{stem}_{name}{ext or '.csv'}" for name in names[1:]]
+    with staged(paths) as handles:
+        out = dict(zip(names, handles))
+        header, samples = _read_pair(args.archive)
+        if "los" in out:
+            track = los_power_track(samples, header.t0_s, header.dt_s)
+        pdp_db = pdp_from_cir(samples)
+        del samples  # so the correlation and the matrix text run without them
+        corr = pdp_correlation_matrix(pdp_db)
+        del pdp_db
+        out["corr"].writelines(symmetric_matrix_rows(corr.values))
+        if "intervals" in out:
+            report = stationary_intervals(corr, args.threshold)
+            rows = [f"{start},{end}\n" for start, end in report.intervals]
+            out["intervals"].write("".join(["start_index,end_index\n", *rows]).encode())
+        if "los" in out:
+            rows = [f"{_fmt(t)},{_fmt(level)}\n" for t, level in track]
+            out["los"].write("".join(["t_s,power_db\n", *rows]).encode())
     return EXIT_OK
 
 

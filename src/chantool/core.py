@@ -81,6 +81,8 @@ class FrequencyBand:
     def __post_init__(self) -> None:
         if not (self.carrier_hz > 0.0 and math.isfinite(self.carrier_hz)):
             raise ValueError(f"carrier_hz must be finite and positive, got {self.carrier_hz}")
+        if not math.isfinite(self.wavelength_m):
+            raise ValueError(f"carrier_hz {self.carrier_hz} gives an infinite wavelength")
 
     @property
     def wavelength_m(self) -> float:

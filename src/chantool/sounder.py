@@ -140,12 +140,10 @@ class MpcExtractionPolicy:
 
 @functools.lru_cache(maxsize=16)
 def _lfsr_chips(order: int) -> np.ndarray:
-    """One full period of the ±1 m-sequence from _DEFAULT_TAPS[order],
-    checking that those taps are maximal."""
+    """One full period of the ±1 m-sequence from _DEFAULT_TAPS[order]."""
     taps = _DEFAULT_TAPS[order]
     period = (1 << order) - 1
-    state = (1 << order) - 1
-    start = state
+    state = period  # all ones
     bits = np.empty(period, dtype=np.int8)
     for i in range(period):
         bits[i] = state & 1
@@ -153,12 +151,6 @@ def _lfsr_chips(order: int) -> np.ndarray:
         for t in taps:
             fb ^= (state >> (order - t)) & 1
         state = (state >> 1) | (fb << (order - 1))
-        if state == start and i != period - 1:
-            raise ValueError(
-                f"taps {taps} are not primitive: state repeats after {i + 1} steps"
-            )
-    if state != start:
-        raise ValueError(f"taps {taps} are not primitive")
     chips = 2.0 * bits.astype(np.float64) - 1.0
     chips.setflags(write=False)
     return chips

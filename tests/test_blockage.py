@@ -150,6 +150,8 @@ def test_fresnel_zone_radius_validation():
 def test_metis_edge_term_examples():
     lam = 0.0107
     assert metis_edge_term(5.0, 5.0, 10.0, lam, True) == 0.0
+    # An excess of -1e-12 m is rounding, not geometry: it counts as 0.
+    assert metis_edge_term(1.0, 1.0, 2.0 + 1e-12, lam, True) == 0.0
     assert metis_edge_term(600.0, 600.0, 10.0, lam, True) == pytest.approx(0.5, abs=1e-3)
     assert metis_edge_term(600.0, 600.0, 10.0, lam, False) == pytest.approx(-0.5, abs=1e-3)
 

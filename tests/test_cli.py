@@ -1,5 +1,6 @@
 """End-to-end tests for the command line front end."""
 
+import errno
 import gc
 import json
 import math
@@ -72,6 +73,7 @@ def read_rows(path):
 
 
 BLOCKAGE_INI = "[blockage]\nscenario = crossing\ncarrier_ghz = 28.0\n"
+INFINITE_WAVELENGTH = "carrier_hz 4.94065646e-315 gives an infinite wavelength"
 
 
 class TestBlockage:
@@ -144,9 +146,9 @@ class TestBlockage:
             ("carrier_ghz = -28", "carrier_hz must be finite and positive, got -28000000000.0"),
             # Refused by the sweep, not by a parameter type.
             ("link_length_m = 1e308", "non-finite path excess"),
-            # A 5e-315 Hz carrier: metis sweeps it, kirchhoff refuses its
-            # infinite wavelength, and no model's NaN count is printed.
-            ("carrier_ghz = 5e-324", "distances and wavelength must be finite"),
+            # A 5e-315 Hz carrier: the band refuses its infinite wavelength
+            # before any sweep, so no model's NaN count is printed.
+            ("carrier_ghz = 5e-324", INFINITE_WAVELENGTH),
         ],
         ids=["screen", "endpoints", "band", "sweep", "wavelength"],
     )
@@ -603,6 +605,21 @@ class TestNonFiniteConfig:
         assert f"{cfg}:2: bad value for '{key}': must be finite" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["blockage", "--model", "metis"], ["blockage", "--model", "gtd"],
+         ["blockage", "--model", "kirchhoff"], ["gbsm"]],
+        ids=["metis", "gtd", "kirchhoff", "gbsm"],
+    )
+    def test_infinite_wavelength_exit_2_at_the_section(self, tmp_path, capsys, argv):
+        # metis and gtd swept a 5e-315 Hz carrier to 0.0 dB, and gbsm wrote
+        # a cube at its infinite wavelength; only kirchhoff refused it.
+        cfg = write(tmp_path / "c.ini", f"[{argv[0]}]\ncarrier_ghz = 5e-324\n")
+        out = tmp_path / "x.out"
+        assert main([*argv, "--config", cfg, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {cfg}:1: {INFINITE_WAVELENGTH}\n"
+        assert not out.exists()
+
 
 def make_captures(tmp_path, bins=(10, 50, 120), powers=(0.0, -6.0, -12.0),
                   snr_db=30.0, label="cli-sounder"):
@@ -936,15 +953,15 @@ class TestAnalyze:
         arc = str(tmp_path / "noise.cirb")
         write_archive(arc, CirSequence(0.0, 1e-3, 1.0 / FS, cir))
         sizes = []
-        write_bytes = cli.atomic_write_bytes
+        matrix_rows = cli.symmetric_matrix_rows
 
-        def recording(path, chunks):
-            chunks = list(chunks)
-            assert all(chunk.endswith(b"\n") for chunk in chunks)
-            sizes.extend(len(chunk) for chunk in chunks)
-            write_bytes(path, chunks)
+        def recording(values):
+            for chunk in matrix_rows(values):
+                assert chunk.endswith(b"\n")
+                sizes.append(len(chunk))
+                yield chunk
 
-        monkeypatch.setattr(cli, "atomic_write_bytes", recording)
+        monkeypatch.setattr(cli, "symmetric_matrix_rows", recording)
         out = str(tmp_path / "corr.csv")
         assert main(["analyze", arc, "--out", out]) == 0
         assert len(sizes) >= 2
@@ -979,13 +996,13 @@ class TestAnalyze:
         arc = str(tmp_path / "noise.cirb")
         write_archive(arc, CirSequence(0.0, 1e-3, 1.0 / FS, cir))
         del cir
-        write_bytes = cli.atomic_write_bytes
+        matrix_rows = cli.symmetric_matrix_rows
 
-        def from_text_phase(path, chunks):
+        def from_text_phase(values):
             tracemalloc.reset_peak()
-            write_bytes(path, chunks)
+            yield from matrix_rows(values)
 
-        monkeypatch.setattr(cli, "atomic_write_bytes", from_text_phase)
+        monkeypatch.setattr(cli, "symmetric_matrix_rows", from_text_phase)
         peak = traced_peak(main, ["analyze", arc, "--out", str(tmp_path / "corr.csv")])
         assert peak <= 2.1 * 8 * n**2
 
@@ -998,21 +1015,59 @@ class TestAnalyze:
         assert len(rows) == 30
         assert float(rows[0][1]) == pytest.approx(0.0, abs=1e-9)
 
-    @pytest.mark.parametrize("refused", ["corr.csv", "corr_intervals.csv", "corr_los.csv"])
-    def test_refused_output_path_exit_2_before_reading(
-        self, tmp_path, capsys, monkeypatch, refused
-    ):
+    @pytest.fixture
+    def unread_archive(self, tmp_path, monkeypatch):
+        """A two-regime archive in tmp_path whose read fails the test."""
+
         def no_read(path):
             raise AssertionError("archive read")
 
-        arc = two_regime_archive(str(tmp_path / "two.cirb"))
         monkeypatch.setattr(cli, "_read_pair", no_read)
+        return two_regime_archive(str(tmp_path / "two.cirb"))
+
+    @pytest.mark.parametrize("refused", ["corr.csv", "corr_intervals.csv", "corr_los.csv"])
+    def test_refused_output_path_exit_2_before_reading(
+        self, tmp_path, capsys, unread_archive, refused
+    ):
         (tmp_path / refused).mkdir()
-        argv = ["analyze", arc, "--stationarity", "--los-track", "--out", str(tmp_path / "corr.csv")]
+        argv = ["analyze", unread_archive, "--stationarity", "--los-track",
+                "--out", str(tmp_path / "corr.csv")]
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert err == f"error: {tmp_path / refused}: exists and is not a regular file\n"
         assert sorted(os.listdir(tmp_path)) == sorted([refused, "two.cirb"])
+
+    @pytest.mark.parametrize("refused", ["corr.csv", "corr_intervals.csv", "corr_los.csv"])
+    @pytest.mark.parametrize(
+        "parent, message",
+        [("missing", "[Errno 2] No such file or directory"), ("two.cirb", "[Errno 20] Not a directory")],
+        ids=["dangling-link", "missing-parent"],
+    )
+    def test_output_with_no_directory_exit_2_before_reading(
+        self, tmp_path, capsys, unread_archive, refused, parent, message
+    ):
+        # A link into a missing directory, or under the archive, a regular
+        # file: no temp file can be made beside the link's target.
+        (tmp_path / refused).symlink_to(os.path.join(parent, refused))
+        argv = ["analyze", unread_archive, "--stationarity", "--los-track",
+                "--out", str(tmp_path / "corr.csv")]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: {message}: '{tmp_path / refused}'\n"
+        assert sorted(os.listdir(tmp_path)) == sorted([refused, "two.cirb"])
+
+    def test_error_while_writing_the_los_track_leaves_no_output(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # The matrix and the intervals are complete by then, and stay unwritten.
+        def full_disk(value):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        arc = two_regime_archive(str(tmp_path / "two.cirb"))
+        monkeypatch.setattr(cli, "_fmt", full_disk)
+        argv = ["analyze", arc, "--stationarity", "--los-track", "--out", str(tmp_path / "corr.csv")]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == "error: [Errno 28] No space left on device\n"
+        assert os.listdir(tmp_path) == ["two.cirb"]
 
     def test_threshold_out_of_range_exit_2(self, tmp_path, capsys):
         arc = two_regime_archive(str(tmp_path / "two.cirb"))
@@ -1303,7 +1358,7 @@ class TestConfigFuzz:
 
     @settings(FUZZ_SETTINGS, max_examples=500)
     @given(key=st.sampled_from(CONFIG_KEYS), value=st.sampled_from(CONFIG_EXTREMES))
-    @example(key=("blockage", "carrier_ghz"), value="5e-324")  # refused after metis ran
+    @example(key=("blockage", "carrier_ghz"), value="5e-324")  # an infinite wavelength
     @example(key=("gbsm", "rx_position_x_m"), value="5e-324")  # a LOS of length 0
     @example(key=("sounder", "noise_margin_db"), value="3083")  # 10 ** 308.3 overflows
     @example(key=("gbsm", "tx_velocity_x_mps"), value="1e308")  # NaN Doppler phases

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from chantool import gbsm
 from chantool.core import Point3, derive_substream
 from chantool.gbsm import (
+    CirSequence,
     ClusterState,
     GbsmConfig,
     RAY_DTYPE,
@@ -492,6 +493,12 @@ class TestRunScenario:
         assert snap.sample_period_s == seq.sample_period_s
         assert np.shares_memory(snap.samples, seq.cir)
         assert np.array_equal(snap.samples, seq.cir[4, 1, 2])
+
+    def test_sequence_validation(self):
+        with pytest.raises(ValueError, match="dt_s must be positive"):
+            CirSequence(0.0, 0.0, 1e-9, np.zeros((2, 1, 1, 4), dtype=complex))
+        with pytest.raises(ValueError, match=r"cir must be \(time, tx, rx, delay\)"):
+            CirSequence(0.0, 1e-3, 1e-9, np.zeros((2, 4), dtype=complex))
 
     def test_step_count_rounds(self):
         cfg = GbsmConfig(seed=31, duration_s=1.0, snapshot_interval_s=0.1)

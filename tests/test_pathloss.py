@@ -251,6 +251,13 @@ def test_abg_fit_single_frequency_rank_error():
     assert fit.alpha == pytest.approx(2.5, abs=1e-9)
 
 
+@pytest.mark.parametrize("fix_gamma, needed", [(None, 3), (0.0, 2)])
+def test_abg_fit_too_few_samples(fix_gamma, needed):
+    n = needed - 1
+    with pytest.raises(ValueError, match=f"abg_fit needs at least {needed} samples"):
+        abg_fit([10.0, 100.0][:n], [28.0, 39.0][:n], [90.0, 110.0][:n], fix_gamma=fix_gamma)
+
+
 def test_abg_fit_distance_rank_error():
     with pytest.raises(RankDeficientError, match="distance column"):
         abg_fit([50.0] * 3, [28.0, 32.0, 39.0], [100.0] * 3)

@@ -60,6 +60,18 @@ class TestPnSequence:
         for order in range(6, 17):
             assert generate_pn(order).size == 1 << order
 
+    def test_every_order_is_maximal(self):
+        # The register holds the next `order` chips, so the period shows
+        # each state as one cyclic window: a maximal register shows all
+        # 2**order - 1 non-zero states, none twice.
+        for order in range(6, 17):
+            bits = (generate_pn(order)[:-1] > 0).astype(np.int64)
+            period = (1 << order) - 1
+            assert bits.size == period
+            cyclic = np.concatenate([bits, bits[: order - 1]])
+            states = sum(cyclic[j : j + period] << j for j in range(order))
+            assert np.unique(states).size == period and states.min() > 0
+
     def test_order_range(self):
         for order in (5, 17):
             with pytest.raises(ValueError, match="order"):
@@ -161,6 +173,10 @@ class TestDeconvolution:
             calibrate(default_cal[None, :])
         with pytest.raises(ValueError, match="invalid calibration"):
             calibrate(np.zeros(default_cal.size))
+        # A tone at bin 400 of 1024 lies outside a band of +-51 bins.
+        tone = np.exp(2j * np.pi * 400 * np.arange(1024) / 1024)
+        with pytest.raises(ValueError, match="no occupied band"):
+            calibrate(tone, band_fraction=0.1)
         with pytest.raises(ValueError, match="band_fraction"):
             calibrate(default_cal, band_fraction=0.0)
         with pytest.raises(ValueError, match="band_fraction"):
