@@ -14,18 +14,17 @@ import importlib
 
 _EXPORTS = {
     "analysis": ("CorrelationMatrix", "StationaryReport", "los_power_track",
-                 "pdp_correlation_matrix", "stationary_intervals", "xpr_db"),
+                 "pdp_correlation_matrix", "stationary_intervals"),
     "archive": ("ArchiveError", "capture_sequence", "read_archive", "write_archive"),
     "blockage": ("BlockageScenario", "Cylinder", "GeometryError", "Screen", "airy_zero",
                  "default_cylinder", "default_screen", "gtd_cylinder_attenuation",
-                 "kirchhoff_screen_attenuation", "metis_multi_screen_attenuation",
-                 "metis_screen_attenuation", "sweep_blocker"),
+                 "kirchhoff_screen_attenuation", "metis_screen_attenuation", "sweep_blocker"),
     "config": ("Config", "ConfigError", "parse_config"),
     "core": ("BAND_28", "BAND_32", "BAND_39", "DB_FLOOR", "SPEED_OF_LIGHT", "CirSnapshot",
              "FrequencyBand", "Mpc", "Point3", "derive_substream", "from_db",
              "pdp_from_cir", "to_db"),
     "gbsm": ("CirSequence", "GbsmConfig", "SizingError", "run_scenario"),
-    "pathloss": ("AbgModel", "CiModel", "abg_eval", "abg_fit", "fi_preset", "ci_eval",
+    "pathloss": ("AbgModel", "CiModel", "abg_eval", "abg_fit", "ci_eval",
                  "ci_fit", "ci_preset", "sample_columns"),
     "sounder": ("Calibration", "LinkBudget", "MpcExtractionPolicy", "WaveformSpec",
                 "build_tx_waveform", "calibrate", "deconvolve_cir", "extract_mpcs",

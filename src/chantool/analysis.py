@@ -1,29 +1,28 @@
 """Second-order statistics over (time, delay) blocks of CIR samples.
 
-PDP correlation matrices, greedy stationary-interval segmentation, the
-cross-polarization power ratio, and line-of-sight power tracking, which
-searches the whole block for peaks at once; callers slice the antenna
-pair, seq.cir[:, tx, rx].  A correlation matrix is (snapshots x snapshots)
-float64, so its size is budgeted by bytes: check_correlation_size refuses
-an oversized request with SizingError before anything is allocated.  The
-matrix is the one n^2 array pdp_correlation_matrix allocates.  The product
-x @ x.T is exactly symmetric by construction: numpy runs it as one syrk and
-copies the triangle it computed into the other.  CorrelationMatrix checks
-that to the last bit, so a product that ever stops being symmetric is
-refused, not averaged.
+PDP correlation matrices, greedy stationary-interval segmentation, and
+line-of-sight power tracking, which searches the whole block for peaks at
+once; callers slice the antenna pair, seq.cir[:, tx, rx].  A correlation
+matrix is (snapshots x snapshots) float64, so its size is budgeted by
+bytes: check_correlation_size refuses an oversized request with
+SizingError before anything is allocated.  The matrix is the one n^2 array
+pdp_correlation_matrix allocates.  The product x @ x.T is exactly
+symmetric by construction: numpy runs it as one syrk and copies the
+triangle it computed into the other.  CorrelationMatrix checks that to the
+last bit, so a product that ever stops being symmetric is refused, not
+averaged.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
-from chantool.core import DB_FLOOR, Mpc, from_db
+from chantool.core import DB_FLOOR, from_db
 from chantool.gbsm import SizingError
-from chantool.sounder import MpcExtractionPolicy, peak_candidates, received_power
+from chantool.sounder import MpcExtractionPolicy, peak_candidates
 from chantool.sounder import extract_mpcs  # noqa: F401  (perfbench/tracing.py wraps it here)
 
 
@@ -132,13 +131,6 @@ def stationary_intervals(
             anchor = j
     intervals.append((anchor, n - 1))
     return StationaryReport(intervals=tuple(intervals), threshold=threshold)
-
-
-def xpr_db(co_pol_mpcs: Sequence[Mpc], cross_pol_mpcs: Sequence[Mpc]) -> float:
-    """Cross-polarization ratio: co-pol minus cross-pol received power, dB."""
-    if not co_pol_mpcs or not cross_pol_mpcs:
-        raise ValueError("no paths")
-    return received_power(co_pol_mpcs) - received_power(cross_pol_mpcs)
 
 
 def los_power_track(

@@ -231,15 +231,6 @@ def metis_screen_attenuation(
     return _loss_db(1.0 - f_vert * f_sides)
 
 
-def metis_multi_screen_attenuation(scn: BlockageScenario) -> float:
-    """Sum of per-screen knife-edge losses in dB (sparse-blocker assumption)."""
-    _require_blockers("metis", scn.blockers)
-    total = 0.0
-    for blocker in scn.blockers:
-        total += metis_screen_attenuation(scn.tx, scn.rx, scn.band, blocker)
-    return total
-
-
 # ---------------------------------------------------------------------------
 # Kirchhoff aperture model.
 
@@ -409,12 +400,6 @@ def gtd_cylinder_attenuation(
 MODELS = {"metis": Screen, "kirchhoff": Screen, "gtd": Cylinder}
 
 
-def _require_blockers(model: str, blockers: tuple) -> None:
-    kind = MODELS[model]
-    if not all(isinstance(blocker, kind) for blocker in blockers):
-        raise GeometryError(f"{model} model requires {kind.__name__} blockers")
-
-
 def _sweep_point(scn: BlockageScenario, model: str, position: Point3) -> float:
     offset = position - scn.blockers[0].center
     total = 0.0
@@ -448,7 +433,9 @@ def sweep_blocker(
         raise ValueError(f"unknown model {model!r}; expected one of {tuple(MODELS)}")
     if not scn.blockers:
         raise ValueError("sweep needs at least one blocker; the blocker set is empty")
-    _require_blockers(model, scn.blockers)
+    kind = MODELS[model]
+    if not all(isinstance(blocker, kind) for blocker in scn.blockers):
+        raise GeometryError(f"{model} model requires {kind.__name__} blockers")
 
     def run(position: Point3) -> float:
         try:

@@ -279,6 +279,10 @@ def cmd_sounder(args) -> int:
             raise ArchiveError(
                 f"rx captures have {rx.shape[3]} samples, cal has {cal.shape[3]}"
             )
+        if not math.isfinite(rx.sample_period_s * (rx.shape[3] - 1) * 1e9):
+            raise ArchiveError(
+                "rx's last delay in ns, sample_period_s * (n_delay - 1) * 1e9, must be finite"
+            )
         [(_, cal_block)] = cal_blocks
         calibration = calibrate(cal_block[0, 0, 0], band_fraction, rx.sample_period_s)
 

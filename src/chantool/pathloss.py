@@ -4,8 +4,10 @@ The CI model anchors on 1 m free space and fits a single exponent; the ABG
 model is a three-parameter log-linear fit, and its gamma=0 restriction is
 the floating-intercept (FI) model.  Fits are unweighted ordinary least
 squares with RMS-residual shadowing sigma, over sample columns that
-sample_columns checks as a whole.  Distances are meters, frequencies GHz,
-losses dB throughout.
+sample_columns checks as a whole.  Every field of a model is finite, so a
+fit that overflows the float range is refused, not returned.  A shadowed
+draw is the model's value plus rng.normal(0.0, model.sigma_db).
+Distances are meters, frequencies GHz, losses dB throughout.
 """
 
 from __future__ import annotations
@@ -23,6 +25,14 @@ class RankDeficientError(ValueError):
     """The samples cannot determine every parameter of the requested fit."""
 
 
+def _check_fields(model) -> None:
+    for name, value in vars(model).items():
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
+    if model.sigma_db < 0.0:
+        raise ValueError("sigma_db must be non-negative")
+
+
 @dataclass(frozen=True)
 class CiModel:
     """Close-in path loss: 32.4 + 20 log10(f_GHz) + 10 n log10(d_m)."""
@@ -31,8 +41,7 @@ class CiModel:
     sigma_db: float
 
     def __post_init__(self) -> None:
-        if self.sigma_db < 0.0:
-            raise ValueError("sigma_db must be non-negative")
+        _check_fields(self)
 
 
 @dataclass(frozen=True)
@@ -45,8 +54,7 @@ class AbgModel:
     sigma_db: float
 
     def __post_init__(self) -> None:
-        if self.sigma_db < 0.0:
-            raise ValueError("sigma_db must be non-negative")
+        _check_fields(self)
 
 
 # Named parameter rows from the 28/32/39 GHz validation measurement campaign.
@@ -62,18 +70,10 @@ FI_PRESETS = {
 }
 
 
-def _preset(presets: dict, kind: str, name: str):
-    if name not in presets:
-        raise KeyError(f"unknown {kind} preset {name!r}; available: {sorted(presets)}")
-    return presets[name]
-
-
 def ci_preset(name: str) -> CiModel:
-    return _preset(CI_PRESETS, "CI", name)
-
-
-def fi_preset(name: str) -> AbgModel:
-    return _preset(FI_PRESETS, "FI", name)
+    if name not in CI_PRESETS:
+        raise KeyError(f"unknown CI preset {name!r}; available: {sorted(CI_PRESETS)}")
+    return CI_PRESETS[name]
 
 
 def _check_point(d_m: float, f_ghz: float) -> None:
@@ -130,11 +130,13 @@ def ci_fit(distance_m, freq_ghz, pl_db) -> CiModel:
         raise ValueError("ci_fit needs at least 2 samples")
     if np.all(d == d[0]):
         raise RankDeficientError("rank-deficient fit: all sample distances are equal")
-    a = pl - FSPL_1M_DB - 20.0 * np.log10(f)
-    big_d = 10.0 * np.log10(d)
-    n = float(np.sum(a * big_d) / np.sum(big_d * big_d))
-    resid = a - n * big_d
-    sigma = float(np.sqrt(np.mean(resid * resid)))
+    # Losses near the float range overflow to inf or NaN, which CiModel refuses.
+    with np.errstate(over="ignore", invalid="ignore"):
+        a = pl - FSPL_1M_DB - 20.0 * np.log10(f)
+        big_d = 10.0 * np.log10(d)
+        n = float(np.sum(a * big_d) / np.sum(big_d * big_d))
+        resid = a - n * big_d
+        sigma = float(np.sqrt(np.mean(resid * resid)))
     return CiModel(n=n, sigma_db=sigma)
 
 
@@ -163,22 +165,13 @@ def abg_fit(distance_m, freq_ghz, pl_db, fix_gamma: float | None = None) -> AbgM
     target = pl if fix_gamma is None else pl - fix_gamma * col_f  # removes 10*gamma*log10(f)
     design = np.column_stack([col_d, np.ones_like(col_d), col_f][:needed])
 
-    # The rank counts the singular values above eps * max(M, N) * s_max.
-    coef, _, rank, _ = np.linalg.lstsq(design, target, rcond=None)
-    if rank < design.shape[1]:
-        raise RankDeficientError("rank-deficient fit: design columns are collinear")
-    resid = target - design @ coef
-    sigma = float(np.sqrt(np.mean(resid * resid)))
+    # Losses near the float range overflow to inf or NaN, which AbgModel refuses.
+    with np.errstate(over="ignore", invalid="ignore"):
+        # The rank counts the singular values above eps * max(M, N) * s_max.
+        coef, _, rank, _ = np.linalg.lstsq(design, target, rcond=None)
+        if rank < design.shape[1]:
+            raise RankDeficientError("rank-deficient fit: design columns are collinear")
+        resid = target - design @ coef
+        sigma = float(np.sqrt(np.mean(resid * resid)))
     gamma = float(coef[2] if fix_gamma is None else fix_gamma)
     return AbgModel(alpha=float(coef[0]), beta_db=float(coef[1]), gamma=gamma, sigma_db=sigma)
-
-
-def shadowed_sample(model, d_m: float, f_ghz: float, rng: np.random.Generator) -> float:
-    """One path loss draw: deterministic model value plus N(0, sigma) shadowing."""
-    if isinstance(model, CiModel):
-        base = ci_eval(model, d_m, f_ghz)
-    elif isinstance(model, AbgModel):
-        base = abg_eval(model, d_m, f_ghz)
-    else:
-        raise TypeError(f"unsupported model type {type(model).__name__}")
-    return base + float(rng.normal(0.0, model.sigma_db))

@@ -109,6 +109,9 @@ class LinkBudget:
         for name in ("gt_dbi", "gr_dbi", "p_pa_dbm", "p_cal_dbm", "g_lna_db", "l_cable_db"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
+        # Finite terms can still sum past the float range, such as two 1e308 gains.
+        if not math.isfinite(path_loss_from_power(0.0, self)):
+            raise ValueError("the link budget's path loss must be finite")
 
 
 @dataclass(frozen=True)

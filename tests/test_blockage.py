@@ -34,7 +34,6 @@ from chantool.blockage import (
     gtd_cylinder_attenuation,
     kirchhoff_screen_attenuation,
     metis_edge_term,
-    metis_multi_screen_attenuation,
     metis_screen_attenuation,
     sweep_blocker,
 )
@@ -245,24 +244,20 @@ def test_metis_nonnegative_when_blocked_property():
 
 
 def test_metis_multi_screen_sums():
+    # A sweep adds the knife-edge losses of the screens that cut the LOS,
+    # in blocker order (3GPP TR 38.901 7.6.4, model B, over several blockers).
     s1 = default_screen(Point3(3.0, 0.0, ZC))
     s2 = default_screen(Point3(7.0, 0.0, ZC))
     one = metis_screen_attenuation(TX, RX, BAND_28, s1)
     two = metis_screen_attenuation(TX, RX, BAND_28, s2)
     scn = BlockageScenario(TX, RX, BAND_28, (s1, s2))
-    assert metis_multi_screen_attenuation(scn) == pytest.approx(one + two, abs=1e-12)
-
-    empty = BlockageScenario(TX, RX, BAND_28, ())
-    assert metis_multi_screen_attenuation(empty) == 0.0
-
-    single = BlockageScenario(TX, RX, BAND_28, (s1,))
-    assert metis_multi_screen_attenuation(single) == pytest.approx(one, abs=1e-15)
+    assert sweep_blocker(scn, "metis", [s1.center]) == [(s1.center, 0.0 + one + two)]
 
 
 def test_metis_multi_screen_rejects_cylinders():
     scn = BlockageScenario(TX, RX, BAND_28, (default_cylinder(MID),))
-    with pytest.raises(GeometryError):
-        metis_multi_screen_attenuation(scn)
+    with pytest.raises(GeometryError, match="^metis model requires Screen blockers$"):
+        sweep_blocker(scn, "metis", [MID])
 
 
 # ---------------------------------------------------------------------------
@@ -618,9 +613,6 @@ def test_model_table_is_the_one_blocker_type_check():
         sweep_blocker(screened, "gtd", [])
     with pytest.raises(GeometryError, match="^kirchhoff model requires Screen blockers$"):
         sweep_blocker(mixed, "kirchhoff", [])
-    # The knife-edge sum reads the same table as the sweep.
-    with pytest.raises(GeometryError, match="^metis model requires Screen blockers$"):
-        metis_multi_screen_attenuation(mixed)
 
 
 def test_sweep_rigid_group_translation():
@@ -705,7 +697,11 @@ def pinned_cases():
         + sweep(along_c, "gtd", along_traj),
         "ties": sweep(single, "metis", tie_traj) + sweep(single, "kirchhoff", tie_traj),
         "gtd_nan": sweep(cyl, "gtd", gtd_traj),
-        "multi": [metis_multi_screen_attenuation(scn) for scn in multi],
+        # Model B over several screens, each counted whether it cuts the LOS or not.
+        "multi": [
+            sum((metis_screen_attenuation(scn.tx, scn.rx, scn.band, s) for s in scn.blockers), 0.0)
+            for scn in multi
+        ],
     }
 
 

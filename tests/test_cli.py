@@ -1176,7 +1176,7 @@ HEADER_FIELDS = {
     "sample_period_s": (16, "<d"), "t0_s": (24, "<d"), "dt_s": (32, "<d"),
 }
 INT_EXTREMES = (0, 1, 2, 2**32 - 1)  # a u8 field takes 255 for the last
-FLOAT_EXTREMES = (0.0, -1.0, 5e-324, 1e-300, 1e308, -1e308, math.inf, -math.inf, math.nan)
+FLOAT_EXTREMES = (0.0, -1.0, 5e-324, 1e-300, 1e308, -1e308, math.inf, -math.inf, math.nan, 1e300)
 PAYLOAD_EXTREMES = (math.inf, -math.inf, math.nan, 3.4e38, -3.4e38, 1e-45)
 OUTPUT_HEADERS = {
     "start_index,end_index", "t_s,power_db", "snapshot,delay_ns,power_db",
@@ -1188,7 +1188,10 @@ OUTPUT_HEADERS = {
 archive_edits = st.one_of(
     st.tuples(st.just("truncate"), st.integers(0, 10**6)),
     st.tuples(st.just("flip"), st.integers(0, 10**6), st.integers(0, 7)),
-    st.tuples(st.just("field"), st.sampled_from(sorted(HEADER_FIELDS)), st.integers(0, 8)),
+    st.tuples(
+        st.just("field"), st.sampled_from(sorted(HEADER_FIELDS)),
+        st.integers(0, len(FLOAT_EXTREMES) - 1),
+    ),
     st.tuples(st.just("payload"), st.integers(0, 10**6), st.sampled_from(PAYLOAD_EXTREMES)),
     st.tuples(st.just("resize"), st.sampled_from([0, 1, 2, 3, 600])),
 )
@@ -1236,12 +1239,18 @@ def fuzz_analyze_archive(path):
     return path
 
 
+def refuse_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
 def check_fuzzed_run(capsys, code, directory, outputs):
-    """A run exits 0, 2 or 3.  A failure prints one error line and writes
-    no output; a success writes only finite numbers, but for the delay
-    spread of a capture without paths, which is nan."""
+    """A run exits 0, 2 or 3 and leaves no temporary file.  A failure prints
+    one error line and writes no output; a success writes only finite
+    numbers, but for the delay spread of a capture without paths, which is
+    nan, and a JSON output parses strictly."""
     err = capsys.readouterr().err
     assert code in (0, 2, 3), err
+    assert [name for name in os.listdir(directory) if name.startswith(".tmp-")] == []
     written = [name for name in outputs if os.path.exists(os.path.join(directory, name))]
     if code:
         assert err.startswith("error: ") and err.count("\n") == 1, err
@@ -1249,6 +1258,12 @@ def check_fuzzed_run(capsys, code, directory, outputs):
         return
     assert err == "" and written == outputs
     for name in outputs:
+        if name.endswith(".json"):
+            report = json.loads(open(os.path.join(directory, name)).read(),
+                                parse_constant=refuse_constant)
+            numbers = [report["sigma_db"], report["residual_rms_db"], *report["parameters"].values()]
+            assert all(map(math.isfinite, numbers)), report
+            continue
         header = None
         for line in open(os.path.join(directory, name)).read().splitlines():
             if line in OUTPUT_HEADERS:
@@ -1307,6 +1322,7 @@ class TestArchiveFuzz:
         which=st.sampled_from(["rx", "cal", "both"]),
     )
     @example(edits=[("field", "sample_period_s", 4)], which="both")  # inf delays
+    @example(edits=[("field", "sample_period_s", 9)], which="both")  # 1e300 s: inf in ns
     def test_sounder(self, tmp_path, capsys, budget, sounder_bases, edits, which):
         directory = tempfile.mkdtemp(dir=tmp_path)
         paths = {}
@@ -1319,6 +1335,61 @@ class TestArchiveFuzz:
         argv = ["sounder", "--rx", paths["rx"], "--cal", paths["cal"],
                 "--out", os.path.join(directory, "mpcs.csv")]
         check_fuzzed_run(capsys, main(argv), directory, ["mpcs.csv"])
+
+
+# Cell values at and past the edges of the float range, a subnormal, and a
+# blank; factors that scale a whole column; and lines that are not three
+# numbers (a blank line is skipped).
+SAMPLE_EXTREMES = ("1.7e308", "-1.7e308", "1e300", "-1e300", "5e-324", "0", "-1", "")
+SAMPLE_SCALES = (1e298, -1e298, 1e306, 1e-300)
+BAD_LINES = ("", "10.0,28.0", "10.0,28.0,90.0,1.0", "a,b,c", "10.0,28.0,nan", ",,")
+sample_edits = st.one_of(
+    st.tuples(st.just("cell"), st.integers(0, 49), st.integers(0, 2),
+              st.sampled_from(SAMPLE_EXTREMES)),
+    st.tuples(st.just("scale"), st.integers(0, 2), st.sampled_from(SAMPLE_SCALES)),
+    st.tuples(st.just("line"), st.integers(0, 50), st.sampled_from(BAD_LINES)),
+)
+
+
+def samples_csv(edits):
+    """The samples CSV of 50 frozen rows after sample_edits: set one cell,
+    scale one column, or insert one line."""
+    rows = [list(map(repr, row)) for row in np.column_stack(frozen_sample_columns(50)).tolist()]
+    for op, *args in edits:
+        if op == "cell":
+            rows[args[0]][args[1]] = args[2]
+        elif op == "scale":
+            for row in rows:
+                row[args[0]] = repr(float(row[args[0]] or "0") * args[1])
+    lines = [",".join(row) for row in rows]
+    for op, *args in edits:
+        if op == "line":
+            lines.insert(args[0], args[1])
+    return "\n".join(["distance_m,freq_ghz,pl_db", *lines]) + "\n"
+
+
+class TestSamplesFuzz:
+    """Edited samples CSVs through pathloss-fit's three models, in process.
+    Any warning is an error, so a run that exits 2 or 3 shows only its
+    error line."""
+
+    @FUZZ_SETTINGS
+    @given(edits=st.lists(sample_edits, min_size=1, max_size=4),
+           model=st.sampled_from(["ci", "fi", "abg"]))
+    @example(edits=[("scale", 2, 1e298)], model="ci")  # losses near 1e300: inf sigma
+    @example(edits=[("scale", 2, 1e298)], model="fi")
+    @example(edits=[("scale", 2, 1e298)], model="abg")
+    @example(edits=[("cell", 0, 2, "1.7e308"), ("cell", 1, 2, "-1.7e308")], model="ci")  # NaN n
+    def test_fit(self, tmp_path, capsys, edits, model):
+        directory = tempfile.mkdtemp(dir=tmp_path)
+        samples = os.path.join(directory, "s.csv")
+        with open(samples, "w") as handle:
+            handle.write(samples_csv(edits))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["pathloss-fit", samples, "--model", model,
+                         "--out", os.path.join(directory, "fit.json")])
+        check_fuzzed_run(capsys, code, directory, ["fit.json"])
 
 
 # Each value a config key is set to, alone: zero, negatives, extremes of the
@@ -1349,8 +1420,9 @@ def check_blockage_curves(err, path):
 
 class TestConfigFuzz:
     """One [blockage], [gbsm] or [sounder] key at a time set to an extreme,
-    through cli.main in process, under a 4 MiB gbsm budget.  Any warning is
-    an error, so a run that exits 2 or 3 shows only its error line."""
+    and several [sounder] keys at once, through cli.main in process, under a
+    4 MiB gbsm budget.  Any warning is an error, so a run that exits 2 or 3
+    shows only its error line."""
 
     @pytest.fixture
     def budget(self, monkeypatch):
@@ -1388,6 +1460,24 @@ class TestConfigFuzz:
             assert err == "" and np.isfinite(read_archive(out).cir).all()
         else:
             check_blockage_curves(err, out)
+
+    @settings(FUZZ_SETTINGS, max_examples=150)
+    @given(keys=st.dictionaries(
+        st.sampled_from(sorted(SCHEMA["sounder"])),
+        st.sampled_from(CONFIG_EXTREMES + ("0.5", "2", "40")),
+        min_size=2, max_size=5,
+    ))
+    @example(keys={"gt_dbi": "1e308", "gr_dbi": "1e308"})  # a path loss of inf
+    def test_sounder_keys(self, tmp_path, capsys, sounder_bases, keys):
+        directory = tempfile.mkdtemp(dir=tmp_path)
+        cfg = os.path.join(directory, "c.ini")
+        with open(cfg, "w") as handle:
+            handle.write("[sounder]\n" + "".join(f"{k} = {v}\n" for k, v in keys.items()))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["sounder", "--rx", sounder_bases["rx"], "--cal", sounder_bases["cal"],
+                         "--config", cfg, "--out", os.path.join(directory, "out.csv")])
+        check_fuzzed_run(capsys, code, directory, ["out.csv"])
 
 
 class TestOutputMode:

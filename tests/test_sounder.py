@@ -421,6 +421,8 @@ class TestSummaryStatistics:
     def test_budget_validation(self):
         with pytest.raises(ValueError, match="gt_dbi"):
             LinkBudget(gt_dbi=math.nan)
+        with pytest.raises(ValueError, match="path loss must be finite"):
+            LinkBudget(gt_dbi=1e308, gr_dbi=1e308)
 
     def test_rms_ds_hand_cases(self):
         assert rms_delay_spread([make_mpc(5e-9, -20.0)]) == 0.0
