@@ -65,7 +65,13 @@ from chantool.config import (
 )
 from chantool.core import FrequencyBand, Point3, pdp_from_cir
 from chantool.gbsm import FieldError, SizingError, run_scenario
-from chantool.pathloss import RankDeficientError, abg_fit, ci_fit, sample_columns
+from chantool.pathloss import (
+    FitOverflowError,
+    RankDeficientError,
+    abg_fit,
+    ci_fit,
+    sample_columns,
+)
 from chantool.sounder import (
     calibrate,
     deconvolve_cir,
@@ -223,6 +229,9 @@ def cmd_pathloss_fit(args) -> int:
         fi_helps = args.model == "abg" and columns[0].min() < columns[0].max()
         hint = " (use --model fi for single-frequency data)" if fi_helps else ""
         raise ValueError(f"{err}{hint}") from None
+    except FitOverflowError as err:
+        overflow = f"the losses overflow the {args.model} fit"
+        raise ValueError(f"{args.samples}: {overflow}: {err}") from None
     report = {
         "model": args.model,
         "parameters": params,

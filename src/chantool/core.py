@@ -155,6 +155,13 @@ def pdp_from_cir(samples: np.ndarray) -> np.ndarray:
     return _levels_db(positive, values)
 
 
+def _substream_key(seed: int, label: str, index: int) -> list[int]:
+    """The SHA-256 digest of the three values, its first 16 bytes read as
+    two native-order uint64 words."""
+    material = f"{seed}\x1f{label}\x1f{index}".encode()
+    return memoryview(hashlib.sha256(material).digest()).cast("Q")[:2].tolist()
+
+
 def derive_substream(seed: int, label: str, index: int) -> np.random.Generator:
     """An independent random substream keyed by (seed, label, index).
 
@@ -163,7 +170,22 @@ def derive_substream(seed: int, label: str, index: int) -> np.random.Generator:
     function of them: independent of platform, process history, and of
     any other substream.
     """
-    material = f"{seed}\x1f{label}\x1f{index}".encode()
-    digest = hashlib.sha256(material).digest()
-    key = np.frombuffer(digest[:16], dtype=np.uint64)
+    key = np.array(_substream_key(seed, label, index), dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
+
+
+def reset_substream(rng: np.random.Generator, seed: int, label: str, index: int) -> None:
+    """Put rng, a generator on a Philox bit generator, in the state that
+    derive_substream(seed, label, index) starts in.
+
+    Philox(key=) first seeds itself from OS entropy, then discards that for
+    the key, so a loop over many indices resets one generator instead.
+    """
+    rng.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": [0, 0, 0, 0], "key": _substream_key(seed, label, index)},
+        "buffer": [0, 0, 0, 0],
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }

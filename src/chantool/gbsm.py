@@ -9,8 +9,12 @@ deterministic under the configured seed.
 
 Each step's clusters are one record array (cluster_dtype): a record per
 live cluster holding its id, delay, power, birth weight and a RAY_DTYPE
-subarray of its rays, so birth, death, drift and synthesis are column
-operations; synthesis broadcasts over (tx, rx, ray), one call per step.
+subarray of its rays.  run_scenario makes two passes.  The first evolves a
+run-level table holding each cluster's record once, cut into segments of
+steps whose live clusters do not change, with a delay row per step.  The
+second synthesizes each segment in time blocks, one synthesize_snapshot
+call over (step, tx, rx, ray).  The cube is byte for byte what calling
+init_clusters, evolve_clusters and synthesize_snapshot once a step gives.
 """
 
 from __future__ import annotations
@@ -21,24 +25,23 @@ from functools import cached_property
 
 import numpy as np
 
-from chantool.core import (
-    SPEED_OF_LIGHT,
-    CirSnapshot,
-    FrequencyBand,
-    BAND_28,
-    Point3,
-    derive_substream,
-)
+from chantool.core import BAND_28, SPEED_OF_LIGHT, CirSnapshot, FrequencyBand, Point3
+from chantool.core import derive_substream, reset_substream
 
 # Byte ceiling on each of run_scenario's allocations, which _budget refuses
-# before they are made: the complex128 (time, tx, rx, delay) cube, the kept
-# cluster states, each cluster draw and one step's synthesis temporaries.
+# before they are made: the complex128 (time, tx, rx, delay) cube, the run's
+# cluster table, each cluster draw and one step's synthesis temporaries.
 MAX_CIR_BYTES = 2 << 30
 
 # One step's synthesis temporaries, from tracemalloc peaks of one
 # synthesize_snapshot call: past 1e4 terms at most 165.9 B per pair and term
 # (the LOS or a ray; 65.6 at 8x8), and 32.0-32.4 B per pair and delay bin.
 SYNTH_BYTES_PER_TERM, SYNTH_BYTES_PER_BIN = 168, 33
+
+# run_scenario synthesizes blocks of steps whose temporaries, by that bound,
+# stay under this many bytes (or one step's): inside MAX_CIR_BYTES, and below
+# where glibc trims the heap after each block (1 MiB cost a 4x4 run 9x the faults).
+BLOCK_BYTES = 512 << 10
 
 
 class SizingError(RuntimeError):
@@ -146,23 +149,16 @@ class GbsmConfig:
         """Rate at which the tx-rx distance grows, from the velocities'
         components along the time-zero LOS."""
         los = self.rx_position - self.tx_position
-        d = los.norm()
-        u = los.scale(1.0 / d)
-        rel = self.rx_velocity - self.tx_velocity
-        return rel.dot(u)
+        return (self.rx_velocity - self.tx_velocity).dot(los.scale(1.0 / los.norm()))
 
 
 # One record per ray of a cluster: angles of arrival and departure, the
 # fixed ray phase, and the delay offset from the cluster delay.  The fields
 # are packed float64s, so an (n, 4) float64 block views as n rays.
-RAY_DTYPE = np.dtype(
-    [
-        ("aoa_rad", np.float64),
-        ("aod_rad", np.float64),
-        ("phase_rad", np.float64),
-        ("sub_delay_s", np.float64),
-    ]
-)
+RAY_DTYPE = np.dtype([
+    ("aoa_rad", np.float64), ("aod_rad", np.float64),
+    ("phase_rad", np.float64), ("sub_delay_s", np.float64),
+])
 
 
 def cluster_dtype(rays_per_cluster: int) -> np.dtype:
@@ -227,11 +223,29 @@ def init_clusters(cfg: GbsmConfig, rng: np.random.Generator) -> ClusterState:
     """Initial cluster population: Poisson count (at least one), exponential
     delays, shadowed-exponential powers normalized to unit sum."""
     count = max(1, int(rng.poisson(cfg.mean_clusters)))
-    recs = _make_clusters(cfg, rng, count, first_id=0)
-    # sum() adds left to right as a per-cluster loop does; np.sum's
-    # pairwise order can differ in the last bit.
+    return ClusterState(_normalized(_make_clusters(cfg, rng, count, first_id=0)), next_id=count)
+
+
+def _normalized(recs: np.ndarray) -> np.ndarray:
+    """recs, each power_linear set to its weight's share of their total."""
+    # sum() adds left to right, as a per-cluster loop does; np.sum may not.
     recs["power_linear"] = recs["weight"] / sum(recs["weight"].tolist())
-    return ClusterState(recs, next_id=count)
+    return recs
+
+
+def _step(
+    cfg: GbsmConfig, dt_s: float, delays: np.ndarray, rng: np.random.Generator, next_id: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """evolve_clusters's rule on the live clusters' delays alone: the
+    survivors' mask, the next step's delays (the survivors', drifted, then
+    the newborns'), and the records born, None if none."""
+    # One vector draw gives the same values as one uniform() per cluster.
+    keep = rng.uniform(size=delays.size) < math.exp(-cfg.death_rate_hz * dt_s)
+    delays = np.maximum(delays[keep] + cfg.radial_velocity_mps / SPEED_OF_LIGHT * dt_s, 0.0)
+    # A fresh cluster is forced in if all die.
+    n_births = int(rng.poisson(cfg.birth_rate_hz * dt_s)) or int(delays.size == 0)
+    born = _make_clusters(cfg, rng, n_births, next_id) if n_births else None
+    return keep, delays if born is None else np.concatenate((delays, born["delay_s"])), born
 
 
 def evolve_clusters(
@@ -242,33 +256,25 @@ def evolve_clusters(
     and renormalized powers.  A fresh cluster is forced in if all die."""
     if not dt_s > 0.0:
         raise ValueError("dt_s must be positive")
-    p_survive = math.exp(-cfg.death_rate_hz * dt_s)
-    drift = cfg.radial_velocity_mps / SPEED_OF_LIGHT * dt_s
     recs = state.clusters.view(np.ndarray)
-    # The survivors: one vector draw gives the same values as one uniform()
-    # per cluster.
-    recs = recs[rng.uniform(size=recs.size) < p_survive]
-    recs["delay_s"] = np.maximum(recs["delay_s"] + drift, 0.0)
-    n_births = int(rng.poisson(cfg.birth_rate_hz * dt_s))
-    if recs.size == 0 and n_births == 0:
-        n_births = 1
-    # Record-array concatenation costs more than the rest of a step; skip it
-    # when none are born.
-    if n_births:
-        recs = np.concatenate((recs, _make_clusters(cfg, rng, n_births, state.next_id)))
-    recs["power_linear"] = recs["weight"] / sum(recs["weight"].tolist())
-    return ClusterState(recs, next_id=state.next_id + n_births)
+    keep, delays, born = _step(cfg, dt_s, recs["delay_s"], rng, state.next_id)
+    recs = recs[keep] if born is None else np.concatenate((recs[keep], born))
+    recs["delay_s"] = delays
+    return ClusterState(_normalized(recs), state.next_id + (0 if born is None else born.size))
 
 
-def _los_delay(cfg: GbsmConfig, t_s: float) -> float:
-    return max(cfg.los_base_delay_s + cfg.radial_velocity_mps / SPEED_OF_LIGHT * t_s, 0.0)
+def _los_delay(cfg: GbsmConfig, t_s: float | np.ndarray) -> np.ndarray:
+    return np.maximum(cfg.los_base_delay_s + cfg.radial_velocity_mps / SPEED_OF_LIGHT * t_s, 0.0)
 
 
 def synthesize_snapshot(
-    state: ClusterState, cfg: GbsmConfig, t_s: float, n_bins: int | None = None
+    state: ClusterState, cfg: GbsmConfig, t_s: float | np.ndarray, n_bins: int | None = None,
+    delays_s: np.ndarray | None = None,
 ) -> np.ndarray:
     """Delay-gridded CIR of every antenna pair at one instant, as a complex
-    (n_tx, n_rx, n_bins) array.
+    (n_tx, n_rx, n_bins) array, or at each of a 1-D array of instants, as
+    one (time, n_tx, n_rx, n_bins) array; rows of delays_s, one per instant,
+    replace the clusters' own delays.
 
     The line-of-sight term carries sqrt(K/(K+1)) and the geometric phase of
     its (drifting) delay; each ray carries sqrt(power/(M(K+1))), its stored
@@ -277,48 +283,44 @@ def synthesize_snapshot(
     nearest grid bin; a grid shorter than the longest delay is extended to
     that delay plus ten bins.
     """
-    lam = cfg.band.wavelength_m
-    k_lin = 10.0 ** (cfg.k_factor_db / 10.0)
-    res = cfg.delay_resolution_s
-    fc = cfg.band.carrier_hz
-
+    lam, fc, k_lin = cfg.band.wavelength_m, cfg.band.carrier_hz, 10.0 ** (cfg.k_factor_db / 10.0)
+    times = np.asarray(t_s, dtype=float)[..., None, None, None]  # as (time, tx, rx, ray)
+    lead, pairs = times.shape[:-3], cfg.n_tx * cfg.n_rx  # lead is () or (steps,)
     los_delay = _los_delay(cfg, t_s)
     los_amp = math.sqrt(k_lin / (k_lin + 1.0)) * np.exp(-2j * math.pi * fc * los_delay)
     recs = state.clusters.view(np.ndarray)
-    rays = recs["rays"].ravel()
-    cluster_delay = np.repeat(recs["delay_s"], cfg.rays_per_cluster)
-    powers = np.repeat(recs["power_linear"], cfg.rays_per_cluster)
-    ray_amp = np.sqrt(powers / (cfg.rays_per_cluster * (k_lin + 1.0)))
+    rays, m = recs["rays"].ravel(), cfg.rays_per_cluster
+    cluster_delay = np.repeat(recs["delay_s"] if delays_s is None else delays_s, m, axis=-1)
+    ray_amp = np.repeat(np.sqrt(recs["power_linear"] / (m * (k_lin + 1.0))), m)
 
-    # Ray terms broadcast over (tx, rx, ray).  Each expression keeps the
-    # operation order of the scalar formula, so every term is bitwise what a
-    # per-pair, per-ray evaluation gives.
+    # Ray terms broadcast over (time, tx, rx, ray).  Each expression keeps
+    # the operation order of the scalar formula, so every term is bitwise
+    # what a per-step, per-pair, per-ray evaluation gives.
     tx, rx = np.arange(cfg.n_tx)[:, None, None], np.arange(cfg.n_rx)[None, :, None]
     vt, vr = cfg.tx_velocity, cfg.rx_velocity
     sin_aod, cos_aod = np.sin(rays["aod_rad"]), np.cos(rays["aod_rad"])
     sin_aoa, cos_aoa = np.sin(rays["aoa_rad"]), np.cos(rays["aoa_rad"])
     array_phase = 2.0 * math.pi / lam * cfg.antenna_spacing_m * (tx * sin_aod + rx * sin_aoa)
-    doppler_hz = (
-        vt.x * cos_aod + vt.y * sin_aod + vr.x * cos_aoa + vr.y * sin_aoa
-    ) / lam
-    phase = rays["phase_rad"] + array_phase + 2.0 * math.pi * doppler_hz * t_s
+    doppler_hz = (vt.x * cos_aod + vt.y * sin_aod + vr.x * cos_aoa + vr.y * sin_aoa) / lam
+    phase = rays["phase_rad"] + array_phase + 2.0 * math.pi * doppler_hz * times
     # Each pair's terms start with its LOS term, then its rays in order.
-    amps = np.empty((cfg.n_tx * cfg.n_rx, 1 + rays.size), dtype=np.complex128)
-    amps[:, 0] = los_amp
-    amps[:, 1:] = (ray_amp * np.exp(1j * phase)).reshape(len(amps), -1)
-    delays = np.concatenate(([los_delay], cluster_delay + rays["sub_delay_s"]))
+    amps = np.empty(lead + (pairs, 1 + rays.size), dtype=np.complex128)
+    amps[..., 0] = los_amp[..., None]
+    amps[..., 1:] = (ray_amp * np.exp(1j * phase)).reshape(lead + (pairs, -1))
+    delays = np.empty(lead + (1 + rays.size,))
+    delays[..., 0] = los_delay
+    delays[..., 1:] = cluster_delay + rays["sub_delay_s"]
 
-    bins = np.rint(delays / res).astype(np.int64)
-    needed = int(bins.max()) + 11
-    if n_bins is None or n_bins < needed:
-        n_bins = needed
-    # One bincount over pair-offset bins adds each bin's terms in input
-    # order, as the scalar sum did.
-    flat = (np.arange(len(amps))[:, None] * n_bins + bins).ravel()
-    size = len(amps) * n_bins
+    bins = np.rint(delays / cfg.delay_resolution_s).astype(np.int64)
+    n_bins = max(n_bins or 0, int(bins.max()) + 11)
+    # One bincount over (step, pair)-offset bins adds each bin's terms in
+    # input order, as the scalar sum did.
+    offsets = np.arange(times.size * pairs).reshape(lead + (pairs, 1)) * n_bins
+    flat = (offsets + bins[..., None, :]).ravel()
+    size = times.size * pairs * n_bins
     h = np.bincount(flat, amps.real.ravel(), size)
     h = h + 1j * np.bincount(flat, amps.imag.ravel(), size)
-    return h.reshape(cfg.n_tx, cfg.n_rx, n_bins)
+    return h.reshape(lead + (cfg.n_tx, cfg.n_rx, n_bins))
 
 
 @dataclass(frozen=True)
@@ -351,26 +353,40 @@ class CirSequence:
         return CirSnapshot(self.sample_period_s, self.cir[t_idx, tx_idx, rx_idx])
 
 
-def _evolution(cfg: GbsmConfig, n_steps: int) -> list[ClusterState]:
-    states = [init_clusters(cfg, derive_substream(cfg.seed, "gbsm-init", 0))]
-    kept = states[0].clusters.nbytes
+def _evolution(cfg: GbsmConfig, n_steps: int) -> tuple[np.ndarray, list[tuple]]:
+    """Pass 1: the cluster table, one record per cluster drawn at the row of
+    its id, and (live ids, next id, a delay row per step) for each segment of
+    steps whose live clusters do not change.  Steps reset one generator."""
+    rng = derive_substream(cfg.seed, "gbsm-init", 0)
+    first = init_clusters(cfg, rng).clusters.view(np.ndarray)
+    drawn, segments, kept = [first], [], first.nbytes
+    live, next_id, rows = first["id"], first.size, [first["delay_s"]]
     for step in range(1, n_steps):
-        rng = derive_substream(cfg.seed, "gbsm-evolve", step)
-        states.append(evolve_clusters(states[-1], cfg, cfg.snapshot_interval_s, rng))
-        kept += states[-1].clusters.nbytes
-        _budget(kept, f"cluster states of the first {step + 1} steps")
-    return states
+        reset_substream(rng, cfg.seed, "gbsm-evolve", step)
+        keep, delays, born = _step(cfg, cfg.snapshot_interval_s, rows[-1], rng, next_id)
+        if born is not None or delays.size < keep.size:
+            segments.append((live, next_id, np.stack(rows)))
+            live, rows = live[keep], []
+        if born is not None:
+            drawn.append(born)
+            live, next_id = np.concatenate((live, born["id"])), next_id + born.size
+        rows.append(delays)
+        kept += delays.nbytes + (0 if born is None else born.nbytes)
+        _budget(kept, f"the cluster table of the first {step + 1} steps")
+    segments.append((live, next_id, np.stack(rows)))
+    return np.concatenate(drawn), segments
 
 
 def run_scenario(cfg: GbsmConfig) -> CirSequence:
-    """Full deterministic run: cluster evolution, then one synthesize_snapshot
-    call per step onto a delay grid sized once for the whole run.
+    """Full deterministic run: the cluster evolution (pass 1), then each
+    segment synthesized in blocks of steps, one synthesize_snapshot call per
+    block, onto a delay grid sized once for the whole run (pass 2).
 
     The step count and the grids are floats until _budget has passed them,
     so a size that overflows is refused like one that is merely too large.
     Before the evolution: the cube on the grid the LOS alone needs, and each
-    Poisson mean's records.  After it: the cube on the exact grid, and one
-    step's synthesis temporaries.
+    Poisson mean's records.  During it: the cluster table.  After it: the
+    cube on the exact grid, and one step's synthesis temporaries.
     """
     dt, pairs = cfg.snapshot_interval_s, cfg.n_tx * cfg.n_rx
     steps = max(1.0, round(cfg.duration_s / dt, 0))
@@ -381,7 +397,7 @@ def run_scenario(cfg: GbsmConfig) -> CirSequence:
         return int(bins)
 
     # The LOS delay is monotone in time, so its maximum lies at an end.
-    los_max = max(_los_delay(cfg, 0.0), _los_delay(cfg, (steps - 1.0) * dt))
+    los_max = float(max(_los_delay(cfg, 0.0), _los_delay(cfg, (steps - 1.0) * dt)))
     grid(los_max)
     # numpy cannot draw a Poisson mean past about 9.2e18 at all.
     record = cluster_dtype(cfg.rays_per_cluster).itemsize
@@ -389,18 +405,25 @@ def run_scenario(cfg: GbsmConfig) -> CirSequence:
     for key, mean in (("mean_clusters", cfg.mean_clusters), ("birth_rate_hz", births)):
         what = f"drawing a mean of {mean:g} clusters of {cfg.rays_per_cluster} rays ({key})"
         _budget(mean * record, what)
-    states = _evolution(cfg, int(steps))
+    table, segments = _evolution(cfg, int(steps))
 
-    recs = [state.clusters.view(np.ndarray) for state in states]
-    ray_max = max(float(np.max(r["delay_s"] + r["rays"]["sub_delay_s"].max(axis=1))) for r in recs)
+    sub_max = table["rays"]["sub_delay_s"].max(axis=1)
+    ray_max = max(float(np.max(delays + sub_max[live])) for live, _, delays in segments)
     n_bins = grid(max(los_max, ray_max))
-    rays = max(r.size for r in recs) * cfg.rays_per_cluster
+    rays = max(live.size for live, _, _ in segments) * cfg.rays_per_cluster
     temps = pairs * (SYNTH_BYTES_PER_TERM * (1.0 + rays) + SYNTH_BYTES_PER_BIN * n_bins)
     _budget(temps, f"synthesizing {rays} rays on {n_bins} delay bins for {pairs} antenna pairs")
+    block = max(1, int(BLOCK_BYTES // temps))
 
-    cir = np.zeros((len(states), cfg.n_tx, cfg.n_rx, n_bins), dtype=np.complex128)
-    for t_idx, state in enumerate(states):
-        cir[t_idx] = synthesize_snapshot(state, cfg, t_idx * dt, n_bins)
+    cir = np.zeros((int(steps), cfg.n_tx, cfg.n_rx, n_bins), dtype=np.complex128)
+    t_idx = 0
+    for live, next_id, delays in segments:
+        state = ClusterState(_normalized(table[live]), next_id)
+        for rows in np.split(delays, range(block, len(delays), block)):
+            times = np.arange(t_idx, t_idx + len(rows)) * dt
+            cir[t_idx:t_idx + len(rows)] = synthesize_snapshot(state, cfg, times, n_bins, rows)
+            t_idx += len(rows)
 
-    mean_count = float(np.mean([r.size for r in recs]))
+    # The count sum is exact, so this is bitwise the mean over steps.
+    mean_count = sum(live.size * len(delays) for live, _, delays in segments) / steps
     return CirSequence(0.0, dt, cfg.delay_resolution_s, cir, mean_count)

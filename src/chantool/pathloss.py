@@ -5,9 +5,10 @@ model is a three-parameter log-linear fit, and its gamma=0 restriction is
 the floating-intercept (FI) model.  Fits are unweighted ordinary least
 squares with RMS-residual shadowing sigma, over sample columns that
 sample_columns checks as a whole.  Every field of a model is finite, so a
-fit that overflows the float range is refused, not returned.  A shadowed
-draw is the model's value plus rng.normal(0.0, model.sigma_db).
-Distances are meters, frequencies GHz, losses dB throughout.
+fit that overflows the float range is refused with FitOverflowError, not
+returned.  A shadowed draw is the model's value plus
+rng.normal(0.0, model.sigma_db).  Distances are meters, frequencies GHz,
+losses dB throughout.
 """
 
 from __future__ import annotations
@@ -23,6 +24,11 @@ FSPL_1M_DB = 32.4
 
 class RankDeficientError(ValueError):
     """The samples cannot determine every parameter of the requested fit."""
+
+
+class FitOverflowError(ValueError):
+    """A fit of finite samples gave a model field that is not finite: the
+    losses overflow the float range.  The message is the model's refusal."""
 
 
 def _check_fields(model) -> None:
@@ -137,7 +143,7 @@ def ci_fit(distance_m, freq_ghz, pl_db) -> CiModel:
         n = float(np.sum(a * big_d) / np.sum(big_d * big_d))
         resid = a - n * big_d
         sigma = float(np.sqrt(np.mean(resid * resid)))
-    return CiModel(n=n, sigma_db=sigma)
+    return _fitted(CiModel, n=n, sigma_db=sigma)
 
 
 def abg_fit(distance_m, freq_ghz, pl_db, fix_gamma: float | None = None) -> AbgModel:
@@ -174,4 +180,13 @@ def abg_fit(distance_m, freq_ghz, pl_db, fix_gamma: float | None = None) -> AbgM
         resid = target - design @ coef
         sigma = float(np.sqrt(np.mean(resid * resid)))
     gamma = float(coef[2] if fix_gamma is None else fix_gamma)
-    return AbgModel(alpha=float(coef[0]), beta_db=float(coef[1]), gamma=gamma, sigma_db=sigma)
+    alpha, beta_db = float(coef[0]), float(coef[1])
+    return _fitted(AbgModel, alpha=alpha, beta_db=beta_db, gamma=gamma, sigma_db=sigma)
+
+
+def _fitted(model: type, **fields: float):
+    # The samples are finite, so a field the model refuses overflowed.
+    try:
+        return model(**fields)
+    except ValueError as err:
+        raise FitOverflowError(str(err)) from None

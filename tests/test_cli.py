@@ -247,6 +247,27 @@ class TestPathlossFit:
         assert code == 2
         assert "use --model fi for single-frequency data" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "edits, model",
+        [
+            ([("scale", 2, 1e298)], "ci"),
+            ([("scale", 2, 1e298)], "fi"),
+            ([("scale", 2, 1e298)], "abg"),
+            ([("cell", 0, 2, "1.7e308"), ("cell", 1, 2, "-1.7e308")], "ci"),
+        ],
+        ids=["1e300-ci", "1e300-fi", "1e300-abg", "1.7e308-ci"],
+    )
+    def test_overflowing_fit_names_the_samples(self, tmp_path, capsys, edits, model):
+        # Every row is a valid sample, so the refusal cites the file and
+        # says the losses overflow, not only the model field that did.
+        samples = write(tmp_path / "s.csv", samples_csv(edits))
+        out = tmp_path / "f.json"
+        assert main(["pathloss-fit", samples, "--model", model, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {samples}: the losses overflow the {model} fit: ")
+        assert err.endswith(" must be finite, got inf\n") or err.endswith(", got nan\n")
+        assert err.count("\n") == 1 and not out.exists()
+
     @pytest.mark.parametrize("model", ["ci", "fi", "abg"])
     def test_equal_distances_exit_2_without_remedy(self, tmp_path, capsys, model):
         rows = "".join(f"50.0,{f},{90.0 + f / 10}\n" for f in (28.0, 73.0, 140.0))

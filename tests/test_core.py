@@ -18,6 +18,7 @@ from chantool.core import (
     derive_substream,
     from_db,
     pdp_from_cir,
+    reset_substream,
     to_db,
 )
 
@@ -195,6 +196,23 @@ def test_substream_platform_anchor():
         3820779919510307445,
         1072776850060455462,
     ]
+
+
+def test_reset_substream_starts_where_derive_substream_does():
+    # One generator reset between indices, after draws of every kind that
+    # gbsm makes, gives each index's fresh substream draw for draw.
+    def draws(g, index):
+        return (
+            g.uniform(size=index % 4), g.poisson(3.0), g.poisson(40.0), g.exponential(2.0, 3),
+            g.normal(0.0, 1.0, 5), g.integers(0, 2**63, 2), g.random(),
+        )
+
+    rng = derive_substream(7, "gbsm-init", 0)
+    for index in range(1, 40):
+        rng.normal(0.0, 1.0, index % 5)
+        reset_substream(rng, 7, "gbsm-evolve", index)
+        pairs = zip(draws(rng, index), draws(derive_substream(7, "gbsm-evolve", index), index))
+        assert all(np.array_equal(a, b) for a, b in pairs)
 
 
 def test_substream_independence_statistics():

@@ -475,6 +475,27 @@ class TestSynthesizeSnapshot:
         pa, pb = np.abs(a) ** 2, np.abs(b) ** 2
         assert np.abs(pa - pb).max() < 0.02
 
+    def test_time_axis_gives_each_instant_bitwise(self):
+        # A block of instants, each with its own delay row, is the stack of
+        # one call per instant on a state holding that row's delays.
+        cfg = GbsmConfig(
+            seed=29, n_tx=2, n_rx=3, rays_per_cluster=7, rx_velocity=Point3(1.0, -0.5, 0.0),
+            tx_velocity=Point3(0.0, 2.0, 0.0),
+        )
+        state = init_for(cfg)
+        times = np.arange(5, 10) * cfg.snapshot_interval_s
+        rows = state.clusters.delay_s + np.arange(5)[:, None] * 3e-9
+        block = synthesize_snapshot(state, cfg, times, 400, rows)
+        assert block.shape == (5, 2, 3, 400)
+        for t_s, row, h in zip(times, rows, block):
+            recs = state.clusters.copy()
+            recs.delay_s = row
+            single = synthesize_snapshot(ClusterState(recs, state.next_id), cfg, float(t_s), 400)
+            assert h.tobytes() == single.tobytes()
+        # Without delay rows, every instant takes the state's own delays.
+        same = synthesize_snapshot(state, cfg, times[:2], 400)
+        assert same[1].tobytes() == synthesize_snapshot(state, cfg, times[1], 400).tobytes()
+
 
 class TestRunScenario:
     def test_shapes_and_time_axis(self):
@@ -587,13 +608,18 @@ class TestRunScenario:
         with pytest.raises(SizingError, match="snapshots"):
             run_scenario(cfg)
 
-    def test_kept_cluster_states_budgeted(self, monkeypatch):
-        # A birth rate of 1e5 /s keeps about 80 MiB of cluster states over
-        # 200 steps, although the cube fits.
-        monkeypatch.setattr(gbsm, "MAX_CIR_BYTES", 4 << 20)
-        cfg = GbsmConfig(seed=31, birth_rate_hz=1e5, duration_s=200 * 62.5e-6)
-        with pytest.raises(SizingError, match="cluster states of the first"):
-            run_scenario(cfg)
+    def test_kept_cluster_states_budgeted(self, monkeypatch, traced_peak):
+        # A birth rate of 1e6 /s draws about 62 clusters a step: over 200
+        # steps the cluster table would pass 18 MB.  It is refused as it
+        # grows past a 1 MiB ceiling, so the run never holds much more.
+        monkeypatch.setattr(gbsm, "MAX_CIR_BYTES", 1 << 20)
+        cfg = GbsmConfig(seed=31, birth_rate_hz=1e6, duration_s=200 * 62.5e-6)
+
+        def refused():
+            with pytest.raises(SizingError, match="^the cluster table of the first"):
+                run_scenario(cfg)
+
+        assert traced_peak(refused) < 2 << 20
 
     def test_cluster_draw_budgeted_before_allocation(self, monkeypatch):
         # The draw's records are checked against the byte ceiling before
@@ -657,6 +683,27 @@ class TestRunScenario:
         bound = gbsm.SYNTH_BYTES_PER_TERM * (1 + rays) + gbsm.SYNTH_BYTES_PER_BIN * n_bins
         assert peak <= pairs * bound
 
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            dict(rays_per_cluster=5000),
+            dict(n_tx=4, n_rx=4, rays_per_cluster=1, mean_clusters=1.0, delay_resolution_s=1e-12),
+        ],
+        ids=["1x1", "4x4-fine-grid"],
+    )
+    def test_block_temporaries_within_the_bound_per_step(self, traced_peak, kwargs):
+        # run_scenario sizes its blocks of steps by this: a block's peak
+        # stays within its step count times the one-step bound.
+        cfg = GbsmConfig(seed=3, rx_velocity=Point3(1.0, 0.5, 0.0), **kwargs)
+        state, steps = init_for(cfg), 8
+        rows = np.repeat(state.clusters.delay_s[None], steps, axis=0)
+        times = np.arange(steps) * 1e-3
+        n_bins = synthesize_snapshot(state, cfg, times, None, rows).shape[3]
+        peak = traced_peak(synthesize_snapshot, state, cfg, times, None, rows)
+        rays = state.clusters.size * cfg.rays_per_cluster
+        bound = gbsm.SYNTH_BYTES_PER_TERM * (1 + rays) + gbsm.SYNTH_BYTES_PER_BIN * n_bins
+        assert peak <= steps * cfg.n_tx * cfg.n_rx * bound
+
     def test_zero_duration_gives_single_snapshot(self):
         cfg = GbsmConfig(seed=31, duration_s=0.0)
         assert run_scenario(cfg).n_time == 1
@@ -688,6 +735,104 @@ class TestRunScenario:
         # per-ray operation order.
         cir = run_scenario(GbsmConfig(**kwargs)).cir
         assert hashlib.sha256(cir.tobytes()).hexdigest() == digest
+
+
+DT = 62.5e-6
+
+# The five scenarios the two passes are held to, from a single antenna
+# pair with no churn to a grid clamped at zero delay.
+TWO_PASS_CASES = {
+    "1x1": dict(duration_s=300 * DT),
+    "2x2-churn-both-moving": dict(
+        n_tx=2, n_rx=2, birth_rate_hz=2000.0, death_rate_hz=2000.0,
+        rx_velocity=Point3(1.5, 0.5, 0.0), tx_velocity=Point3(0.0, -1.0, 0.0), duration_s=300 * DT,
+    ),
+    "3x1-7-rays": dict(
+        n_tx=3, rays_per_cluster=7, rx_velocity=Point3(1.0, 0.0, 0.0), birth_rate_hz=800.0,
+        death_rate_hz=800.0, duration_s=200 * DT,
+    ),
+    "1x4-clamped": dict(
+        n_rx=4, rx_velocity=Point3(-3e5, 0.0, 0.0), birth_rate_hz=500.0, death_rate_hz=500.0,
+        duration_s=200 * DT,
+    ),
+    "nlos-churn": dict(
+        k_factor_db=-10.0, birth_rate_hz=100.0, death_rate_hz=100.0, duration_s=1500 * DT,
+    ),
+}
+
+
+def stepwise(cfg: GbsmConfig, n_bins: int) -> tuple[np.ndarray, float]:
+    """The cube and mean cluster count from the public single-step API:
+    init_clusters, then one evolve_clusters and synthesize_snapshot a step."""
+    state, cubes, counts = init_for(cfg), [], []
+    for t in range(max(1, round(cfg.duration_s / DT))):
+        if t:
+            state = evolve_clusters(state, cfg, DT, derive_substream(cfg.seed, "gbsm-evolve", t))
+        cubes.append(synthesize_snapshot(state, cfg, t * DT, n_bins))
+        counts.append(state.clusters.size)
+    return np.stack(cubes), float(np.mean(counts))
+
+
+def block_lengths(monkeypatch) -> list[int]:
+    """The steps of each synthesize_snapshot call that run_scenario makes."""
+    lengths, synthesize = [], gbsm.synthesize_snapshot
+
+    def recording(state, cfg, t_s, *args):
+        lengths.append(np.size(t_s))
+        return synthesize(state, cfg, t_s, *args)
+
+    monkeypatch.setattr(gbsm, "synthesize_snapshot", recording)
+    return lengths
+
+
+class TestTwoPasses:
+    @pytest.mark.parametrize("seed", [0, 53, 2024])
+    @pytest.mark.parametrize("case", TWO_PASS_CASES)
+    def test_cube_is_the_single_step_loop(self, case, seed):
+        cfg = GbsmConfig(seed=seed, **TWO_PASS_CASES[case])
+        seq = run_scenario(cfg)
+        cir, mean_count = stepwise(cfg, seq.cir.shape[3])
+        assert seq.cir.tobytes() == cir.tobytes()
+        assert seq.mean_cluster_count == mean_count
+
+    def test_runs_of_one_block_and_around_it(self, monkeypatch):
+        # No churn: one segment, cut into blocks of the byte target's length.
+        cfg = GbsmConfig(
+            seed=53, n_tx=2, n_rx=2, rx_velocity=Point3(1.5, 0.5, 0.0), birth_rate_hz=0.0,
+            death_rate_hz=0.0, duration_s=100 * DT,
+        )
+        lengths = block_lengths(monkeypatch)
+        run_scenario(cfg)
+        block = lengths[0]
+        assert 2 < block < 100 and lengths[:-1] == [block] * (len(lengths) - 1)
+        for steps in (1, block - 1, block, block + 1):
+            lengths.clear()
+            short = dataclasses.replace(cfg, duration_s=steps * DT)
+            seq = run_scenario(short)
+            assert lengths == [block] * (steps // block) + [steps % block] * (steps % block > 0)
+            assert seq.cir.tobytes() == stepwise(short, seq.cir.shape[3])[0].tobytes()
+
+    def test_churn_on_the_first_and_last_step_of_blocks(self, monkeypatch):
+        # Births and deaths cut segments of 1 step (a change on a block's
+        # first and its last step), of exactly one block (the next change
+        # right after its last step) and of one step more.
+        cfg = GbsmConfig(seed=0, **TWO_PASS_CASES["2x2-churn-both-moving"])
+        lengths = block_lengths(monkeypatch)
+        seq = run_scenario(cfg)
+        block = max(lengths)
+        _, segments = gbsm._evolution(cfg, seq.n_time)
+        runs = [len(delays) for _, _, delays in segments]
+        assert 1 in runs and block in runs and block + 1 in runs and len(set(runs)) > 5
+        assert sum(lengths) == seq.n_time == sum(runs)
+        assert seq.cir.tobytes() == stepwise(cfg, seq.cir.shape[3])[0].tobytes()
+
+    def test_run_holds_under_half_a_kilobyte_a_step_beside_the_cube(self, traced_peak):
+        # Each cluster's record is stored once, so the run grows by its delay
+        # rows alone; one record copy per step took 2093 B a step here.
+        steps, seqs = 20_000, []
+        cfg = GbsmConfig(seed=3, duration_s=steps * DT)
+        peak = traced_peak(lambda: seqs.append(run_scenario(cfg)))
+        assert (peak - seqs[0].cir.nbytes) / steps <= 500
 
 
 class TestBudget:
