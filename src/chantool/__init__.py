@@ -16,8 +16,8 @@ _EXPORTS = {
     "analysis": ("CorrelationMatrix", "StationaryReport", "los_power_track",
                  "pdp_correlation_matrix", "stationary_intervals"),
     "archive": ("ArchiveError", "capture_sequence", "read_archive", "write_archive"),
-    "blockage": ("BlockageScenario", "Cylinder", "GeometryError", "Screen", "airy_zero",
-                 "default_cylinder", "default_screen", "gtd_cylinder_attenuation",
+    "blockage": ("BlockageConfig", "BlockageScenario", "Cylinder", "GeometryError", "Screen",
+                 "airy_zero", "default_cylinder", "default_screen", "gtd_cylinder_attenuation",
                  "kirchhoff_screen_attenuation", "metis_screen_attenuation", "sweep_blocker"),
     "config": ("Config", "ConfigError", "parse_config"),
     "core": ("BAND_28", "BAND_32", "BAND_39", "DB_FLOOR", "SPEED_OF_LIGHT", "CirSnapshot",

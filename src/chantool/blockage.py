@@ -12,7 +12,8 @@ Screens are vertical rectangles auto-oriented perpendicular to the top-view
 Tx-Rx line; cylinders have a vertical axis.  All attenuations are in dB
 relative to the unobstructed field (positive = loss).  In a sweep, a blocker
 that does not cut the LOS adds exactly 0 dB, and a position whose geometry
-the model refuses is NaN.
+the model refuses is NaN.  BlockageConfig is one sweep of the CLI: the link,
+the blocker sizes and the trajectory.
 """
 
 from __future__ import annotations
@@ -22,12 +23,13 @@ import functools
 import math
 import warnings
 from dataclasses import dataclass, replace
+from typing import ClassVar
 
 import numpy as np
 from scipy.special import ai_zeros, airy
 from scipy.special import fresnel as _scipy_fresnel
 
-from chantool.core import FrequencyBand, Point3
+from chantool.core import FieldError, FrequencyBand, Point3
 
 # Grazing-incidence ties within this distance resolve to "in shadow".
 GRAZING_TIE_M = 1e-12
@@ -72,27 +74,6 @@ class Cylinder:
             raise ValueError("cylinder radius and height must be positive")
 
 
-# Default human-sized blockers; sized so the three models land in the
-# measured 10-15 dB shadowing band for a mid-path crossing at 28 GHz.
-DEFAULT_SCREEN_WIDTH_M = 0.4
-DEFAULT_SCREEN_HEIGHT_M = 1.75
-DEFAULT_CYLINDER_RADIUS_M = 0.25
-
-# Reference 10 m crossing link: antennas at 1.5 m, blocker center height
-# placed so the torso shadows the path with all models in their mid band.
-DEFAULT_ANTENNA_HEIGHT_M = 1.5
-DEFAULT_BLOCKER_CENTER_Z_M = 0.87
-DEFAULT_CYLINDER_HEIGHT_M = 1.75
-
-
-def default_screen(center: Point3) -> Screen:
-    return Screen(center, DEFAULT_SCREEN_WIDTH_M, DEFAULT_SCREEN_HEIGHT_M)
-
-
-def default_cylinder(center: Point3) -> Cylinder:
-    return Cylinder(center, DEFAULT_CYLINDER_RADIUS_M, DEFAULT_CYLINDER_HEIGHT_M)
-
-
 @dataclass(frozen=True)
 class BlockageScenario:
     """Endpoints, band, and the blocker set for a shadowing computation."""
@@ -106,6 +87,81 @@ class BlockageScenario:
         object.__setattr__(self, "blockers", tuple(self.blockers))
         if self.tx == self.rx:
             raise GeometryError("tx and rx must differ")
+
+
+@dataclass(frozen=True)
+class BlockageConfig:
+    """A blocker swept across the LOS link at along_position_m (scenario
+    crossing) or along it at lateral_offset_m (scenario along).  The link
+    runs from tx at the origin to rx at link_length_m on the x axis, both
+    antenna_height_m high; each blocker is centered blocker_center_z_m high.
+    along_position_m defaults to the link's midpoint, lateral_offset_m to 0.
+    """
+
+    # The coordinate each scenario sweeps, whose field must stay unset.
+    SWEPT: ClassVar[dict[str, str]] = {
+        "crossing": "lateral_offset_m",
+        "along": "along_position_m",
+    }
+
+    scenario: str = "crossing"
+    carrier_ghz: float = 28.0
+    # Reference 10 m crossing link, antennas at 1.5 m.
+    link_length_m: float = 10.0
+    antenna_height_m: float = 1.5
+    # Human-sized blockers, sized so the three models land in the measured
+    # 10-15 dB shadowing band for a mid-path crossing at 28 GHz; the center
+    # height puts the torso in the path with all models in their mid band.
+    screen_width_m: float = 0.4
+    screen_height_m: float = 1.75
+    cylinder_radius_m: float = 0.25
+    cylinder_height_m: float = 1.75
+    blocker_center_z_m: float = 0.87
+    along_position_m: float | None = None
+    lateral_offset_m: float | None = None
+
+    def __post_init__(self) -> None:
+        if self.scenario not in self.SWEPT:
+            choices = ", ".join(self.SWEPT)
+            raise FieldError(f"expected one of {choices}, got {self.scenario!r}", "scenario")
+        swept = self.SWEPT[self.scenario]
+        if getattr(self, swept) is not None:
+            raise FieldError(f"{swept} does not apply to scenario = {self.scenario}", swept)
+
+    def trajectory(self) -> tuple[list[float], list[Point3]]:
+        """The swept coordinate's values, in m, and the blocker center at
+        each: across from -1.0 to 1.0 m in 0.1 m steps, or along from 10% to
+        90% of the link in 2% steps."""
+        zc = self.blocker_center_z_m
+        if self.scenario == "crossing":
+            along = self.along_position_m
+            along = self.link_length_m / 2.0 if along is None else along
+            positions = [round(-1.0 + 0.1 * i, 10) for i in range(21)]
+            return positions, [Point3(along, lat, zc) for lat in positions]
+        lateral = 0.0 if self.lateral_offset_m is None else self.lateral_offset_m
+        positions = [round(self.link_length_m * (0.1 + 0.02 * i), 10) for i in range(41)]
+        return positions, [Point3(along, lateral, zc) for along in positions]
+
+    def scenarios(self) -> dict[type, BlockageScenario]:
+        """The one-blocker scenario of each blocker type, keyed by the type,
+        with the blocker at the trajectory's first center."""
+        start = self.trajectory()[1][0]
+        band = FrequencyBand.preset(self.carrier_ghz)
+        tx = Point3(0.0, 0.0, self.antenna_height_m)
+        rx = Point3(self.link_length_m, 0.0, self.antenna_height_m)
+        blockers = (
+            Screen(start, self.screen_width_m, self.screen_height_m),
+            Cylinder(start, self.cylinder_radius_m, self.cylinder_height_m),
+        )
+        return {type(b): BlockageScenario(tx, rx, band, (b,)) for b in blockers}
+
+
+def default_screen(center: Point3) -> Screen:
+    return Screen(center, BlockageConfig.screen_width_m, BlockageConfig.screen_height_m)
+
+
+def default_cylinder(center: Point3) -> Cylinder:
+    return Cylinder(center, BlockageConfig.cylinder_radius_m, BlockageConfig.cylinder_height_m)
 
 
 # ---------------------------------------------------------------------------

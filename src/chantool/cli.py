@@ -48,23 +48,10 @@ from chantool.archive import (
     staged,
     write_archive,
 )
-from chantool.blockage import (
-    MODELS,
-    BlockageScenario,
-    Cylinder,
-    Screen,
-    sweep_blocker,
-)
-from chantool.config import (
-    Config,
-    blockage_settings,
-    field_key,
-    gbsm_config,
-    load_config,
-    sounder_settings,
-)
-from chantool.core import FrequencyBand, Point3, pdp_from_cir
-from chantool.gbsm import FieldError, SizingError, run_scenario
+from chantool.blockage import MODELS, BlockageConfig, sweep_blocker
+from chantool.config import Config, field_key, gbsm_config, load_config, sounder_settings
+from chantool.core import FieldError, pdp_from_cir
+from chantool.gbsm import SizingError, run_scenario
 from chantool.pathloss import (
     FitOverflowError,
     RankDeficientError,
@@ -114,38 +101,15 @@ def _cited(cfg: Config, name: str):
 def cmd_blockage(args) -> int:
     cfg = load_config(args.config)
     section = _require_section(cfg, "blockage")
-    settings = blockage_settings(section)
-    # A scenario sweeps one coordinate of the blocker path and reads the
-    # other from its key; a key for the swept coordinate would be ignored.
-    scenario = settings["scenario"]
-    ignored = {"crossing": "lateral_offset_m", "along": "along_position_m"}[scenario]
-    if ignored in section:
-        raise cfg.error(
-            "blockage", ignored, f"{ignored} does not apply to scenario = {scenario}"
-        )
     chosen = args.model or ["all"]
     models = list(MODELS) if "all" in chosen else [m for m in MODELS if m in chosen]
-    zc = settings["blocker_center_z_m"]
-    if scenario == "crossing":
-        positions = [round(-1.0 + 0.1 * i, 10) for i in range(21)]
-        centers = [Point3(settings["along_position_m"], lat, zc) for lat in positions]
-    else:
-        positions = [round(settings["link_length_m"] * (0.1 + 0.02 * i), 10) for i in range(41)]
-        centers = [Point3(along, settings["lateral_offset_m"], zc) for along in positions]
-
     # Every parameter object is built before the first sweep, so a value
     # they refuse is reported against the file, before any output; a value
     # the sweeps refuse is cited at the section too.
     with _cited(cfg, "blockage"):
-        band = FrequencyBand.preset(settings["carrier_ghz"])
-        h = settings["antenna_height_m"]
-        tx = Point3(0.0, 0.0, h)
-        rx = Point3(settings["link_length_m"], 0.0, h)
-        blockers = (
-            Screen(centers[0], settings["screen_width_m"], settings["screen_height_m"]),
-            Cylinder(centers[0], settings["cylinder_radius_m"], settings["cylinder_height_m"]),
-        )
-        scenarios = {type(b): BlockageScenario(tx, rx, band, (b,)) for b in blockers}
+        sweep = BlockageConfig(**section)
+        positions, centers = sweep.trajectory()
+        scenarios = sweep.scenarios()
         columns = []
         for model in models:
             with warnings.catch_warnings():
@@ -218,6 +182,7 @@ def _read_samples_csv(path: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 def cmd_pathloss_fit(args) -> int:
     columns = _read_samples_csv(args.samples)
+    # Every refusal of a fit is about the samples, so each names their file.
     try:
         if args.model == "ci":
             fit = ci_fit(*columns)
@@ -228,10 +193,12 @@ def cmd_pathloss_fit(args) -> int:
     except RankDeficientError as err:
         fi_helps = args.model == "abg" and columns[0].min() < columns[0].max()
         hint = " (use --model fi for single-frequency data)" if fi_helps else ""
-        raise ValueError(f"{err}{hint}") from None
+        raise ValueError(f"{args.samples}: {err.reason}{hint}") from None
     except FitOverflowError as err:
         overflow = f"the losses overflow the {args.model} fit"
         raise ValueError(f"{args.samples}: {overflow}: {err}") from None
+    except ValueError as err:
+        raise ValueError(f"{args.samples}: {err}") from None
     report = {
         "model": args.model,
         "parameters": params,

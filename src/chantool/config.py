@@ -1,9 +1,9 @@
 """Strict INI-style configuration.
 
-Three sections, each holding exactly the keys its subcommand reads:
+Three sections, each holding exactly the keys its subcommand reads, each
+key declared once, by the field of the parameter type it sets:
 
-* [blockage]: the keys of one defaults table, which blockage_settings
-  merges the section into;
+* [blockage]: scenario and every float field of BlockageConfig;
 * [gbsm]: carrier_ghz, every int or float field of GbsmConfig, and its
   Point3 fields as <field>_<x|y|z>_<unit> keys;
 * [sounder]: band_fraction and every int or float field of LinkBudget and
@@ -20,16 +20,9 @@ from __future__ import annotations
 import math
 from dataclasses import astuple, dataclass, fields, replace
 
-from chantool.blockage import (
-    DEFAULT_ANTENNA_HEIGHT_M,
-    DEFAULT_BLOCKER_CENTER_Z_M,
-    DEFAULT_CYLINDER_HEIGHT_M,
-    DEFAULT_CYLINDER_RADIUS_M,
-    DEFAULT_SCREEN_HEIGHT_M,
-    DEFAULT_SCREEN_WIDTH_M,
-)
-from chantool.core import FrequencyBand, Point3
-from chantool.gbsm import FieldError, GbsmConfig
+from chantool.blockage import BlockageConfig
+from chantool.core import FieldError, FrequencyBand, Point3
+from chantool.gbsm import GbsmConfig
 from chantool.sounder import DEFAULT_BAND_FRACTION, LinkBudget, MpcExtractionPolicy
 
 
@@ -64,22 +57,6 @@ def _int(raw: str) -> int:
     return int(raw, 10)
 
 
-# [blockage] keys and their defaults; along_position_m defaults to the
-# midpoint of the link.
-_BLOCKAGE_DEFAULTS: dict[str, object] = {
-    "scenario": "crossing",
-    "carrier_ghz": 28.0,
-    "link_length_m": 10.0,
-    "antenna_height_m": DEFAULT_ANTENNA_HEIGHT_M,
-    "screen_width_m": DEFAULT_SCREEN_WIDTH_M,
-    "screen_height_m": DEFAULT_SCREEN_HEIGHT_M,
-    "cylinder_radius_m": DEFAULT_CYLINDER_RADIUS_M,
-    "cylinder_height_m": DEFAULT_CYLINDER_HEIGHT_M,
-    "blocker_center_z_m": DEFAULT_BLOCKER_CENTER_Z_M,
-    "along_position_m": None,
-    "lateral_offset_m": 0.0,
-}
-
 # The Point3 fields of GbsmConfig, each given as three keys
 # <field>_<x|y|z>_<unit>, with its unit suffix.
 _VECTORS = {"tx_velocity": "mps", "rx_velocity": "mps", "tx_position": "m", "rx_position": "m"}
@@ -90,21 +67,20 @@ def _vector_keys(name: str) -> list[str]:
 
 
 def field_key(err: FieldError) -> str:
-    """The [gbsm] key that sets the GbsmConfig value err refuses."""
+    """The key that sets the field err refuses: the field's name, or the
+    <field>_<axis>_<unit> key of a component of a GbsmConfig Point3 field."""
     return err.field if err.axis is None else _vector_keys(err.field)["xyz".index(err.axis)]
 
 
 def _scalar_fields(*classes) -> dict[str, object]:
-    """A parser per int or float field of the dataclasses, keyed by its name."""
-    parsers = {"int": _int, "float": _float}
+    """A parser per int or float field of the dataclasses, keyed by its name;
+    an optional float field, None by default, takes a float too."""
+    parsers = {"int": _int, "float": _float, "float | None": _float}
     return {f.name: parsers[f.type] for cls in classes for f in fields(cls) if f.type in parsers}
 
 
 SCHEMA: dict[str, dict[str, object]] = {
-    "blockage": {
-        **dict.fromkeys(_BLOCKAGE_DEFAULTS, _float),
-        "scenario": _choice("crossing", "along"),
-    },
+    "blockage": {"scenario": _choice(*BlockageConfig.SWEPT), **_scalar_fields(BlockageConfig)},
     "gbsm": {
         "carrier_ghz": _float,
         **_scalar_fields(GbsmConfig),
@@ -180,13 +156,7 @@ def load_config(path: str) -> Config:
 
 # ---------------------------------------------------------------------------
 # Builders: turn validated sections into module-level parameter objects.
-
-
-def blockage_settings(section: dict[str, object]) -> dict[str, object]:
-    out = {**_BLOCKAGE_DEFAULTS, **section}
-    if out["along_position_m"] is None:
-        out["along_position_m"] = out["link_length_m"] / 2.0
-    return out
+# [blockage] needs none: its section is BlockageConfig's keyword arguments.
 
 
 def _overrides(cls, section: dict[str, object]) -> dict[str, object]:

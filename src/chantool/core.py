@@ -21,6 +21,16 @@ SPEED_OF_LIGHT = 299792458.0  # m/s
 DB_FLOOR = -300.0
 
 
+class FieldError(ValueError):
+    """A config value refused on its own: field names the parameter field,
+    and axis the component ("x", "y" or "z") of a Point3 field, else None."""
+
+    def __init__(self, message: str, field: str, axis: str | None = None) -> None:
+        super().__init__(message)
+        self.field = field
+        self.axis = axis
+
+
 def to_db(linear: np.ndarray | float) -> np.ndarray | float:
     """10*log10 with exact zeros clamped to DB_FLOOR."""
     arr = np.asarray(linear, dtype=float)

@@ -26,7 +26,7 @@ from functools import cached_property
 import numpy as np
 
 from chantool.core import BAND_28, SPEED_OF_LIGHT, CirSnapshot, FrequencyBand, Point3
-from chantool.core import derive_substream, reset_substream
+from chantool.core import FieldError, derive_substream, reset_substream
 
 # Byte ceiling on each of run_scenario's allocations, which _budget refuses
 # before they are made: the complex128 (time, tx, rx, delay) cube, the run's
@@ -52,16 +52,6 @@ def _budget(nbytes: float, what: str) -> None:
     """Refuse nbytes past MAX_CIR_BYTES, and NaN and inf, as an overflow gives."""
     if not nbytes <= MAX_CIR_BYTES:
         raise SizingError(f"{what} would take {nbytes:g} bytes; limit {MAX_CIR_BYTES}")
-
-
-class FieldError(ValueError):
-    """A config value refused on its own: field names it, and axis is the
-    component ("x", "y" or "z") of a GbsmConfig Point3 field, else None."""
-
-    def __init__(self, message: str, field: str, axis: str | None = None) -> None:
-        super().__init__(message)
-        self.field = field
-        self.axis = axis
 
 
 @dataclass(frozen=True)

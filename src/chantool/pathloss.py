@@ -23,7 +23,12 @@ FSPL_1M_DB = 32.4
 
 
 class RankDeficientError(ValueError):
-    """The samples cannot determine every parameter of the requested fit."""
+    """The samples cannot determine every parameter of the requested fit.
+    reason says why; the message adds remedy, a change to the call, if any."""
+
+    def __init__(self, reason: str, remedy: str | None = None) -> None:
+        super().__init__(reason if remedy is None else f"{reason} ({remedy})")
+        self.reason = reason
 
 
 class FitOverflowError(ValueError):
@@ -164,8 +169,8 @@ def abg_fit(distance_m, freq_ghz, pl_db, fix_gamma: float | None = None) -> AbgM
         raise RankDeficientError("rank-deficient fit: distance column is constant")
     if fix_gamma is None and np.all(f == f[0]):
         raise RankDeficientError(
-            "rank-deficient fit: frequency column is constant "
-            "(single-frequency data must use fix_gamma=0)"
+            "rank-deficient fit: frequency column is constant",
+            "single-frequency data must use fix_gamma=0",
         )
 
     target = pl if fix_gamma is None else pl - fix_gamma * col_f  # removes 10*gamma*log10(f)

@@ -19,9 +19,8 @@ from scipy.special import airy
 
 from chantool import blockage
 from chantool.blockage import (
-    DEFAULT_ANTENNA_HEIGHT_M,
-    DEFAULT_BLOCKER_CENTER_Z_M,
     MODELS,
+    BlockageConfig,
     BlockageScenario,
     Cylinder,
     GeometryError,
@@ -39,8 +38,8 @@ from chantool.blockage import (
 )
 from chantool.core import BAND_28, BAND_39, FrequencyBand, Point3
 
-H = DEFAULT_ANTENNA_HEIGHT_M
-ZC = DEFAULT_BLOCKER_CENTER_Z_M
+H = BlockageConfig.antenna_height_m
+ZC = BlockageConfig.blocker_center_z_m
 TX = Point3(0.0, 0.0, H)
 RX = Point3(10.0, 0.0, H)
 MID = Point3(5.0, 0.0, ZC)

@@ -2,6 +2,7 @@
 
 import errno
 import gc
+import hashlib
 import json
 import math
 import os
@@ -111,6 +112,21 @@ class TestBlockage:
         _, rows = read_rows(out)
         assert [row[0] for row in rows[:2]] + [rows[-1][0]] == ["2.0", "2.4", "18.0"]
         assert len(rows) == 41
+
+    @pytest.mark.parametrize(
+        "scenario, digest",
+        [
+            ("crossing", "691ae27fadcd70b7b5d7501d9e1b876e58120102556a2bcca1ed6be5f3d34fb6"),
+            ("along", "30369021bb86ce0341621eff99731cbb4f23bcec5529335cb02ba271db540773"),
+        ],
+        ids=["crossing", "along"],
+    )
+    def test_default_sweeps_keep_their_bytes(self, tmp_path, scenario, digest):
+        # The SHA-256 of the benchmark's seed-0 crossing.csv and along.csv.
+        cfg = write(tmp_path / "c.ini", f"[blockage]\nscenario = {scenario}\n")
+        out = tmp_path / f"{scenario}.csv"
+        assert main(["blockage", "--config", cfg, "--model", "all", "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
     def test_missing_section_exit_2(self, tmp_path, capsys):
         cfg = write(tmp_path / "c.ini", "[gbsm]\nseed = 1\n")
@@ -245,7 +261,10 @@ class TestPathlossFit:
         code = main(["pathloss-fit", samples, "--model", "abg",
                      "--out", str(tmp_path / "f.json")])
         assert code == 2
-        assert "use --model fi for single-frequency data" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            f"error: {samples}: rank-deficient fit: frequency column is constant"
+            " (use --model fi for single-frequency data)\n"
+        )
 
     @pytest.mark.parametrize(
         "edits, model",
@@ -278,6 +297,26 @@ class TestPathlossFit:
         err = capsys.readouterr().err
         assert "distance" in err
         assert "--model fi" not in err
+
+    @pytest.mark.parametrize(
+        "rows, model, message",
+        [
+            # Frequency in step with distance: the abg columns are collinear.
+            ([(10.0, 10.0), (100.0, 100.0), (1000.0, 1000.0)], "abg",
+             "rank-deficient fit: design columns are collinear"
+             " (use --model fi for single-frequency data)"),
+            ([(10.0, 28.0), (100.0, 39.0)], "abg", "abg_fit needs at least 3 samples"),
+            ([(10.0, 28.0)], "fi", "abg_fit needs at least 2 samples"),
+        ],
+        ids=["collinear", "abg-two", "fi-one"],
+    )
+    def test_undetermined_fit_names_the_samples(self, tmp_path, capsys, rows, model, message):
+        body = "".join(f"{d},{f},{90.0 + d / 100}\n" for d, f in rows)
+        samples = write(tmp_path / "s.csv", "distance_m,freq_ghz,pl_db\n" + body)
+        out = tmp_path / "f.json"
+        assert main(["pathloss-fit", samples, "--model", model, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {samples}: {message}\n"
+        assert not out.exists()
 
     def test_noiseless_sigma_vanishes(self, tmp_path):
         samples = make_ci_samples(tmp_path / "s.csv", sigma=0.0)
@@ -382,7 +421,8 @@ class TestPathlossFit:
              "<path>: expected header 'distance_m,freq_ghz,pl_db', got '<empty>'"),
             ("\n" * 40 + "d,f,pl\n1.0,28.0,100.0\n",
              "<path>: expected header 'distance_m,freq_ghz,pl_db', got 'd,f,pl'"),
-            ("\n \n" * 40 + "distance_m,freq_ghz,pl_db\n\n", "ci_fit needs at least 2 samples"),
+            ("\n \n" * 40 + "distance_m,freq_ghz,pl_db\n\n",
+             "<path>: ci_fit needs at least 2 samples"),
         ],
         ids=["empty", "blank-lines-only", "late-bad-header", "header-only"],
     )

@@ -5,17 +5,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from chantool.blockage import BlockageConfig, Cylinder, Screen
 from chantool.config import (
     SCHEMA,
     ConfigError,
-    blockage_settings,
     field_key,
     gbsm_config,
     parse_config,
     sounder_settings,
 )
-from chantool.core import Point3
-from chantool.gbsm import FieldError, GbsmConfig
+from chantool.core import FieldError, Point3
+from chantool.gbsm import GbsmConfig
 
 
 def float_keys():
@@ -195,13 +195,31 @@ class TestParsing:
 
 class TestBuilders:
     def test_blockage_defaults_and_overrides(self):
-        settings = blockage_settings({})
-        assert settings["scenario"] == "crossing"
-        assert settings["link_length_m"] == 10.0
-        assert settings["along_position_m"] == 5.0
-        assert settings["screen_width_m"] == 0.4
-        custom = blockage_settings({"link_length_m": 8.0, "along_position_m": 2.0})
-        assert custom["along_position_m"] == 2.0
+        # (section, first and last swept value, first and last blocker center)
+        cases = [
+            # The crossing sweep defaults to the link's midpoint.
+            ({}, (-1.0, 1.0), Point3(5.0, -1.0, 0.87), Point3(5.0, 1.0, 0.87)),
+            ({"link_length_m": 8.0, "along_position_m": 2.0},
+             (-1.0, 1.0), Point3(2.0, -1.0, 0.87), Point3(2.0, 1.0, 0.87)),
+            ({"scenario": "along"}, (1.0, 9.0), Point3(1.0, 0.0, 0.87), Point3(9.0, 0.0, 0.87)),
+            ({"scenario": "along", "link_length_m": 20.0, "lateral_offset_m": 0.1,
+              "blocker_center_z_m": 1.0},
+             (2.0, 18.0), Point3(2.0, 0.1, 1.0), Point3(18.0, 0.1, 1.0)),
+        ]
+        for section, positions, first, last in cases:
+            sweep = BlockageConfig(**section)
+            values, centers = sweep.trajectory()
+            assert (values[0], values[-1]) == positions
+            assert len(values) == len(centers) == (21 if sweep.scenario == "crossing" else 41)
+            assert (centers[0], centers[-1]) == (first, last)
+            scenarios = sweep.scenarios()
+            assert [blocker for scn in scenarios.values() for blocker in scn.blockers] == [
+                Screen(first, 0.4, 1.75), Cylinder(first, 0.25, 1.75)
+            ]
+            link = sweep.link_length_m
+            assert {(scn.tx, scn.rx) for scn in scenarios.values()} == {
+                (Point3(0.0, 0.0, 1.5), Point3(link, 0.0, 1.5))
+            }
 
     def test_gbsm_builder_maps_vectors(self):
         section = parse_config(GOOD, "demo.ini").section("gbsm")
@@ -220,13 +238,22 @@ class TestBuilders:
             ({"ray_delay_scale_s": 0.0}, "ray_delay_scale_s"),
             ({"tx_velocity": Point3(0.0, 0.0, 1.0)}, "tx_velocity_z_mps"),
             ({"rx_position": Point3(10.0, float("nan"), 1.5)}, "rx_position_y_m"),
+            # The coordinate the scenario sweeps: refused on construction, so
+            # before the size or carrier that scenarios() would refuse.
+            ({"scenario": "crossing", "lateral_offset_m": 0.0, "screen_width_m": -1.0},
+             "lateral_offset_m"),
+            ({"scenario": "along", "along_position_m": 2.0, "carrier_ghz": -28.0},
+             "along_position_m"),
+            ({"scenario": "diagonal"}, "scenario"),
         ],
     )
     def test_field_refusal_names_its_key(self, kwargs, key):
+        # The [blockage] cases name their scenario.
+        section = "blockage" if "scenario" in kwargs else "gbsm"
         with pytest.raises(FieldError) as info:
-            GbsmConfig(**kwargs)
+            {"gbsm": GbsmConfig, "blockage": BlockageConfig}[section](**kwargs)
         assert field_key(info.value) == key
-        assert key in SCHEMA["gbsm"]
+        assert key in SCHEMA[section]
 
     def test_sounder_builder(self):
         section = parse_config(GOOD, "demo.ini").section("sounder")
