@@ -29,7 +29,7 @@ import numpy as np
 from scipy.special import ai_zeros, airy
 from scipy.special import fresnel as _scipy_fresnel
 
-from chantool.core import FieldError, FrequencyBand, Point3
+from chantool.core import FieldError, FrequencyBand, Point3, check_fields
 
 # Grazing-incidence ties within this distance resolve to "in shadow".
 GRAZING_TIE_M = 1e-12
@@ -121,12 +121,16 @@ class BlockageConfig:
     lateral_offset_m: float | None = None
 
     def __post_init__(self) -> None:
-        if self.scenario not in self.SWEPT:
-            choices = ", ".join(self.SWEPT)
-            raise FieldError(f"expected one of {choices}, got {self.scenario!r}", "scenario")
-        swept = self.SWEPT[self.scenario]
-        if getattr(self, swept) is not None:
+        # The swept key, refused with the scenario that sweeps it, goes first.
+        swept = self.SWEPT.get(self.scenario)
+        if swept is not None and getattr(self, swept) is not None:
             raise FieldError(f"{swept} does not apply to scenario = {self.scenario}", swept)
+        sizes = ("screen_width_m", "screen_height_m", "cylinder_radius_m", "cylinder_height_m")
+        check_fields(
+            self,
+            (f"one of {', '.join(self.SWEPT)}", lambda v: v in self.SWEPT, ("scenario",)),
+            ("positive", lambda v: v > 0.0, sizes),
+        )
 
     def trajectory(self) -> tuple[list[float], list[Point3]]:
         """The swept coordinate's values, in m, and the blocker center at

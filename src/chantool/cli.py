@@ -50,7 +50,7 @@ from chantool.archive import (
 )
 from chantool.blockage import MODELS, BlockageConfig, sweep_blocker
 from chantool.config import Config, field_key, gbsm_config, load_config, sounder_settings
-from chantool.core import FieldError, pdp_from_cir
+from chantool.core import FieldError, check_fields, pdp_from_cir
 from chantool.gbsm import SizingError, run_scenario
 from chantool.pathloss import (
     FitOverflowError,
@@ -192,7 +192,7 @@ def cmd_pathloss_fit(args) -> int:
             params = {"alpha": fit.alpha, "beta_db": fit.beta_db, "gamma": fit.gamma}
     except RankDeficientError as err:
         fi_helps = args.model == "abg" and columns[0].min() < columns[0].max()
-        hint = " (use --model fi for single-frequency data)" if fi_helps else ""
+        hint = " (use --model fi, which fits no frequency term)" if fi_helps else ""
         raise ValueError(f"{args.samples}: {err.reason}{hint}") from None
     except FitOverflowError as err:
         overflow = f"the losses overflow the {args.model} fit"
@@ -215,11 +215,8 @@ def cmd_gbsm(args) -> int:
     section = _require_section(cfg, "gbsm")
     with _cited(cfg, "gbsm"):
         gcfg = gbsm_config(section)
-    for key in ("n_tx", "n_rx"):
-        if getattr(gcfg, key) > MAX_ANTENNAS:
-            raise cfg.error(
-                "gbsm", key, f"{key} must be at most {MAX_ANTENNAS}, the archive's limit"
-            )
+        limit = f"at most {MAX_ANTENNAS}, the archive's limit"
+        check_fields(gcfg, (limit, lambda v: v <= MAX_ANTENNAS, ("n_tx", "n_rx")))
     # Extreme values can overflow synthesis to inf or NaN; write_archive
     # refuses such a cube, and numpy's warnings would only precede that line.
     with np.errstate(over="ignore", invalid="ignore"):

@@ -3,16 +3,17 @@
 Three sections, each holding exactly the keys its subcommand reads, each
 key declared once, by the field of the parameter type it sets:
 
-* [blockage]: scenario and every float field of BlockageConfig;
+* [blockage]: every field of BlockageConfig, scenario its one str field;
 * [gbsm]: carrier_ghz, every int or float field of GbsmConfig, and its
   Point3 fields as <field>_<x|y|z>_<unit> keys;
 * [sounder]: band_fraction and every int or float field of LinkBudget and
   MpcExtractionPolicy.
 
-An int field takes a base-10 integer and a float field a finite float.
-Unknown sections, unknown keys, duplicate keys, and malformed or non-finite
-values are hard errors carrying the file line number, so typos never pass
-silently.  All dimensioned keys carry a unit suffix (_m, _ghz, _db, _s, ...).
+A str field takes the text as given, an int field a base-10 integer and a
+float field a finite float.  Unknown sections, unknown keys, duplicate keys,
+and malformed or non-finite values are hard errors carrying the file line
+number, so typos never pass silently.  All dimensioned keys carry a unit
+suffix (_m, _ghz, _db, _s, ...).
 """
 
 from __future__ import annotations
@@ -33,15 +34,6 @@ class ConfigError(ValueError):
         super().__init__(f"{path}:{line}: {message}")
         self.path = path
         self.line = line
-
-
-def _choice(*options: str):
-    def parse(raw: str) -> str:
-        if raw not in options:
-            raise ValueError(f"expected one of {', '.join(options)}, got {raw!r}")
-        return raw
-
-    return parse
 
 
 def _float(raw: str) -> float:
@@ -73,14 +65,14 @@ def field_key(err: FieldError) -> str:
 
 
 def _scalar_fields(*classes) -> dict[str, object]:
-    """A parser per int or float field of the dataclasses, keyed by its name;
-    an optional float field, None by default, takes a float too."""
-    parsers = {"int": _int, "float": _float, "float | None": _float}
+    """A parser per str, int or float field of the dataclasses, keyed by its
+    name; an optional float field, None by default, takes a float too."""
+    parsers = {"str": str, "int": _int, "float": _float, "float | None": _float}
     return {f.name: parsers[f.type] for cls in classes for f in fields(cls) if f.type in parsers}
 
 
 SCHEMA: dict[str, dict[str, object]] = {
-    "blockage": {"scenario": _choice(*BlockageConfig.SWEPT), **_scalar_fields(BlockageConfig)},
+    "blockage": _scalar_fields(BlockageConfig),
     "gbsm": {
         "carrier_ghz": _float,
         **_scalar_fields(GbsmConfig),

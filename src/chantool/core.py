@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field, fields
 
 import numpy as np
 
@@ -29,6 +29,26 @@ class FieldError(ValueError):
         super().__init__(message)
         self.field = field
         self.axis = axis
+
+
+def check_fields(obj, *rules) -> None:
+    """The one refusal of a single field of the dataclass obj.  It raises
+    FieldError("<name> must be finite, got <value>") for the first float
+    field, Python's or numpy's, that is not finite, checking a Point3
+    field's coordinates each with its axis; then FieldError("<name> must be
+    <text>") for the first field, in rule order, that breaks a rule (text,
+    test, names): test(value) is false for a field named in names.
+    Refusals of several fields together stay with their types."""
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        axes = zip("xyz", astuple(value)) if isinstance(value, Point3) else [(None, value)]
+        for axis, x in axes:
+            if isinstance(x, (float, np.floating)) and not math.isfinite(x):
+                raise FieldError(f"{f.name} must be finite, got {value}", f.name, axis)
+    for text, test, names in rules:
+        for name in names:
+            if not test(getattr(obj, name)):
+                raise FieldError(f"{name} must be {text}", name)
 
 
 def to_db(linear: np.ndarray | float) -> np.ndarray | float:

@@ -20,13 +20,13 @@ init_clusters, evolve_clusters and synthesize_snapshot once a step gives.
 from __future__ import annotations
 
 import math
-from dataclasses import astuple, dataclass, field
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
 from chantool.core import BAND_28, SPEED_OF_LIGHT, CirSnapshot, FrequencyBand, Point3
-from chantool.core import FieldError, derive_substream, reset_substream
+from chantool.core import FieldError, check_fields, derive_substream, reset_substream
 
 # Byte ceiling on each of run_scenario's allocations, which _budget refuses
 # before they are made: the complex128 (time, tx, rx, delay) cube, the run's
@@ -87,17 +87,13 @@ class GbsmConfig:
     delay_resolution_s: float = 1.0 / 1.28e9
 
     def __post_init__(self) -> None:
-        # Non-finite numbers would otherwise fail late and untyped (an
-        # OverflowError sizing the run) or run to a cube of NaN.
-        for name, value in vars(self).items():
-            axes = zip("xyz", astuple(value)) if isinstance(value, Point3) else [(None, value)]
-            for axis, x in axes:
-                if isinstance(x, float) and not math.isfinite(x):
-                    raise FieldError(f"{name} must be finite, got {value}", name, axis)
         # A cluster_dtype record is 32 + 32 m bytes, and numpy sizes a dtype
         # in a C int: past that it refuses the dtype or wraps its size negative.
         max_rays = (np.iinfo(np.intc).max - 32) // 32
-        for rule, ok, names in (
+        # Non-finite numbers, refused first, would otherwise fail late and
+        # untyped (an OverflowError sizing the run) or run to a cube of NaN.
+        check_fields(
+            self,
             (">= 1", lambda v: v >= 1, ("n_tx", "n_rx", "rays_per_cluster")),
             (f"at most {max_rays}", lambda v: v <= max_rays, ("rays_per_cluster",)),
             # 10 ** (k / 10) passes the float64 maximum, 1.8e308, past 3082 dB.
@@ -113,10 +109,7 @@ class GbsmConfig:
                 "per_cluster_shadow_db", "birth_rate_hz", "death_rate_hz", "duration_s",
                 "ray_angle_spread_rad",
             )),
-        ):
-            for name in names:
-                if not ok(getattr(self, name)):
-                    raise FieldError(f"{name} must be {rule}", name)
+        )
         for name in ("tx_velocity", "rx_velocity"):
             if getattr(self, name).z != 0.0:
                 raise FieldError("velocities must be horizontal: z components must be 0", name, "z")

@@ -18,6 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from chantool.core import check_fields
+
 # Free-space loss at the 1 m CI reference, dB, with frequency in GHz.
 FSPL_1M_DB = 32.4
 
@@ -36,12 +38,8 @@ class FitOverflowError(ValueError):
     losses overflow the float range.  The message is the model's refusal."""
 
 
-def _check_fields(model) -> None:
-    for name, value in vars(model).items():
-        if not math.isfinite(value):
-            raise ValueError(f"{name} must be finite, got {value}")
-    if model.sigma_db < 0.0:
-        raise ValueError("sigma_db must be non-negative")
+# A model's sigma is an RMS residual, so never negative.
+_SIGMA_RULE = ("non-negative", lambda v: v >= 0.0, ("sigma_db",))
 
 
 @dataclass(frozen=True)
@@ -52,7 +50,7 @@ class CiModel:
     sigma_db: float
 
     def __post_init__(self) -> None:
-        _check_fields(self)
+        check_fields(self, _SIGMA_RULE)
 
 
 @dataclass(frozen=True)
@@ -65,7 +63,7 @@ class AbgModel:
     sigma_db: float
 
     def __post_init__(self) -> None:
-        _check_fields(self)
+        check_fields(self, _SIGMA_RULE)
 
 
 # Named parameter rows from the 28/32/39 GHz validation measurement campaign.

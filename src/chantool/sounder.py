@@ -21,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from chantool.core import DB_FLOOR, CirSnapshot, Mpc, to_db
+from chantool.core import DB_FLOOR, CirSnapshot, Mpc, check_fields, to_db
 
 # Maximal-length LFSR feedback taps per register length.  Tap t feeds back
 # the bit that left the register t shifts ago, so each entry lists the
@@ -74,16 +74,14 @@ class WaveformSpec:
     sample_rate_hz: float = 1.28e9
 
     def __post_init__(self) -> None:
-        if not 6 <= self.pn_order <= 16:
-            raise ValueError(f"pn_order must be in [6, 16], got {self.pn_order}")
-        if self.pad_head < 0 or self.pad_tail < 0:
-            raise ValueError("padding lengths must be non-negative")
-        if self.interp_factor < 1:
-            raise ValueError("interp_factor must be >= 1")
-        if not 0.0 < self.rrc_rolloff <= 1.0:
-            raise ValueError("rrc_rolloff must be in (0, 1]")
-        if not self.sample_rate_hz > 0.0:
-            raise ValueError("sample_rate_hz must be positive")
+        check_fields(
+            self,
+            ("in [6, 16]", lambda v: 6 <= v <= 16, ("pn_order",)),
+            (">= 0", lambda v: v >= 0, ("pad_head", "pad_tail")),
+            (">= 1", lambda v: v >= 1, ("interp_factor",)),
+            ("in (0, 1]", lambda v: 0.0 < v <= 1.0, ("rrc_rolloff",)),
+            ("positive", lambda v: v > 0.0, ("sample_rate_hz",)),
+        )
 
     @property
     def n_chips(self) -> int:
@@ -106,9 +104,7 @@ class LinkBudget:
     l_cable_db: float = 4.0
 
     def __post_init__(self) -> None:
-        for name in ("gt_dbi", "gr_dbi", "p_pa_dbm", "p_cal_dbm", "g_lna_db", "l_cable_db"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
+        check_fields(self)
         # Finite terms can still sum past the float range, such as two 1e308 gains.
         if not math.isfinite(path_loss_from_power(0.0, self)):
             raise ValueError("the link budget's path loss must be finite")
@@ -130,15 +126,14 @@ class MpcExtractionPolicy:
     noise_tail_fraction: float = 0.1
 
     def __post_init__(self) -> None:
-        if self.max_paths < 1:
-            raise ValueError("max_paths must be >= 1")
-        if not self.rel_threshold_db > 0.0 or not self.noise_margin_db > 0.0:
-            raise ValueError("thresholds must be positive")
-        # 10 ** (margin / 10) passes the float64 maximum, 1.8e308, past 3082 dB.
-        if not self.noise_margin_db <= 3082.0:
-            raise ValueError("noise_margin_db must be at most 3082")
-        if not 0.0 < self.noise_tail_fraction < 1.0:
-            raise ValueError("noise_tail_fraction must be in (0, 1)")
+        check_fields(
+            self,
+            (">= 1", lambda v: v >= 1, ("max_paths",)),
+            ("positive", lambda v: v > 0.0, ("rel_threshold_db", "noise_margin_db")),
+            # 10 ** (margin / 10) passes the float64 maximum, 1.8e308, past 3082 dB.
+            ("at most 3082", lambda v: v <= 3082.0, ("noise_margin_db",)),
+            ("in (0, 1)", lambda v: 0.0 < v < 1.0, ("noise_tail_fraction",)),
+        )
 
 
 @functools.lru_cache(maxsize=16)

@@ -155,24 +155,27 @@ class TestBlockage:
             assert f"{cfg}:4: unknown section [{section}]" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "line, message",
+        "line, lineno, message",
         [
-            ("screen_width_m = -1", "screen width and height must be positive"),
-            ("link_length_m = 0.0", "tx and rx must differ"),
-            ("carrier_ghz = -28", "carrier_hz must be finite and positive, got -28000000000.0"),
+            # A value refused on its own cites its key's line (2) ...
+            ("screen_width_m = -1", 2, "screen_width_m must be positive"),
+            ("scenario = sideways", 2, "scenario must be one of crossing, along"),
+            # ... and any other refusal the section's header (1).
+            ("link_length_m = 0.0", 1, "tx and rx must differ"),
+            ("carrier_ghz = -28", 1, "carrier_hz must be finite and positive, got -28000000000.0"),
             # Refused by the sweep, not by a parameter type.
-            ("link_length_m = 1e308", "non-finite path excess"),
+            ("link_length_m = 1e308", 1, "non-finite path excess"),
             # A 5e-315 Hz carrier: the band refuses its infinite wavelength
             # before any sweep, so no model's NaN count is printed.
-            ("carrier_ghz = 5e-324", INFINITE_WAVELENGTH),
+            ("carrier_ghz = 5e-324", 1, INFINITE_WAVELENGTH),
         ],
-        ids=["screen", "endpoints", "band", "sweep", "wavelength"],
+        ids=["screen", "scenario", "endpoints", "band", "sweep", "wavelength"],
     )
-    def test_refused_value_cites_the_file(self, tmp_path, capsys, line, message):
+    def test_refused_value_cites_the_file(self, tmp_path, capsys, line, lineno, message):
         cfg = write(tmp_path / "b.ini", f"[blockage]\n{line}\n")
         out = tmp_path / "x.csv"
         assert main(["blockage", "--config", cfg, "--out", str(out)]) == 2
-        assert capsys.readouterr().err == f"error: {cfg}:1: {message}\n"
+        assert capsys.readouterr().err == f"error: {cfg}:{lineno}: {message}\n"
         assert not out.exists()
 
     @pytest.mark.parametrize(
@@ -263,7 +266,7 @@ class TestPathlossFit:
         assert code == 2
         assert capsys.readouterr().err == (
             f"error: {samples}: rank-deficient fit: frequency column is constant"
-            " (use --model fi for single-frequency data)\n"
+            " (use --model fi, which fits no frequency term)\n"
         )
 
     @pytest.mark.parametrize(
@@ -304,7 +307,7 @@ class TestPathlossFit:
             # Frequency in step with distance: the abg columns are collinear.
             ([(10.0, 10.0), (100.0, 100.0), (1000.0, 1000.0)], "abg",
              "rank-deficient fit: design columns are collinear"
-             " (use --model fi for single-frequency data)"),
+             " (use --model fi, which fits no frequency term)"),
             ([(10.0, 28.0), (100.0, 39.0)], "abg", "abg_fit needs at least 3 samples"),
             ([(10.0, 28.0)], "fi", "abg_fit needs at least 2 samples"),
         ],
@@ -481,6 +484,17 @@ class TestGbsm:
         assert main(["gbsm", "--config", cfg, "--out", p2]) == 0
         assert open(p1, "rb").read() == open(p2, "rb").read()
 
+    def test_values_only_blockage_refuses_do_not_stop_it(self, tmp_path):
+        # Only blockage builds BlockageConfig, so its refusals, an unknown
+        # scenario among them, stop no other subcommand sharing the file.
+        mixed = write(tmp_path / "m.ini", "[blockage]\nscenario = sideways\n"
+                      "screen_width_m = -1\n" + GBSM_INI)
+        alone = write(tmp_path / "g.ini", GBSM_INI)
+        p1, p2 = str(tmp_path / "a.cirb"), str(tmp_path / "b.cirb")
+        assert main(["gbsm", "--config", mixed, "--out", p1]) == 0
+        assert main(["gbsm", "--config", alone, "--out", p2]) == 0
+        assert open(p1, "rb").read() == open(p2, "rb").read()
+
     def test_seed_flag_refused(self, tmp_path, capsys):
         # The seed comes from [gbsm] seed alone.
         cfg = write(tmp_path / "g.ini", GBSM_INI)
@@ -502,7 +516,8 @@ class TestGbsm:
         cfg = write(tmp_path / "g.ini", f"[gbsm]\nduration_s = 0.00625\n{key} = 256\n")
         out = tmp_path / "x.cirb"
         assert main(["gbsm", "--config", cfg, "--out", str(out)]) == 2
-        assert f"{cfg}:3: {key} must be at most 255" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err == f"error: {cfg}:3: {key} must be at most 255, the archive's limit\n"
         assert not out.exists()
 
     def test_rays_per_cluster_past_the_record_size_exit_2_before_the_run(
@@ -782,12 +797,16 @@ class TestSounder:
         "text, message",
         [
             ("[sounder]\ngr_dbi = 25.0\nmax_path = 5\n", ":3: unknown key 'max_path'"),
-            ("\n[sounder]\nmax_paths = 0\n", ":2: max_paths must be >= 1"),
+            ("\n[sounder]\nmax_paths = 0\n", ":3: max_paths must be >= 1"),
             ("[sounder]\nband_fraction = 0\n", ":2: band_fraction must be in (0, 1]"),
             # 10 ** (margin / 10) would overflow a float in the peak search.
-            ("[sounder]\nnoise_margin_db = 1e308\n", ":1: noise_margin_db must be at most 3082"),
+            ("[sounder]\nnoise_margin_db = 1e308\n", ":2: noise_margin_db must be at most 3082"),
+            # Two finite gains whose sum overflows: a refusal of several keys
+            # together cites the section's header.
+            ("[sounder]\ngt_dbi = 1e308\ngr_dbi = 1e308\n",
+             ":1: the link budget's path loss must be finite"),
         ],
-        ids=["unknown-key", "bad-value", "band-fraction", "noise-margin"],
+        ids=["unknown-key", "bad-value", "band-fraction", "noise-margin", "budget-sum"],
     )
     def test_config_error_reported_before_captures_read(
         self, tmp_path, capsys, text, message

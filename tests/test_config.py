@@ -19,15 +19,17 @@ from chantool.gbsm import GbsmConfig
 
 
 def float_keys():
-    """(section, key) for every key whose value parses as a float."""
+    """(section, key) for every key whose value parses as a float: not an
+    int key, which refuses "0.5", nor scenario, which keeps it as text."""
     out = []
     for section, keys in SCHEMA.items():
         for key, parse in keys.items():
             try:
-                parse("0.5")
+                value = parse("0.5")
             except ValueError:
                 continue
-            out.append((section, key))
+            if type(value) is float:
+                out.append((section, key))
     return out
 
 
@@ -139,8 +141,10 @@ class TestParsing:
     def test_bad_value_rejected(self):
         with pytest.raises(ConfigError, match=r":2: bad value for 'seed'"):
             parse_config("[gbsm]\nseed = banana\n", "x.ini")
-        with pytest.raises(ConfigError, match=r"bad value for 'scenario'"):
-            parse_config("[blockage]\nscenario = sideways\n", "x.ini")
+        # scenario is a str field: BlockageConfig, not the parser, refuses
+        # an unknown one (test_field_refusal_names_its_key[diagonal]).
+        section = parse_config("[blockage]\nscenario = sideways\n", "x.ini").section("blockage")
+        assert section == {"scenario": "sideways"}
 
     def test_fuzzed_unknown_keys_always_rejected(self):
         # no unknown key may ever pass, wherever it lands
@@ -254,6 +258,22 @@ class TestBuilders:
             {"gbsm": GbsmConfig, "blockage": BlockageConfig}[section](**kwargs)
         assert field_key(info.value) == key
         assert key in SCHEMA[section]
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")], ids=["nan", "inf"])
+    @pytest.mark.parametrize(
+        "section, key",
+        # [gbsm] carrier_ghz is the band's, which refuses it at the section.
+        [(s, k) for s, keys in SCHEMA.items() for k in keys
+         if k != "scenario" and (s, k) != ("gbsm", "carrier_ghz")],
+    )
+    def test_non_finite_value_refused_by_its_type_names_its_key(self, section, key, value):
+        # Past the parser, which refuses these, the key's own type refuses
+        # it too, with a FieldError naming the key, in every section.
+        build = {"blockage": lambda s: BlockageConfig(**s), "gbsm": gbsm_config,
+                 "sounder": sounder_settings}[section]
+        with pytest.raises(FieldError) as info:
+            build({key: value})
+        assert field_key(info.value) == key
 
     def test_sounder_builder(self):
         section = parse_config(GOOD, "demo.ini").section("sounder")

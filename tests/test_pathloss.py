@@ -105,7 +105,9 @@ def test_distance_reference_validation():
         AbgModel(2.0, 70.0, 0.0, -0.1)
 
 
-@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize(
+    "value", [math.inf, -math.inf, math.nan, np.float32(math.inf), np.float32(math.nan)]
+)
 def test_models_refuse_non_finite_fields(value):
     for model in (CiModel(2.0, 1.0), AbgModel(2.0, 70.0, 2.0, 1.0)):
         for name in vars(model):

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from chantool import sounder
-from chantool.core import CirSnapshot, Mpc, derive_substream, to_db
+from chantool.core import CirSnapshot, FieldError, Mpc, derive_substream, to_db
 from chantool.sounder import (
     LinkBudget,
     MpcExtractionPolicy,
@@ -107,18 +107,19 @@ class TestTxWaveform:
         assert 20.0 * np.log10(isi) < -40.0
 
     def test_spec_validation(self):
-        with pytest.raises(ValueError, match="pn_order"):
-            WaveformSpec(pn_order=5)
-        with pytest.raises(ValueError, match="interp_factor"):
-            WaveformSpec(interp_factor=0)
-        with pytest.raises(ValueError, match="rrc_rolloff"):
-            WaveformSpec(rrc_rolloff=0.0)
-        with pytest.raises(ValueError, match="rrc_rolloff"):
-            WaveformSpec(rrc_rolloff=1.2)
-        with pytest.raises(ValueError, match="padding"):
-            WaveformSpec(pad_head=-1)
-        with pytest.raises(ValueError, match="sample_rate"):
-            WaveformSpec(sample_rate_hz=0.0)
+        for kwargs, message in (
+            ({"pn_order": 5}, r"pn_order must be in \[6, 16\]"),
+            ({"interp_factor": 0}, "interp_factor must be >= 1"),
+            ({"rrc_rolloff": 0.0}, r"rrc_rolloff must be in \(0, 1\]"),
+            ({"rrc_rolloff": 1.2}, r"rrc_rolloff must be in \(0, 1\]"),
+            ({"pad_head": -1}, "pad_head must be >= 0"),
+            ({"pad_tail": -1}, "pad_tail must be >= 0"),
+            ({"sample_rate_hz": 0.0}, "sample_rate_hz must be positive"),
+            ({"sample_rate_hz": math.inf}, "sample_rate_hz must be finite, got inf"),
+        ):
+            with pytest.raises(FieldError, match=f"^{message}$") as info:
+                WaveformSpec(**kwargs)
+            assert info.value.field == next(iter(kwargs))
 
 
 @pytest.fixture(scope="module")
@@ -352,8 +353,9 @@ class TestExtraction:
     def test_policy_validation(self):
         with pytest.raises(ValueError, match="max_paths"):
             MpcExtractionPolicy(max_paths=0)
-        with pytest.raises(ValueError, match="thresholds"):
-            MpcExtractionPolicy(rel_threshold_db=0.0)
+        for name in ("rel_threshold_db", "noise_margin_db"):
+            with pytest.raises(FieldError, match=f"^{name} must be positive$"):
+                MpcExtractionPolicy(**{name: 0.0})
         with pytest.raises(ValueError, match="noise_tail_fraction"):
             MpcExtractionPolicy(noise_tail_fraction=1.0)
         # 10 ** (margin / 10) overflows a float past 3082 dB.
