@@ -10,15 +10,16 @@ key declared once, by the field of the parameter type it sets:
   MpcExtractionPolicy.
 
 A str field takes the text as given, an int field a base-10 integer and a
-float field a finite float.  Unknown sections, unknown keys, duplicate keys,
-and malformed or non-finite values are hard errors carrying the file line
-number, so typos never pass silently.  All dimensioned keys carry a unit
-suffix (_m, _ghz, _db, _s, ...).
+float field any float, inf and nan included: the parameter type refuses a
+value it cannot honour, non-finite ones among them, and the caller cites
+the key's line.  Unknown sections, unknown keys, duplicate keys, and
+malformed values are hard errors carrying the file line number, so typos
+never pass silently.  All dimensioned keys carry a unit suffix (_m, _ghz,
+_db, _s, ...).
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import astuple, dataclass, fields, replace
 
 from chantool.blockage import BlockageConfig
@@ -34,15 +35,6 @@ class ConfigError(ValueError):
         super().__init__(f"{path}:{line}: {message}")
         self.path = path
         self.line = line
-
-
-def _float(raw: str) -> float:
-    value = float(raw)
-    # inf and nan parse as floats but no key means them: refuse them here,
-    # where the error can still name the line.
-    if not math.isfinite(value):
-        raise ValueError(f"must be finite, got {raw!r}")
-    return value
 
 
 def _int(raw: str) -> int:
@@ -67,18 +59,18 @@ def field_key(err: FieldError) -> str:
 def _scalar_fields(*classes) -> dict[str, object]:
     """A parser per str, int or float field of the dataclasses, keyed by its
     name; an optional float field, None by default, takes a float too."""
-    parsers = {"str": str, "int": _int, "float": _float, "float | None": _float}
+    parsers = {"str": str, "int": _int, "float": float, "float | None": float}
     return {f.name: parsers[f.type] for cls in classes for f in fields(cls) if f.type in parsers}
 
 
 SCHEMA: dict[str, dict[str, object]] = {
     "blockage": _scalar_fields(BlockageConfig),
     "gbsm": {
-        "carrier_ghz": _float,
+        "carrier_ghz": float,
         **_scalar_fields(GbsmConfig),
-        **{key: _float for name in _VECTORS for key in _vector_keys(name)},
+        **{key: float for name in _VECTORS for key in _vector_keys(name)},
     },
-    "sounder": {"band_fraction": _float, **_scalar_fields(LinkBudget, MpcExtractionPolicy)},
+    "sounder": {"band_fraction": float, **_scalar_fields(LinkBudget, MpcExtractionPolicy)},
 }
 
 

@@ -125,7 +125,11 @@ class FrequencyBand:
 
     @classmethod
     def preset(cls, carrier_ghz: float) -> "FrequencyBand":
-        return cls(carrier_ghz * 1e9)
+        """The band of a carrier in GHz, refused as the carrier_ghz field."""
+        try:
+            return cls(carrier_ghz * 1e9)
+        except ValueError as err:
+            raise FieldError(str(err), "carrier_ghz") from None
 
 
 # Measurement-campaign carriers this toolkit was validated against.

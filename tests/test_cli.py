@@ -75,23 +75,26 @@ def read_rows(path):
 
 BLOCKAGE_INI = "[blockage]\nscenario = crossing\ncarrier_ghz = 28.0\n"
 INFINITE_WAVELENGTH = "carrier_hz 4.94065646e-315 gives an infinite wavelength"
+ALL_MODELS_NO_NAN = "metis: 0 NaN point(s)\nkirchhoff: 0 NaN point(s)\ngtd: 0 NaN point(s)\n"
 
 
 class TestBlockage:
     def test_crossing_all_models(self, tmp_path, capsys):
-        cfg = write(tmp_path / "c.ini", BLOCKAGE_INI)
-        out = str(tmp_path / "curves.csv")
-        assert main(["blockage", "--config", cfg, "--out", out]) == 0
-        header, rows = read_rows(out)
-        assert header == ["position_m", "metis_att_db", "kirchhoff_att_db", "gtd_att_db"]
-        assert len(rows) == 21
-        assert float(rows[0][0]) == -1.0
-        assert float(rows[-1][0]) == 1.0
-        assert float(rows[1][0]) - float(rows[0][0]) == pytest.approx(0.1)
-        # NaN counts land on stderr, one line per model
-        err = capsys.readouterr().err
-        assert "metis: 0 NaN point(s)" in err
-        assert "gtd: 0 NaN point(s)" in err
+        # The default sweep, a wider screen at 32 GHz, and the blocker
+        # crossing off the link's midpoint.
+        for lines in ("carrier_ghz = 28.0\n", "carrier_ghz = 32.0\nscreen_width_m = 0.5\n",
+                      "along_position_m = 3.0\n"):
+            cfg = write(tmp_path / "c.ini", "[blockage]\nscenario = crossing\n" + lines)
+            out = str(tmp_path / "curves.csv")
+            assert main(["blockage", "--config", cfg, "--out", out]) == 0
+            header, rows = read_rows(out)
+            assert header == ["position_m", "metis_att_db", "kirchhoff_att_db", "gtd_att_db"]
+            assert len(rows) == 21
+            assert float(rows[0][0]) == -1.0
+            assert float(rows[-1][0]) == 1.0
+            assert float(rows[1][0]) - float(rows[0][0]) == pytest.approx(0.1)
+            # NaN counts land on stderr, one line per model
+            assert capsys.readouterr().err == ALL_MODELS_NO_NAN
 
     def test_along_single_model(self, tmp_path):
         cfg = write(tmp_path / "c.ini", "[blockage]\nscenario = along\n")
@@ -104,14 +107,21 @@ class TestBlockage:
         assert float(rows[-1][0]) == pytest.approx(9.0)
         assert float(rows[1][0]) - float(rows[0][0]) == pytest.approx(0.2)
 
-    def test_along_sweep_spans_the_link(self, tmp_path):
-        # From 10% to 90% of the link in 2% steps, whatever its length.
-        cfg = write(tmp_path / "c.ini", "[blockage]\nscenario = along\nlink_length_m = 20.0\n")
-        out = str(tmp_path / "along.csv")
-        assert main(["blockage", "--config", cfg, "--model", "gtd", "--out", out]) == 0
-        _, rows = read_rows(out)
-        assert [row[0] for row in rows[:2]] + [rows[-1][0]] == ["2.0", "2.4", "18.0"]
-        assert len(rows) == 41
+    def test_along_sweep_spans_the_link(self, tmp_path, capsys):
+        # From 10% to 90% of the link in 2% steps, whatever its length or
+        # carrier, and with the blocker off the link.
+        for lines, positions in [
+            ("link_length_m = 20.0\ncarrier_ghz = 39.0\n", ["2.0", "2.4", "18.0"]),
+            ("lateral_offset_m = 0.1\n", ["1.0", "1.2", "9.0"]),
+        ]:
+            cfg = write(tmp_path / "c.ini", "[blockage]\nscenario = along\n" + lines)
+            out = str(tmp_path / "along.csv")
+            assert main(["blockage", "--config", cfg, "--out", out]) == 0
+            header, rows = read_rows(out)
+            assert header == ["position_m", "metis_att_db", "kirchhoff_att_db", "gtd_att_db"]
+            assert [row[0] for row in rows[:2]] + [rows[-1][0]] == positions
+            assert len(rows) == 41
+            assert capsys.readouterr().err == ALL_MODELS_NO_NAN
 
     @pytest.mark.parametrize(
         "scenario, digest",
@@ -160,16 +170,16 @@ class TestBlockage:
             # A value refused on its own cites its key's line (2) ...
             ("screen_width_m = -1", 2, "screen_width_m must be positive"),
             ("scenario = sideways", 2, "scenario must be one of crossing, along"),
-            # ... and any other refusal the section's header (1).
-            ("link_length_m = 0.0", 1, "tx and rx must differ"),
-            ("carrier_ghz = -28", 1, "carrier_hz must be finite and positive, got -28000000000.0"),
-            # Refused by the sweep, not by a parameter type.
-            ("link_length_m = 1e308", 1, "non-finite path excess"),
+            ("carrier_ghz = -28", 2, "carrier_hz must be finite and positive, got -28000000000.0"),
             # A 5e-315 Hz carrier: the band refuses its infinite wavelength
             # before any sweep, so no model's NaN count is printed.
-            ("carrier_ghz = 5e-324", 1, INFINITE_WAVELENGTH),
+            ("carrier_ghz = 5e-324", 2, INFINITE_WAVELENGTH),
+            # ... and any other refusal the section's header (1).
+            ("link_length_m = 0.0", 1, "tx and rx must differ"),
+            # Refused by the sweep, not by a parameter type.
+            ("link_length_m = 1e308", 1, "non-finite path excess"),
         ],
-        ids=["screen", "scenario", "endpoints", "band", "sweep", "wavelength"],
+        ids=["screen", "scenario", "band", "wavelength", "endpoints", "sweep"],
     )
     def test_refused_value_cites_the_file(self, tmp_path, capsys, line, lineno, message):
         cfg = write(tmp_path / "b.ini", f"[blockage]\n{line}\n")
@@ -232,6 +242,8 @@ class TestPathlossFit:
         out = str(tmp_path / "fit.json")
         assert main(["pathloss-fit", samples, "--model", model, "--out", out]) == 0
         report = json.loads(open(out).read())
+        assert set(report) == {"model", "parameters", "sigma_db", "residual_rms_db", "sample_count"}
+        assert report["model"] == model
         params, sigma = FROZEN_FITS[model]
         assert {k: float.hex(v) for k, v in report["parameters"].items()} == params
         assert float.hex(report["sigma_db"]) == sigma
@@ -486,9 +498,10 @@ class TestGbsm:
 
     def test_values_only_blockage_refuses_do_not_stop_it(self, tmp_path):
         # Only blockage builds BlockageConfig, so its refusals, an unknown
-        # scenario among them, stop no other subcommand sharing the file.
+        # scenario and a non-finite value among them, stop no other
+        # subcommand sharing the file.
         mixed = write(tmp_path / "m.ini", "[blockage]\nscenario = sideways\n"
-                      "screen_width_m = -1\n" + GBSM_INI)
+                      "screen_width_m = -1\nlink_length_m = nan\n" + GBSM_INI)
         alone = write(tmp_path / "g.ini", GBSM_INI)
         p1, p2 = str(tmp_path / "a.cirb"), str(tmp_path / "b.cirb")
         assert main(["gbsm", "--config", mixed, "--out", p1]) == 0
@@ -663,22 +676,28 @@ class TestGbsm:
 
 class TestNonFiniteConfig:
     @pytest.mark.parametrize(
-        "command, text",
+        "section, line, message",
         [
-            ("gbsm", "[gbsm]\nduration_s = inf\n"),
-            ("gbsm", "[gbsm]\nrx_velocity_x_mps = nan\n"),
-            ("blockage", "[blockage]\nlink_length_m = nan\n"),
-            ("blockage", "[blockage]\ncylinder_radius_m = nan\n"),
+            ("gbsm", "duration_s = inf", "duration_s must be finite, got inf"),
+            ("gbsm", "rx_velocity_x_mps = nan", "rx_velocity must be finite, got Point3(x=nan, "),
+            ("gbsm", "carrier_ghz = 1e999", "carrier_hz must be finite and positive, got inf"),
+            ("blockage", "link_length_m = nan", "link_length_m must be finite, got nan"),
+            ("blockage", "cylinder_radius_m = nan", "cylinder_radius_m must be finite, got nan"),
+            ("blockage", "carrier_ghz = 1e999", "carrier_ghz must be finite, got inf"),
+            ("sounder", "gt_dbi = 1e999", "gt_dbi must be finite, got inf"),
         ],
-        ids=["gbsm-duration-inf", "gbsm-velocity-nan", "blockage-length-nan",
-             "blockage-radius-nan"],
+        ids=["gbsm-duration-inf", "gbsm-velocity-nan", "gbsm-carrier-1e999",
+             "blockage-length-nan", "blockage-radius-nan", "blockage-carrier-1e999",
+             "sounder-gain-1e999"],
     )
-    def test_non_finite_value_exit_2_with_line(self, tmp_path, capsys, command, text):
-        cfg = write(tmp_path / "c.ini", text)
+    def test_non_finite_value_exit_2_with_line(self, tmp_path, capsys, section, line, message):
+        # The parser keeps the value; its type refuses it at the key's line.
+        cfg = write(tmp_path / "c.ini", f"[{section}]\n{line}\n")
+        missing = str(tmp_path / "missing.cirb")
+        command = {"sounder": ["sounder", "--rx", missing, "--cal", missing]}.get(section, [section])
         out = tmp_path / "x.out"
-        assert main([command, "--config", cfg, "--out", str(out)]) == 2
-        key = text.split("\n")[1].split(" =")[0]
-        assert f"{cfg}:2: bad value for '{key}': must be finite" in capsys.readouterr().err
+        assert main([*command, "--config", cfg, "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {cfg}:2: {message}")
         assert not out.exists()
 
     @pytest.mark.parametrize(
@@ -687,13 +706,13 @@ class TestNonFiniteConfig:
          ["blockage", "--model", "kirchhoff"], ["gbsm"]],
         ids=["metis", "gtd", "kirchhoff", "gbsm"],
     )
-    def test_infinite_wavelength_exit_2_at_the_section(self, tmp_path, capsys, argv):
+    def test_infinite_wavelength_exit_2_at_its_key(self, tmp_path, capsys, argv):
         # metis and gtd swept a 5e-315 Hz carrier to 0.0 dB, and gbsm wrote
         # a cube at its infinite wavelength; only kirchhoff refused it.
         cfg = write(tmp_path / "c.ini", f"[{argv[0]}]\ncarrier_ghz = 5e-324\n")
         out = tmp_path / "x.out"
         assert main([*argv, "--config", cfg, "--out", str(out)]) == 2
-        assert capsys.readouterr().err == f"error: {cfg}:1: {INFINITE_WAVELENGTH}\n"
+        assert capsys.readouterr().err == f"error: {cfg}:2: {INFINITE_WAVELENGTH}\n"
         assert not out.exists()
 
 

@@ -739,13 +739,18 @@ class TestRunScenario:
 
 DT = 62.5e-6
 
-# The five scenarios the two passes are held to, from a single antenna
+# The six scenarios the two passes are held to, from a single antenna
 # pair with no churn to a grid clamped at zero delay.
 TWO_PASS_CASES = {
     "1x1": dict(duration_s=300 * DT),
     "2x2-churn-both-moving": dict(
         n_tx=2, n_rx=2, birth_rate_hz=2000.0, death_rate_hz=2000.0,
         rx_velocity=Point3(1.5, 0.5, 0.0), tx_velocity=Point3(0.0, -1.0, 0.0), duration_s=300 * DT,
+    ),
+    # Many block boundaries, births and deaths: 193 births at seed 0.
+    "2x2-4000-steps": dict(
+        n_tx=2, n_rx=2, birth_rate_hz=500.0, death_rate_hz=500.0,
+        rx_velocity=Point3(1.5, 0.5, 0.0), tx_velocity=Point3(0.0, -1.0, 0.0), duration_s=0.25,
     ),
     "3x1-7-rays": dict(
         n_tx=3, rays_per_cluster=7, rx_velocity=Point3(1.0, 0.0, 0.0), birth_rate_hz=800.0,
