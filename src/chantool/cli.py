@@ -38,7 +38,6 @@ from chantool.analysis import (
     stationary_intervals,
 )
 from chantool.archive import (
-    BLOCK_BYTES,
     MAX_ANTENNAS,
     ArchiveError,
     ArchiveHeader,
@@ -50,7 +49,7 @@ from chantool.archive import (
 )
 from chantool.blockage import MODELS, BlockageConfig, sweep_blocker
 from chantool.config import Config, field_key, gbsm_config, load_config, sounder_settings
-from chantool.core import FieldError, check_fields, pdp_from_cir
+from chantool.core import CirSnapshot, FieldError, check_fields, pdp_from_cir
 from chantool.gbsm import SizingError, run_scenario
 from chantool.pathloss import (
     FitOverflowError,
@@ -88,12 +87,13 @@ def _require_section(cfg: Config, name: str) -> dict[str, object]:
 @contextmanager
 def _cited(cfg: Config, name: str):
     """Report a ValueError raised while building section name's parameter
-    objects as a ConfigError: at the line of the key a FieldError names, and
-    at the line of the section's header for any other."""
+    objects as a ConfigError: at the line of the key a FieldError names, by
+    that key if not finite, and at the line of the section's header for any other."""
     try:
         yield
     except FieldError as err:
-        raise cfg.error(name, field_key(err), str(err)) from None
+        key = field_key(err)
+        raise cfg.error(name, key, f"{key} {err.rule}" if err.rule else str(err)) from None
     except ValueError as err:
         raise cfg.error(name, None, str(err)) from None
 
@@ -237,9 +237,8 @@ def cmd_sounder(args) -> int:
         budget, policy, band_fraction = sounder_settings(cfg and cfg.section("sounder") or {})
     # Both headers are checked before either payload is decoded; the cal's
     # single capture is then its one block.  The rx captures stream through
-    # one block buffer, widened to complex128 in sub-blocks of at most
-    # BLOCK_BYTES: widening each capture alone, beside its FFT temporaries,
-    # made the heap shrink and regrow on every capture.
+    # one block buffer, and each block is deconvolved as one complex128
+    # array through one FFT pair; its CIRs are dropped before the next.
     with open_archive(args.rx) as (rx, blocks), open_archive(args.cal) as (cal, cal_blocks):
         for name, shape in (("rx", rx.shape), ("cal", cal.shape)):
             if shape[1:3] != (1, 1):
@@ -261,20 +260,16 @@ def cmd_sounder(args) -> int:
 
         mpc_rows = ["snapshot,delay_ns,power_db\n"]
         stat_rows = ["snapshot,received_power_db,path_loss_db,rms_ds_ns\n"]
-        step = max(1, BLOCK_BYTES // (16 * rx.shape[3]))
-        captures = (
-            y_rx
-            for _, block in blocks
-            for i in range(0, len(block), step)
-            for y_rx in block[i : i + step, 0, 0].astype(np.complex128)
-        )
-        for t, y_rx in enumerate(captures):
-            mpcs = extract_mpcs(deconvolve_cir(y_rx, calibration), policy)
-            mpc_rows += [f"{t},{_fmt(m.delay_s * 1e9)},{_fmt(m.power_db)}\n" for m in mpcs]
-            p_rx = received_power(mpcs)
-            ds_ns = rms_delay_spread(mpcs) * 1e9 if mpcs else math.nan
-            pl_db = path_loss_from_power(p_rx, budget)
-            stat_rows.append(f"{t},{_fmt(p_rx)},{_fmt(pl_db)},{_fmt(ds_ns)}\n")
+        for t0, block in blocks:
+            cirs = deconvolve_cir(block[:, 0, 0], calibration)
+            for t, cir in enumerate(cirs.samples, t0):
+                mpcs = extract_mpcs(CirSnapshot(cirs.sample_period_s, cir), policy)
+                mpc_rows += [f"{t},{_fmt(m.delay_s * 1e9)},{_fmt(m.power_db)}\n" for m in mpcs]
+                p_rx = received_power(mpcs)
+                ds_ns = rms_delay_spread(mpcs) * 1e9 if mpcs else math.nan
+                pl_db = path_loss_from_power(p_rx, budget)
+                stat_rows.append(f"{t},{_fmt(p_rx)},{_fmt(pl_db)},{_fmt(ds_ns)}\n")
+            del cirs, cir
     atomic_write_text(args.out, "".join(mpc_rows + stat_rows))
     return EXIT_OK
 

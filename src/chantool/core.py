@@ -23,12 +23,14 @@ DB_FLOOR = -300.0
 
 class FieldError(ValueError):
     """A config value refused on its own: field names the parameter field,
-    and axis the component ("x", "y" or "z") of a Point3 field, else None."""
+    axis the component ("x", "y" or "z") of a Point3 field, else None, and
+    rule, for a non-finite value, "must be finite, got <the value alone>"."""
 
-    def __init__(self, message: str, field: str, axis: str | None = None) -> None:
+    def __init__(self, message: str, field: str, axis: str | None = None, rule: str = "") -> None:
         super().__init__(message)
         self.field = field
         self.axis = axis
+        self.rule = rule
 
 
 def check_fields(obj, *rules) -> None:
@@ -44,7 +46,8 @@ def check_fields(obj, *rules) -> None:
         axes = zip("xyz", astuple(value)) if isinstance(value, Point3) else [(None, value)]
         for axis, x in axes:
             if isinstance(x, (float, np.floating)) and not math.isfinite(x):
-                raise FieldError(f"{f.name} must be finite, got {value}", f.name, axis)
+                rule = f"must be finite, got {x}"
+                raise FieldError(f"{f.name} must be finite, got {value}", f.name, axis, rule)
     for text, test, names in rules:
         for name in names:
             if not test(getattr(obj, name)):
@@ -126,6 +129,9 @@ class FrequencyBand:
     @classmethod
     def preset(cls, carrier_ghz: float) -> "FrequencyBand":
         """The band of a carrier in GHz, refused as the carrier_ghz field."""
+        if not (carrier_ghz > 0.0 and math.isfinite(carrier_ghz)):
+            message = f"carrier_ghz must be finite and positive, got {carrier_ghz}"
+            raise FieldError(message, "carrier_ghz")
         try:
             return cls(carrier_ghz * 1e9)
         except ValueError as err:
@@ -140,10 +146,10 @@ BAND_39 = FrequencyBand.preset(39.0)
 
 @dataclass(frozen=True)
 class CirSnapshot:
-    """One complex baseband channel impulse response on a uniform delay grid."""
+    """A complex baseband CIR on a uniform delay grid, or one per row of a block."""
 
     sample_period_s: float
-    samples: np.ndarray  # complex, delay-indexed
+    samples: np.ndarray  # complex, delay-indexed along the last axis
 
     def __post_init__(self) -> None:
         if not (self.sample_period_s > 0.0 and math.isfinite(self.sample_period_s)):

@@ -6,10 +6,10 @@ multipath channel, recovers the channel impulse response by regularized
 frequency-domain deconvolution against a back-to-back calibration, and
 extracts multipath components with their summary statistics (received
 power, path loss, RMS delay spread).  calibrate does the calibration's
-share of the deconvolution once; deconvolve_cir applies it to each capture.
-peak_candidates, the one path-selection rule, finds the paths of many PDPs
-in one array pass, and extract_mpcs is its one-row case.  Noise comes from
-a numpy Generator the caller passes in, such as derive_substream gives.
+share of the deconvolution once; deconvolve_cir applies it to a block of
+captures in one FFT pair.  peak_candidates, the one path-selection rule,
+finds the paths of many PDPs in one array pass; extract_mpcs is its one-row
+case.  Noise comes from a caller's numpy Generator, such as derive_substream's.
 """
 
 from __future__ import annotations
@@ -299,14 +299,18 @@ def calibrate(
 
 
 def deconvolve_cir(y_rx: np.ndarray, cal: Calibration) -> CirSnapshot:
-    """Channel impulse response of a capture, divided against a calibration."""
-    y_rx = np.asarray(y_rx, dtype=np.complex128)
-    if y_rx.shape != cal.keep.shape:
-        raise ValueError("y_rx and y_cal must be 1-D sequences of equal length")
-    spec_rx = np.fft.fft(y_rx)
-    response = np.zeros(y_rx.size, dtype=np.complex128)
-    response[cal.keep] = spec_rx[cal.keep] * cal.conj_cal / cal.denom * cal.weight
-    h = np.fft.ifft(response) * cal.scale
+    """Channel impulse response of a capture, or one per row of a (captures,
+    samples) block, divided against a calibration by one FFT pair in place on
+    one complex128 copy of y_rx."""
+    h = np.array(y_rx, dtype=np.complex128)
+    if h.ndim > 2 or h.shape[-1:] != cal.keep.shape:
+        raise ValueError("y_rx (a capture or rows of captures) and y_cal must be of equal length")
+    np.fft.fft(h, out=h)
+    for row in h.reshape(-1, h.shape[-1]):
+        row[cal.keep] = row[cal.keep] * cal.conj_cal / cal.denom * cal.weight
+        row[~cal.keep] = 0.0
+    np.fft.ifft(h, out=h)
+    h *= cal.scale
     return CirSnapshot(cal.sample_period_s, h)
 
 

@@ -170,7 +170,7 @@ class TestBlockage:
             # A value refused on its own cites its key's line (2) ...
             ("screen_width_m = -1", 2, "screen_width_m must be positive"),
             ("scenario = sideways", 2, "scenario must be one of crossing, along"),
-            ("carrier_ghz = -28", 2, "carrier_hz must be finite and positive, got -28000000000.0"),
+            ("carrier_ghz = -28", 2, "carrier_ghz must be finite and positive, got -28.0"),
             # A 5e-315 Hz carrier: the band refuses its infinite wavelength
             # before any sweep, so no model's NaN count is printed.
             ("carrier_ghz = 5e-324", 2, INFINITE_WAVELENGTH),
@@ -679,8 +679,8 @@ class TestNonFiniteConfig:
         "section, line, message",
         [
             ("gbsm", "duration_s = inf", "duration_s must be finite, got inf"),
-            ("gbsm", "rx_velocity_x_mps = nan", "rx_velocity must be finite, got Point3(x=nan, "),
-            ("gbsm", "carrier_ghz = 1e999", "carrier_hz must be finite and positive, got inf"),
+            ("gbsm", "rx_velocity_x_mps = nan", "rx_velocity_x_mps must be finite, got nan\n"),
+            ("gbsm", "carrier_ghz = 1e999", "carrier_ghz must be finite and positive, got inf"),
             ("blockage", "link_length_m = nan", "link_length_m must be finite, got nan"),
             ("blockage", "cylinder_radius_m = nan", "cylinder_radius_m must be finite, got nan"),
             ("blockage", "carrier_ghz = 1e999", "carrier_ghz must be finite, got inf"),
@@ -699,6 +699,18 @@ class TestNonFiniteConfig:
         assert main([*command, "--config", cfg, "--out", str(out)]) == 2
         assert capsys.readouterr().err.startswith(f"error: {cfg}:2: {message}")
         assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("key", [
+        f"{end}_{field}_{axis}_{unit}"
+        for end in ("tx", "rx") for field, unit in (("velocity", "mps"), ("position", "m"))
+        for axis in "xyz"
+    ])
+    def test_non_finite_coordinate_names_its_key(self, tmp_path, capsys, key, value):
+        # A coordinate is refused by the key that sets it, not by its Point3 field.
+        cfg = write(tmp_path / "c.ini", f"[gbsm]\nduration_s = 0.1\n{key} = {value}\n")
+        assert main(["gbsm", "--config", cfg, "--out", str(tmp_path / "x.cirb")]) == 2
+        assert capsys.readouterr().err == f"error: {cfg}:3: {key} must be finite, got {value}\n"
 
     @pytest.mark.parametrize(
         "argv",
@@ -905,25 +917,28 @@ class TestSounder:
         _, stat_rows = split_tables(out)
         assert [int(row[0]) for row in stat_rows] == list(range(64))
 
-    @pytest.mark.parametrize(
-        "per_block, per_widening", [(1, 1), (3, 2), (3, 3), (7, 3), (7, 7)]
-    )
-    def test_output_independent_of_block_sizes(
-        self, tmp_path, monkeypatch, per_block, per_widening
-    ):
-        # Captures per archive block and per complex128 widening; 7 captures
-        # in all, so a block may hold one, all, or a count that leaves a
-        # shorter last block.
+    @pytest.mark.parametrize("per_block", [1, 2, 3, 6, 7])
+    def test_output_independent_of_block_sizes(self, tmp_path, monkeypatch, per_block):
+        # Captures per archive block; 7 captures in all, so a block may hold
+        # one, all, or a count that leaves a shorter last block.  Each block
+        # is one deconvolve_cir call, so one FFT pair, not one per capture.
         rx, cal = make_captures(tmp_path)
         seq = read_archive(rx)
         rolled = [np.roll(seq.cir, 7 * t, axis=3) for t in range(7)]
         write_archive(rx, CirSequence(0.0, 1.0, seq.sample_period_s, np.concatenate(rolled)))
         argv = ["sounder", "--rx", rx, "--cal", cal, "--out"]
         assert main([*argv, str(tmp_path / "default.csv")]) == 0
-        n_samples = seq.cir.shape[3]
-        monkeypatch.setattr(archive, "BLOCK_BYTES", 8 * n_samples * per_block)
-        monkeypatch.setattr(cli, "BLOCK_BYTES", 16 * n_samples * per_widening)
+        monkeypatch.setattr(archive, "BLOCK_BYTES", 8 * seq.cir.shape[3] * per_block)
+        rows = []
+        deconvolve = cli.deconvolve_cir
+
+        def counted(y_rx, calibration):
+            rows.append(len(y_rx))
+            return deconvolve(y_rx, calibration)
+
+        monkeypatch.setattr(cli, "deconvolve_cir", counted)
         assert main([*argv, str(tmp_path / "patched.csv")]) == 0
+        assert rows == [per_block] * (7 // per_block) + [7 % per_block] * (7 % per_block > 0)
         default = (tmp_path / "default.csv").read_bytes()
         assert (tmp_path / "patched.csv").read_bytes() == default
         _, stat_rows = split_tables(tmp_path / "default.csv")

@@ -187,10 +187,30 @@ class TestDeconvolution:
 
     def test_capture_validation(self, default_cal):
         cal = calibrate(default_cal)
-        with pytest.raises(ValueError, match="equal length"):
-            deconvolve_cir(default_cal[:-1], cal)
-        with pytest.raises(ValueError, match="equal length"):
-            deconvolve_cir(default_cal[None, :], cal)
+        # A (1, n) block is one capture; its row is the 1-D call's CIR.
+        block = deconvolve_cir(default_cal[None, :], cal).samples
+        assert block.shape == (1, default_cal.size)
+        assert np.array_equal(block[0], deconvolve_cir(default_cal, cal).samples)
+        for bad in (default_cal[:-1], default_cal[None, :-1], default_cal[None, None, :]):
+            with pytest.raises(ValueError, match="equal length"):
+                deconvolve_cir(bad, cal)
+
+    @pytest.mark.parametrize("dtype", ["<c8", np.complex128])
+    @pytest.mark.parametrize("rows", [1, 2, 3, 5, 6, 7])
+    def test_block_rows_are_the_single_capture_cirs(self, default_cal, rows, dtype):
+        # Each row of a block, deconvolved through one FFT pair in place, is
+        # bitwise the CIR of that row alone; the caller's block is not written.
+        cal = calibrate(default_cal)
+        rng = np.random.default_rng(rows)
+        noise = rng.normal(size=(rows, default_cal.size, 2)) @ [1e-3, 1e-3j]
+        block = np.array([np.roll(default_cal, 11 * r) for r in range(rows)]) + noise
+        block = block.astype(dtype)
+        before = block.copy()
+        cirs = deconvolve_cir(block, cal).samples
+        assert np.array_equal(block, before)
+        assert cirs.shape == block.shape and cirs.dtype == np.complex128
+        for row, cir in zip(block, cirs):
+            assert np.array_equal(cir, deconvolve_cir(row, cal).samples)
 
     def test_calibration_is_read_only(self, default_cal):
         cal = calibrate(default_cal)
