@@ -29,7 +29,7 @@ import numpy as np
 from scipy.special import ai_zeros, airy
 from scipy.special import fresnel as _scipy_fresnel
 
-from chantool.core import FieldError, FrequencyBand, Point3, check_fields
+from chantool.core import CARRIER_RULE, FieldError, FrequencyBand, Point3, check_fields
 
 # Grazing-incidence ties within this distance resolve to "in shadow".
 GRAZING_TIE_M = 1e-12
@@ -129,6 +129,7 @@ class BlockageConfig:
         check_fields(
             self,
             (f"one of {', '.join(self.SWEPT)}", lambda v: v in self.SWEPT, ("scenario",)),
+            CARRIER_RULE,
             ("positive", lambda v: v > 0.0, sizes),
         )
 
@@ -150,7 +151,7 @@ class BlockageConfig:
         """The one-blocker scenario of each blocker type, keyed by the type,
         with the blocker at the trajectory's first center."""
         start = self.trajectory()[1][0]
-        band = FrequencyBand.preset(self.carrier_ghz)
+        band = FrequencyBand(self.carrier_ghz * 1e9)
         tx = Point3(0.0, 0.0, self.antenna_height_m)
         rx = Point3(self.link_length_m, 0.0, self.antenna_height_m)
         blockers = (

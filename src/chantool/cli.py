@@ -329,8 +329,11 @@ def symmetric_matrix_rows(values: np.ndarray):
 
 
 def cmd_analyze(args) -> int:
-    if not 0.0 < args.threshold < 1.0:
-        raise ValueError(f"threshold must lie in (0, 1), got {args.threshold}")
+    if args.threshold is not None and not args.stationarity:
+        raise ValueError("--threshold applies only with --stationarity")
+    threshold = 0.8 if args.threshold is None else args.threshold
+    if not 0.0 < threshold < 1.0:
+        raise ValueError(f"threshold must lie in (0, 1), got {threshold}")
     # Every output is staged before the archive is read and renamed only
     # after the last is complete, so a failed run leaves none of them.
     stem, ext = os.path.splitext(args.out)
@@ -347,7 +350,7 @@ def cmd_analyze(args) -> int:
         del pdp_db
         out["corr"].writelines(symmetric_matrix_rows(corr.values))
         if "intervals" in out:
-            report = stationary_intervals(corr, args.threshold)
+            report = stationary_intervals(corr, threshold)
             rows = [f"{start},{end}\n" for start, end in report.intervals]
             out["intervals"].write("".join(["start_index,end_index\n", *rows]).encode())
         if "los" in out:
@@ -395,7 +398,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("analyze", help="PDP correlation and stationarity")
     p.add_argument("archive")
     p.add_argument("--stationarity", action="store_true")
-    p.add_argument("--threshold", type=float, default=0.8)
+    p.add_argument("--threshold", type=float, help="with --stationarity; default 0.8")
     p.add_argument("--los-track", action="store_true")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_analyze)

@@ -4,8 +4,8 @@ Three sections, each holding exactly the keys its subcommand reads, each
 key declared once, by the field of the parameter type it sets:
 
 * [blockage]: every field of BlockageConfig, scenario its one str field;
-* [gbsm]: carrier_ghz, every int or float field of GbsmConfig, and its
-  Point3 fields as <field>_<x|y|z>_<unit> keys;
+* [gbsm]: every int or float field of GbsmConfig, and its Point3 fields
+  as <field>_<x|y|z>_<unit> keys;
 * [sounder]: band_fraction and every int or float field of LinkBudget and
   MpcExtractionPolicy.
 
@@ -23,9 +23,10 @@ from __future__ import annotations
 from dataclasses import astuple, dataclass, fields, replace
 
 from chantool.blockage import BlockageConfig
-from chantool.core import FieldError, FrequencyBand, Point3
+from chantool.core import FieldError, Point3, check_fields
 from chantool.gbsm import GbsmConfig
-from chantool.sounder import DEFAULT_BAND_FRACTION, LinkBudget, MpcExtractionPolicy
+from chantool.sounder import BAND_FRACTION_RULE, DEFAULT_BAND_FRACTION
+from chantool.sounder import LinkBudget, MpcExtractionPolicy
 
 
 class ConfigError(ValueError):
@@ -66,7 +67,6 @@ def _scalar_fields(*classes) -> dict[str, object]:
 SCHEMA: dict[str, dict[str, object]] = {
     "blockage": _scalar_fields(BlockageConfig),
     "gbsm": {
-        "carrier_ghz": float,
         **_scalar_fields(GbsmConfig),
         **{key: float for name in _VECTORS for key in _vector_keys(name)},
     },
@@ -151,8 +151,6 @@ def _overrides(cls, section: dict[str, object]) -> dict[str, object]:
 def gbsm_config(section: dict[str, object]) -> GbsmConfig:
     base = GbsmConfig()
     values = _overrides(GbsmConfig, section)
-    if "carrier_ghz" in section:
-        values["band"] = FrequencyBand.preset(section["carrier_ghz"])
     for name in _VECTORS:
         keys = _vector_keys(name)
         if any(key in section for key in keys):
@@ -167,6 +165,5 @@ def sounder_settings(
     budget = LinkBudget(**_overrides(LinkBudget, section))
     policy = MpcExtractionPolicy(**_overrides(MpcExtractionPolicy, section))
     band_fraction = float(section.get("band_fraction", DEFAULT_BAND_FRACTION))
-    if not 0.0 < band_fraction <= 1.0:  # calibrate's rule, checked before any capture
-        raise FieldError("band_fraction must be in (0, 1]", "band_fraction")
+    check_fields({"band_fraction": band_fraction}, BAND_FRACTION_RULE)  # before any capture
     return budget, policy, band_fraction

@@ -34,23 +34,23 @@ class FieldError(ValueError):
 
 
 def check_fields(obj, *rules) -> None:
-    """The one refusal of a single field of the dataclass obj.  It raises
-    FieldError("<name> must be finite, got <value>") for the first float
+    """The one refusal of a single field of the dataclass (or dict) obj.  It
+    raises FieldError("<name> must be finite, got <value>") for the first float
     field, Python's or numpy's, that is not finite, checking a Point3
     field's coordinates each with its axis; then FieldError("<name> must be
     <text>") for the first field, in rule order, that breaks a rule (text,
     test, names): test(value) is false for a field named in names.
     Refusals of several fields together stay with their types."""
-    for f in fields(obj):
-        value = getattr(obj, f.name)
+    values = obj if isinstance(obj, dict) else {f.name: getattr(obj, f.name) for f in fields(obj)}
+    for name, value in values.items():
         axes = zip("xyz", astuple(value)) if isinstance(value, Point3) else [(None, value)]
         for axis, x in axes:
             if isinstance(x, (float, np.floating)) and not math.isfinite(x):
                 rule = f"must be finite, got {x}"
-                raise FieldError(f"{f.name} must be finite, got {value}", f.name, axis, rule)
+                raise FieldError(f"{name} must be finite, got {value}", name, axis, rule)
     for text, test, names in rules:
         for name in names:
-            if not test(getattr(obj, name)):
+            if not test(values[name]):
                 raise FieldError(f"{name} must be {text}", name)
 
 
@@ -126,22 +126,16 @@ class FrequencyBand:
         """Free-space wavenumber k = 2*pi/lambda, rad/m."""
         return 2.0 * math.pi * self.carrier_hz / SPEED_OF_LIGHT
 
-    @classmethod
-    def preset(cls, carrier_ghz: float) -> "FrequencyBand":
-        """The band of a carrier in GHz, refused as the carrier_ghz field."""
-        if not (carrier_ghz > 0.0 and math.isfinite(carrier_ghz)):
-            message = f"carrier_ghz must be finite and positive, got {carrier_ghz}"
-            raise FieldError(message, "carrier_ghz")
-        try:
-            return cls(carrier_ghz * 1e9)
-        except ValueError as err:
-            raise FieldError(str(err), "carrier_ghz") from None
 
+# check_fields' rule of a carrier_ghz field: the carriers FrequencyBand(carrier_ghz * 1e9) takes.
+CARRIER_RULE = ("positive, with a finite frequency in Hz and wavelength in m",
+                lambda ghz: 0.0 < ghz * 1e9 < math.inf and SPEED_OF_LIGHT / (ghz * 1e9) < math.inf,
+                ("carrier_ghz",))
 
 # Measurement-campaign carriers this toolkit was validated against.
-BAND_28 = FrequencyBand.preset(28.0)
-BAND_32 = FrequencyBand.preset(32.0)
-BAND_39 = FrequencyBand.preset(39.0)
+BAND_28 = FrequencyBand(28e9)
+BAND_32 = FrequencyBand(32e9)
+BAND_39 = FrequencyBand(39e9)
 
 
 @dataclass(frozen=True)

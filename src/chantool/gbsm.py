@@ -25,8 +25,8 @@ from functools import cached_property
 
 import numpy as np
 
-from chantool.core import BAND_28, SPEED_OF_LIGHT, CirSnapshot, FrequencyBand, Point3
-from chantool.core import FieldError, check_fields, derive_substream, reset_substream
+from chantool.core import CARRIER_RULE, SPEED_OF_LIGHT, CirSnapshot, FieldError, FrequencyBand
+from chantool.core import Point3, check_fields, derive_substream, reset_substream
 
 # Byte ceiling on each of run_scenario's allocations, which _budget refuses
 # before they are made: the complex128 (time, tx, rx, delay) cube, the run's
@@ -64,7 +64,7 @@ class GbsmConfig:
     vertical component would move the delay drift but not the Doppler.
     """
 
-    band: FrequencyBand = BAND_28
+    carrier_ghz: float = 28.0
     n_tx: int = 1
     n_rx: int = 1
     antenna_spacing_m: float = 0.075
@@ -94,6 +94,7 @@ class GbsmConfig:
         # untyped (an OverflowError sizing the run) or run to a cube of NaN.
         check_fields(
             self,
+            CARRIER_RULE,
             (">= 1", lambda v: v >= 1, ("n_tx", "n_rx", "rays_per_cluster")),
             (f"at most {max_rays}", lambda v: v <= max_rays, ("rays_per_cluster",)),
             # 10 ** (k / 10) passes the float64 maximum, 1.8e308, past 3082 dB.
@@ -118,9 +119,12 @@ class GbsmConfig:
         if not (self.rx_position - self.tx_position).norm() > 0.0:
             raise ValueError("tx and rx positions must differ")
 
-    # The LOS geometry depends on the fields alone, so it is derived once per
-    # config, not on every step.  cached_property writes the instance dict
-    # directly, which a frozen dataclass allows.
+    # The band and the LOS geometry depend on the fields alone, so each is derived
+    # once per config, not per step; cached_property may write a frozen instance.
+
+    @cached_property
+    def band(self) -> FrequencyBand:
+        return FrequencyBand(self.carrier_ghz * 1e9)
 
     @cached_property
     def los_base_delay_s(self) -> float:

@@ -55,8 +55,9 @@ _ZERO_FLOOR_REL = 1e-6
 _OCCUPANCY_DB = -40.0
 
 # Default cap on the deconvolution band, as a fraction of the sampling
-# bandwidth.
+# bandwidth, and calibrate's rule on it, for check_fields.
 DEFAULT_BAND_FRACTION = 0.6
+BAND_FRACTION_RULE = ("in (0, 1]", lambda v: 0.0 < v <= 1.0, ("band_fraction",))
 
 # Length of the root-raised-cosine shaping filter, in chips.
 _RRC_SPAN_CHIPS = 16
@@ -257,8 +258,7 @@ def calibrate(
     n = y_cal.size
     if n == 0:
         raise ValueError("empty capture")
-    if not 0.0 < band_fraction <= 1.0:
-        raise ValueError("band_fraction must be in (0, 1]")
+    check_fields({"band_fraction": band_fraction}, BAND_FRACTION_RULE)
     if np.sum(np.abs(y_cal) ** 2) < 1e-20:
         raise ValueError("invalid calibration: energy below -200 dB")
 

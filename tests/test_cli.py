@@ -74,7 +74,7 @@ def read_rows(path):
 
 
 BLOCKAGE_INI = "[blockage]\nscenario = crossing\ncarrier_ghz = 28.0\n"
-INFINITE_WAVELENGTH = "carrier_hz 4.94065646e-315 gives an infinite wavelength"
+CARRIER_REFUSED = "carrier_ghz must be positive, with a finite frequency in Hz and wavelength in m"
 ALL_MODELS_NO_NAN = "metis: 0 NaN point(s)\nkirchhoff: 0 NaN point(s)\ngtd: 0 NaN point(s)\n"
 
 
@@ -170,10 +170,10 @@ class TestBlockage:
             # A value refused on its own cites its key's line (2) ...
             ("screen_width_m = -1", 2, "screen_width_m must be positive"),
             ("scenario = sideways", 2, "scenario must be one of crossing, along"),
-            ("carrier_ghz = -28", 2, "carrier_ghz must be finite and positive, got -28.0"),
-            # A 5e-315 Hz carrier: the band refuses its infinite wavelength
-            # before any sweep, so no model's NaN count is printed.
-            ("carrier_ghz = 5e-324", 2, INFINITE_WAVELENGTH),
+            ("carrier_ghz = -28", 2, CARRIER_REFUSED),
+            # A 5e-315 Hz carrier: its infinite wavelength is refused before
+            # any sweep, so no model's NaN count is printed.
+            ("carrier_ghz = 5e-324", 2, CARRIER_REFUSED),
             # ... and any other refusal the section's header (1).
             ("link_length_m = 0.0", 1, "tx and rx must differ"),
             # Refused by the sweep, not by a parameter type.
@@ -680,15 +680,17 @@ class TestNonFiniteConfig:
         [
             ("gbsm", "duration_s = inf", "duration_s must be finite, got inf"),
             ("gbsm", "rx_velocity_x_mps = nan", "rx_velocity_x_mps must be finite, got nan\n"),
-            ("gbsm", "carrier_ghz = 1e999", "carrier_ghz must be finite and positive, got inf"),
+            ("gbsm", "carrier_ghz = 1e999", "carrier_ghz must be finite, got inf"),
             ("blockage", "link_length_m = nan", "link_length_m must be finite, got nan"),
             ("blockage", "cylinder_radius_m = nan", "cylinder_radius_m must be finite, got nan"),
             ("blockage", "carrier_ghz = 1e999", "carrier_ghz must be finite, got inf"),
             ("sounder", "gt_dbi = 1e999", "gt_dbi must be finite, got inf"),
+            ("sounder", "band_fraction = nan", "band_fraction must be finite, got nan\n"),
+            ("sounder", "band_fraction = inf", "band_fraction must be finite, got inf\n"),
         ],
         ids=["gbsm-duration-inf", "gbsm-velocity-nan", "gbsm-carrier-1e999",
              "blockage-length-nan", "blockage-radius-nan", "blockage-carrier-1e999",
-             "sounder-gain-1e999"],
+             "sounder-gain-1e999", "sounder-band-fraction-nan", "sounder-band-fraction-inf"],
     )
     def test_non_finite_value_exit_2_with_line(self, tmp_path, capsys, section, line, message):
         # The parser keeps the value; its type refuses it at the key's line.
@@ -724,8 +726,22 @@ class TestNonFiniteConfig:
         cfg = write(tmp_path / "c.ini", f"[{argv[0]}]\ncarrier_ghz = 5e-324\n")
         out = tmp_path / "x.out"
         assert main([*argv, "--config", cfg, "--out", str(out)]) == 2
-        assert capsys.readouterr().err == f"error: {cfg}:2: {INFINITE_WAVELENGTH}\n"
+        assert capsys.readouterr().err == f"error: {cfg}:2: {CARRIER_REFUSED}\n"
         assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-28", "0", "1e300", "5e-324"])
+    def test_carrier_refused_alike_in_both_sections(self, tmp_path, capsys, value):
+        # carrier_ghz is refused by one rule, in GHz, whichever section sets it.
+        out = tmp_path / "x.out"
+        errors = []
+        for section in ("gbsm", "blockage"):
+            cfg = write(tmp_path / "c.ini", f"[{section}]\ncarrier_ghz = {value}\n")
+            assert main([section, "--config", cfg, "--out", str(out)]) == 2
+            errors.append(capsys.readouterr().err)
+            assert not out.exists()
+        assert errors[0] == errors[1]
+        assert errors[0].startswith(f"error: {cfg}:2: carrier_ghz must be ")
+        assert errors[0].count("\n") == 1 and "carrier_hz" not in errors[0]
 
 
 def make_captures(tmp_path, bins=(10, 50, 120), powers=(0.0, -6.0, -12.0),
@@ -1189,6 +1205,14 @@ class TestAnalyze:
                      "--out", str(tmp_path / "c.csv")])
         assert code == 2
         assert "threshold" in capsys.readouterr().err
+
+    def test_threshold_without_stationarity_exit_2(self, tmp_path, capsys):
+        # Refused before the archive is read: a missing one is not reported.
+        arc = str(tmp_path / "missing.cirb")
+        code = main(["analyze", arc, "--threshold", "0.5", "--out", str(tmp_path / "c.csv")])
+        assert code == 2
+        assert capsys.readouterr().err == "error: --threshold applies only with --stationarity\n"
+        assert os.listdir(tmp_path) == []
 
     def test_malformed_archive_exit_2(self, tmp_path, capsys):
         arc = str(tmp_path / "bad.cirb")

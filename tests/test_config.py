@@ -250,8 +250,8 @@ class TestBuilders:
             ({"ray_delay_scale_s": 0.0}, "ray_delay_scale_s"),
             ({"tx_velocity": Point3(0.0, 0.0, 1.0)}, "tx_velocity_z_mps"),
             ({"rx_position": Point3(10.0, float("nan"), 1.5)}, "rx_position_y_m"),
-            # The coordinate the scenario sweeps: refused on construction, so
-            # before the size or carrier that scenarios() would refuse.
+            # The coordinate the scenario sweeps: refused first, before the
+            # size or carrier that the field rules would refuse.
             ({"scenario": "crossing", "lateral_offset_m": 0.0, "screen_width_m": -1.0},
              "lateral_offset_m"),
             ({"scenario": "along", "along_position_m": 2.0, "carrier_ghz": -28.0},
@@ -274,7 +274,7 @@ class TestBuilders:
     )
     def test_non_finite_value_refused_by_its_type_names_its_key(self, section, key, value):
         # The key's own type refuses it with a FieldError naming the key, in
-        # every section; [gbsm] carrier_ghz through its band.
+        # every section.
         with pytest.raises(FieldError) as info:
             BUILDERS[section]({key: value})
         assert field_key(info.value) == key

@@ -9,6 +9,7 @@ from chantool.core import (
     BAND_28,
     BAND_32,
     BAND_39,
+    CARRIER_RULE,
     DB_FLOOR,
     SPEED_OF_LIGHT,
     CirSnapshot,
@@ -57,14 +58,27 @@ def test_frequency_band_presets():
     assert BAND_28.carrier_hz == 28e9
     assert BAND_32.carrier_hz == 32e9
     assert BAND_39.carrier_hz == 39e9
-    assert FrequencyBand.preset(28.0) == BAND_28
+
+
+@pytest.mark.parametrize("ghz", [28.0, 1e-300, 1e-320, 5e-324, 1e299, 1e300, 0.0, -28.0, math.inf])
+def test_carrier_rule_passes_what_the_band_takes(ghz):
+    # The rule of a carrier_ghz field refuses exactly the carriers whose
+    # FrequencyBand(carrier_ghz * 1e9) would be refused.
+    _, test, names = CARRIER_RULE
+    assert names == ("carrier_ghz",)
+    try:
+        FrequencyBand(ghz * 1e9)
+    except ValueError:
+        assert not test(ghz)
+    else:
+        assert test(ghz)
 
 
 def test_frequency_band_validation():
     with pytest.raises(ValueError):
         FrequencyBand(-1.0)
     with pytest.raises(ValueError, match="carrier_hz must be finite and positive, got inf"):
-        FrequencyBand.preset(1e300)
+        FrequencyBand(1e300 * 1e9)
     with pytest.raises(ValueError, match="got nan"):
         FrequencyBand(math.nan)
 
