@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from chantool.core import DB_FLOOR, from_db
+from chantool.core import DB_FLOOR, check_fields, from_db
 from chantool.gbsm import SizingError
 from chantool.sounder import MpcExtractionPolicy, peak_candidates
 from chantool.sounder import extract_mpcs  # noqa: F401  (perfbench/tracing.py wraps it here)
@@ -28,14 +28,21 @@ from chantool.sounder import extract_mpcs  # noqa: F401  (perfbench/tracing.py w
 
 # Byte ceiling on the float64 (snapshots, snapshots) correlation matrix, and
 # through it on the matrix text.  pdp_correlation_matrix holds one such
-# matrix plus its (snapshots, bins) inputs.  analyze then formats each
-# distinct value of a row once, from the upper triangle, and the tokens it
-# keeps for later rows, 24 bytes each and at most n^2/4 of them (6n^2
-# bytes), wait beside the 8n^2-byte matrix at up to 0.75 of its size, so
-# this one budget bounds both and the text phase alone sets the peak.  Both
-# grow as n^2: 256 MiB admits about 5800 snapshots (roughly 0.45 GiB of
-# peak memory and 0.7 GB of text) and refuses a larger count up front.
+# matrix plus its (snapshots, bins) inputs.  analyze then cuts the matrix's
+# upper triangle into the text's row blocks, half its bytes, and drops the
+# matrix, so the peak is that hand-off, 1.5 matrices.  The text formats
+# each distinct value of a row once, and the tokens it keeps for later
+# rows, 24 bytes each and at most n^2/4 of them (6n^2 bytes), wait beside
+# the blocks not yet written, near one matrix at most.  So this one budget
+# bounds both.  Both grow as n^2: 256 MiB admits about 5800 snapshots
+# (roughly 0.38 GiB of peak memory and 0.7 GB of text) and refuses a
+# larger count up front.
 MAX_CORR_BYTES = 1 << 28
+
+
+# The one range of a stationarity threshold, checked by check_fields in
+# stationary_intervals and by analyze before it reads the archive.
+THRESHOLD_RULE = ("in (0, 1)", lambda v: 0.0 < v < 1.0, ("threshold",))
 
 
 def check_correlation_size(n_snapshots: int) -> None:
@@ -120,8 +127,7 @@ def stationary_intervals(
     A window grows from its anchor while corr(anchor, j) stays at or above
     the threshold; the first miss closes the window and re-anchors there.
     """
-    if not 0.0 < threshold < 1.0:
-        raise ValueError(f"threshold must lie in (0, 1), got {threshold}")
+    check_fields({"threshold": threshold}, THRESHOLD_RULE)
     n = corr.snapshot_count
     intervals = []
     anchor = 0

@@ -5,7 +5,8 @@ Subcommands: blockage, pathloss-fit, gbsm, sounder, analyze.  Exit codes:
 file goes through archive.staged, which renames it into place last.
 chantool's own code runs serially in one thread, so repeated runs with
 identical inputs produce byte-identical files under the same BLAS thread
-count: analyze's Gram product goes through BLAS.
+count and numpy SIMD dispatch: analyze's Gram product goes through BLAS, and
+numpy's kernels for the CPU can round differently.
 Importing this module before numpy loads defaults OPENBLAS_THREAD_TIMEOUT
 to 4, so OpenBLAS's idle workers sleep at once instead of spinning on a
 second core; that changes when they sleep, not how many threads split the
@@ -32,6 +33,7 @@ if "numpy" not in sys.modules:
 import numpy as np  # noqa: E402  (after the OpenBLAS default)
 
 from chantool.analysis import (
+    THRESHOLD_RULE,
     check_correlation_size,
     los_power_track,
     pdp_correlation_matrix,
@@ -288,34 +290,48 @@ def _read_pair(path: str) -> tuple[ArchiveHeader, np.ndarray]:
     return header, samples
 
 
-def symmetric_matrix_rows(values: np.ndarray):
-    """Yield each row of a square float64 matrix as the bytes of
-    ",".join(map(repr, row)) + "\\n", formatting each distinct value of a
-    row once.
+def upper_row_blocks(values: np.ndarray) -> list[np.ndarray]:
+    """The upper triangle of a square matrix in the row blocks that
+    symmetric_matrix_rows writes: values[a:a+k, a:] for each a, k = n/32
+    (at least 1), each a copy, so the matrix can be dropped once they are
+    cut.  Together they take about half the matrix's bytes."""
+    n = len(values)
+    k = max(1, n // 32)
+    return [values[a : a + k, a:].copy() for a in range(0, n, k)]
+
+
+def symmetric_matrix_rows(blocks: list[np.ndarray]):
+    """Yield each row of a square float64 matrix, given as the blocks that
+    upper_row_blocks cuts, as the bytes of ",".join(map(repr, row)) + "\\n",
+    formatting each distinct value of a row once.  It empties the list as
+    it goes: each block is released once its rows are written.
 
     Row i formats the distinct bit patterns of its columns i.. in one call
     (bits, so 0.0 and -0.0 stay apart) and takes columns ..i-1 from the
-    tokens that earlier rows formatted, so values must be exactly symmetric,
-    as a CorrelationMatrix's values are; this writer does not check it.  Each
-    token is padded with spaces to 24 bytes, the longest float64 repr.  Rows
-    go in blocks of n/32 through one (block, n) buffer.  After a block, its
-    columns of each later block are copied out as one tile, which that block
-    takes transposed as its left columns, so at most n^2/4 tokens wait:
-    6n^2 bytes, which analysis.MAX_CORR_BYTES bounds through the matrix.
+    tokens that earlier rows formatted, so the matrix must be exactly
+    symmetric, as a CorrelationMatrix's values are; this writer does not
+    check it.  Each token is padded with spaces to 24 bytes, the longest
+    float64 repr.  Each block's rows go through one (block, n) buffer.
+    After a block, its columns of each later block are copied out as one
+    tile, which that block takes transposed as its left columns, so at most
+    n^2/4 tokens wait: 6n^2 bytes, beside the blocks not yet written.  The
+    two together stay near the 8n^2 bytes of the matrix, which
+    analysis.MAX_CORR_BYTES bounds.
     """
-    n = len(values)
-    k = max(1, n // 32)
+    n = blocks[0].shape[1]
+    k = len(blocks[0])
     buffer = np.empty((k, n), dtype=[("token", "S24"), ("comma", "S1")])
     buffer["comma"] = b","
     tokens = buffer["token"]
     tiles = {}  # tiles[c]: one tile from each earlier block, for the block at row c
     for a in range(0, n, k):
-        b = min(a + k, n)
+        block = blocks.pop(0)  # rows a..b-1, columns a..
+        b = a + len(block)
         # Only the last block is short, so block j's tile fills columns jk..jk+k.
         for j, tile in enumerate(tiles.pop(a, [])):
             tokens[: b - a, j * k : j * k + k] = tile.T
         for i in range(a, b):
-            bits, inverse = np.unique(values[i, i:].view(np.int64), return_inverse=True)
+            bits, inverse = np.unique(block[i - a, i - a :].view(np.int64), return_inverse=True)
             text = ("%-24r" * len(bits)) % tuple(bits.view(np.float64).tolist())
             tokens[i - a, i:] = np.frombuffer(text.encode(), dtype="S24")[inverse]
             tokens[i - a, a:i] = tokens[: i - a, i]
@@ -323,7 +339,7 @@ def symmetric_matrix_rows(values: np.ndarray):
             line = row_bytes[row_bytes != ord(" ")]
             line[-1] = ord("\n")
             yield line.tobytes()
-        del bits, inverse, text, line  # the last row's; not to wait beside the tiles
+        del block, bits, inverse, text, line  # not to wait beside the tiles
         for c in range(b, n, k):
             tiles.setdefault(c, []).append(tokens[:, c : c + k].copy())
 
@@ -332,8 +348,7 @@ def cmd_analyze(args) -> int:
     if args.threshold is not None and not args.stationarity:
         raise ValueError("--threshold applies only with --stationarity")
     threshold = 0.8 if args.threshold is None else args.threshold
-    if not 0.0 < threshold < 1.0:
-        raise ValueError(f"threshold must lie in (0, 1), got {threshold}")
+    check_fields({"threshold": threshold}, THRESHOLD_RULE)
     # Every output is staged before the archive is read and renamed only
     # after the last is complete, so a failed run leaves none of them.
     stem, ext = os.path.splitext(args.out)
@@ -348,11 +363,15 @@ def cmd_analyze(args) -> int:
         del samples  # so the correlation and the matrix text run without them
         corr = pdp_correlation_matrix(pdp_db)
         del pdp_db
-        out["corr"].writelines(symmetric_matrix_rows(corr.values))
         if "intervals" in out:
             report = stationary_intervals(corr, threshold)
             rows = [f"{start},{end}\n" for start, end in report.intervals]
             out["intervals"].write("".join(["start_index,end_index\n", *rows]).encode())
+        # The text reads only the upper triangle, so the matrix is dropped
+        # once that is cut: it never waits beside the text's tokens.
+        blocks = upper_row_blocks(corr.values)
+        del corr
+        out["corr"].writelines(symmetric_matrix_rows(blocks))
         if "los" in out:
             rows = [f"{_fmt(t)},{_fmt(level)}\n" for t, level in track]
             out["los"].write("".join(["t_s,power_db\n", *rows]).encode())

@@ -261,10 +261,17 @@ class TestStationaryIntervals:
         corr = block_matrix([4, 4])
         assert stationary_intervals(corr, 0.7) == stationary_intervals(corr, 0.7)
 
-    @pytest.mark.parametrize("threshold", [0.0, 1.0, -0.5, 1.5])
+    @pytest.mark.parametrize("threshold", [0.0, 1.0, -0.5, 1.5, math.nan, math.inf, -math.inf])
     def test_threshold_range_enforced(self, threshold):
-        with pytest.raises(ValueError, match="threshold"):
+        # The one rule analyze also checks before it reads the archive.
+        expected = (
+            f"threshold must be finite, got {threshold}"
+            if not math.isfinite(threshold)
+            else "threshold must be in (0, 1)"
+        )
+        with pytest.raises(ValueError) as info:
             stationary_intervals(block_matrix([4]), threshold)
+        assert str(info.value) == expected
 
 
 def mpc(delay_s: float, power_db: float) -> Mpc:

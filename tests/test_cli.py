@@ -933,6 +933,36 @@ class TestSounder:
         _, stat_rows = split_tables(out)
         assert [int(row[0]) for row in stat_rows] == list(range(64))
 
+    @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmHWM")
+    def test_peak_rss_independent_of_capture_count(self, tmp_path):
+        # Cold runs on N and 10N captures: the child's peak RSS grows far
+        # less than the added captures would take as complex128.  The peak
+        # is VmHWM, its own address space's high-water mark: ru_maxrss also
+        # keeps that of the process it was spawned from, which exec carries
+        # over, so here it would read this test process's peak.
+        rx, cal = make_captures(tmp_path)
+        seq = read_archive(rx)
+        child = (
+            "import sys\n"
+            "from chantool.cli import main\n"
+            "code = main(sys.argv[1:])\n"
+            "[hwm] = [line for line in open('/proc/self/status') if line.startswith('VmHWM:')]\n"
+            "print(code, hwm.split()[1])\n"
+        )
+        peaks_kib = []
+        for count in (8, 80):
+            rolled = np.concatenate([np.roll(seq.cir, 7 * t, axis=3) for t in range(count)])
+            write_archive(rx, CirSequence(0.0, 1.0, seq.sample_period_s, rolled))
+            del rolled
+            out = str(tmp_path / f"{count}.csv")
+            proc = run_child("-c", child, "sounder", "--rx", rx, "--cal", cal, "--out", out)
+            assert proc.returncode == 0, proc.stderr
+            code, peak_kib = map(int, proc.stdout.split())
+            assert code == 0
+            peaks_kib.append(peak_kib)
+        added = 16 * 72 * seq.cir.shape[3]
+        assert 1024 * (peaks_kib[1] - peaks_kib[0]) <= 0.1 * added, peaks_kib
+
     @pytest.mark.parametrize("per_block", [1, 2, 3, 6, 7])
     def test_output_independent_of_block_sizes(self, tmp_path, monkeypatch, per_block):
         # Captures per archive block; 7 captures in all, so a block may hold
@@ -989,6 +1019,15 @@ def two_regime_archive(path, change_at=20, n_time=30, n_delay=64):
     return path
 
 
+def noise_archive(path, n_time):
+    """An archive of n_time snapshots of 64 bins of complex Gaussian noise,
+    so every cell of its correlation matrix is distinct."""
+    rng = np.random.default_rng(12)
+    cir = rng.normal(size=(n_time, 1, 1, 64)) + 1j * rng.normal(size=(n_time, 1, 1, 64))
+    write_archive(path, CirSequence(0.0, 1e-3, 1.0 / FS, cir))
+    return path
+
+
 # Cells whose repr differs in shape from a plain correlation: exact zeros
 # of both signs, one, exponent notation and the smallest subnormal.
 SPECIAL_CELLS = (0.0, -0.0, 1.0, 1.2345e-05, -7.5e-06, 5e-324)
@@ -1016,7 +1055,7 @@ class TestMatrixRows:
         for i, j, cell in cells:
             values[i % n, j % n] = values[j % n, i % n] = cell
         expected = [(",".join(map(repr, row)) + "\n").encode() for row in values.tolist()]
-        assert list(cli.symmetric_matrix_rows(values)) == expected
+        assert list(cli.symmetric_matrix_rows(cli.upper_row_blocks(values))) == expected
 
     @settings(max_examples=40, deadline=None)
     @given(n=st.sampled_from([16, 17, 33, 64, 97]), seed=st.integers(0, 2**32 - 1))
@@ -1028,7 +1067,7 @@ class TestMatrixRows:
         values = np.array(REPEATED_CELLS)[pick + np.triu(pick, 1).T]
         values[0, 1:3] = values[1:3, 0] = 0.0, -0.0
         expected = [(",".join(map(repr, row)) + "\n").encode() for row in values.tolist()]
-        assert list(cli.symmetric_matrix_rows(values)) == expected
+        assert list(cli.symmetric_matrix_rows(cli.upper_row_blocks(values))) == expected
 
     def test_short_last_block(self):
         # Blocks of 200 // 32 = 6 rows: 33 full ones, then one of 2 rows.
@@ -1038,7 +1077,7 @@ class TestMatrixRows:
         for j, cell in zip((0, 5, 6, 197), SPECIAL_CELLS):
             values[199, j] = values[j, 199] = cell
         expected = [(",".join(map(repr, row)) + "\n").encode() for row in values.tolist()]
-        assert list(cli.symmetric_matrix_rows(values)) == expected
+        assert list(cli.symmetric_matrix_rows(cli.upper_row_blocks(values))) == expected
 
     def test_asymmetric_matrix_exit_2_without_output(self, tmp_path, capsys, monkeypatch):
         arc = two_regime_archive(str(tmp_path / "two.cirb"))
@@ -1078,10 +1117,7 @@ class TestAnalyze:
         assert rows == [["0", "19"], ["20", "29"]]
 
     def test_matrix_streams_in_row_chunks(self, tmp_path, monkeypatch):
-        rng = np.random.default_rng(12)
-        cir = rng.normal(size=(300, 1, 1, 64)) + 1j * rng.normal(size=(300, 1, 1, 64))
-        arc = str(tmp_path / "noise.cirb")
-        write_archive(arc, CirSequence(0.0, 1e-3, 1.0 / FS, cir))
+        arc = noise_archive(str(tmp_path / "noise.cirb"), 300)
         sizes = []
         matrix_rows = cli.symmetric_matrix_rows
 
@@ -1115,17 +1151,15 @@ class TestAnalyze:
             assert handle.read() == expected.encode()
 
     def test_text_store_stays_below_the_matrix(self, tmp_path, monkeypatch, traced_peak):
-        # The peak from the start of the matrix text: the matrix itself plus
-        # the waiting tiles.  Measured 1.93 matrices (1.94 with a compacting
-        # token store, 2.22 with variable-length tokens and int32 offsets); a
-        # store that kept all n^2/2 tokens measured 2.91 (growing) and 2.98
+        # The peak from the start of the matrix text: the row blocks not yet
+        # written plus the waiting tiles.  Measured 1.07 matrices once the
+        # matrix is dropped before the text (1.10 with --stationarity); 1.93
+        # while the text ran beside the matrix (1.94 with a compacting token
+        # store, 2.22 with variable-length tokens and int32 offsets); a store
+        # that kept all n^2/2 tokens measured 2.91 (growing) and 2.98
         # (allocated up front).
         n = 400
-        rng = np.random.default_rng(12)
-        cir = rng.normal(size=(n, 1, 1, 64)) + 1j * rng.normal(size=(n, 1, 1, 64))
-        arc = str(tmp_path / "noise.cirb")
-        write_archive(arc, CirSequence(0.0, 1e-3, 1.0 / FS, cir))
-        del cir
+        arc = noise_archive(str(tmp_path / "noise.cirb"), n)
         matrix_rows = cli.symmetric_matrix_rows
 
         def from_text_phase(values):
@@ -1135,6 +1169,19 @@ class TestAnalyze:
         monkeypatch.setattr(cli, "symmetric_matrix_rows", from_text_phase)
         peak = traced_peak(main, ["analyze", arc, "--out", str(tmp_path / "corr.csv")])
         assert peak <= 2.1 * 8 * n**2
+
+    @pytest.mark.parametrize("options", [[], ["--stationarity", "--los-track"]],
+                             ids=["matrix", "all-outputs"])
+    def test_whole_run_stays_below_the_matrix_and_its_upper_half(
+        self, tmp_path, traced_peak, options
+    ):
+        # The matrix and the row blocks cut from its upper triangle meet
+        # once, at 1.5 matrices; measured 1.56 (1.60 with every output).
+        # Formatting beside the whole matrix measured 1.92.
+        n = 400
+        arc = noise_archive(str(tmp_path / "noise.cirb"), n)
+        argv = ["analyze", arc, *options, "--out", str(tmp_path / "corr.csv")]
+        assert traced_peak(main, argv) <= 1.7 * 8 * n**2
 
     def test_los_track_output(self, tmp_path):
         arc = two_regime_archive(str(tmp_path / "two.cirb"))
@@ -1199,12 +1246,21 @@ class TestAnalyze:
         assert capsys.readouterr().err == "error: [Errno 28] No space left on device\n"
         assert os.listdir(tmp_path) == ["two.cirb"]
 
-    def test_threshold_out_of_range_exit_2(self, tmp_path, capsys):
-        arc = two_regime_archive(str(tmp_path / "two.cirb"))
-        code = main(["analyze", arc, "--stationarity", "--threshold", "1.5",
-                     "--out", str(tmp_path / "c.csv")])
-        assert code == 2
-        assert "threshold" in capsys.readouterr().err
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "0", "1", "1.5"])
+    def test_threshold_out_of_range_exit_2(self, tmp_path, capsys, value):
+        # One rule with stationary_intervals, checked before the archive is
+        # read: a missing one is not reported.
+        expected = (
+            f"threshold must be finite, got {float(value)}"
+            if not math.isfinite(float(value))
+            else "threshold must be in (0, 1)"
+        )
+        arc = str(tmp_path / "missing.cirb")
+        argv = ["analyze", arc, "--stationarity", f"--threshold={value}",
+                "--out", str(tmp_path / "c.csv")]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: {expected}\n"
+        assert os.listdir(tmp_path) == []
 
     def test_threshold_without_stationarity_exit_2(self, tmp_path, capsys):
         # Refused before the archive is read: a missing one is not reported.
