@@ -25,7 +25,6 @@ import math
 import os
 import sys
 import warnings
-from contextlib import contextmanager
 
 if "numpy" not in sys.modules:
     os.environ.setdefault("OPENBLAS_THREAD_TIMEOUT", "4")
@@ -50,8 +49,8 @@ from chantool.archive import (
     write_archive,
 )
 from chantool.blockage import MODELS, BlockageConfig, sweep_blocker
-from chantool.config import Config, field_key, gbsm_config, load_config, sounder_settings
-from chantool.core import CirSnapshot, FieldError, check_fields, pdp_from_cir
+from chantool.config import build, gbsm_config, load_config, parse_config, sounder_settings
+from chantool.core import CirSnapshot, check_fields, pdp_from_cir
 from chantool.gbsm import SizingError, run_scenario
 from chantool.pathloss import (
     FitOverflowError,
@@ -79,37 +78,15 @@ def _fmt(value: float) -> str:
     return repr(float(value))
 
 
-def _require_section(cfg: Config, name: str) -> dict[str, object]:
-    section = cfg.section(name)
-    if section is None:
-        raise cfg.error(name, None, f"missing [{name}] section")
-    return section
-
-
-@contextmanager
-def _cited(cfg: Config, name: str):
-    """Report a ValueError raised while building section name's parameter
-    objects as a ConfigError: at the line of the key a FieldError names, by
-    that key if not finite, and at the line of the section's header for any other."""
-    try:
-        yield
-    except FieldError as err:
-        key = field_key(err)
-        raise cfg.error(name, key, f"{key} {err.rule}" if err.rule else str(err)) from None
-    except ValueError as err:
-        raise cfg.error(name, None, str(err)) from None
-
-
 def cmd_blockage(args) -> int:
     cfg = load_config(args.config)
-    section = _require_section(cfg, "blockage")
     chosen = args.model or ["all"]
     models = list(MODELS) if "all" in chosen else [m for m in MODELS if m in chosen]
     # Every parameter object is built before the first sweep, so a value
     # they refuse is reported against the file, before any output; a value
     # the sweeps refuse is cited at the section too.
-    with _cited(cfg, "blockage"):
-        sweep = BlockageConfig(**section)
+    with cfg.cited("blockage") as section:
+        sweep = build(BlockageConfig, section)
         positions, centers = sweep.trajectory()
         scenarios = sweep.scenarios()
         columns = []
@@ -214,8 +191,7 @@ def cmd_pathloss_fit(args) -> int:
 
 def cmd_gbsm(args) -> int:
     cfg = load_config(args.config)
-    section = _require_section(cfg, "gbsm")
-    with _cited(cfg, "gbsm"):
+    with cfg.cited("gbsm") as section:
         gcfg = gbsm_config(section)
         limit = f"at most {MAX_ANTENNAS}, the archive's limit"
         check_fields(gcfg, (limit, lambda v: v <= MAX_ANTENNAS, ("n_tx", "n_rx")))
@@ -233,10 +209,10 @@ def cmd_gbsm(args) -> int:
 
 def cmd_sounder(args) -> int:
     # The config is settled before either capture is read, so a config
-    # error costs no archive decode.
-    cfg = load_config(args.config) if args.config else None
-    with _cited(cfg, "sounder"):
-        budget, policy, band_fraction = sounder_settings(cfg and cfg.section("sounder") or {})
+    # error costs no archive decode.  Without --config, [sounder] is absent.
+    cfg = load_config(args.config) if args.config else parse_config("")
+    with cfg.cited("sounder", required=False) as section:
+        budget, policy, band_fraction = sounder_settings(section)
     # Both headers are checked before either payload is decoded; the cal's
     # single capture is then its one block.  The rx captures stream through
     # one block buffer, and each block is deconvolved as one complex128

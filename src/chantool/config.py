@@ -1,26 +1,23 @@
 """Strict INI-style configuration.
 
-Three sections, each holding exactly the keys its subcommand reads, each
-key declared once, by the field of the parameter type it sets:
-
-* [blockage]: every field of BlockageConfig, scenario its one str field;
-* [gbsm]: every int or float field of GbsmConfig, and its Point3 fields
-  as <field>_<x|y|z>_<unit> keys;
-* [sounder]: band_fraction and every int or float field of LinkBudget and
-  MpcExtractionPolicy.
-
-A str field takes the text as given, an int field a base-10 integer and a
-float field any float, inf and nan included: the parameter type refuses a
-value it cannot honour, non-finite ones among them, and the caller cites
-the key's line.  Unknown sections, unknown keys, duplicate keys, and
-malformed values are hard errors carrying the file line number, so typos
-never pass silently.  All dimensioned keys carry a unit suffix (_m, _ghz,
-_db, _s, ...).
+Three sections, each holding exactly the keys its subcommand reads:
+[blockage] those of BlockageConfig, [gbsm] those of GbsmConfig, and
+[sounder] band_fraction and those of LinkBudget and MpcExtractionPolicy.
+One walk over a parameter type's fields declares its keys and builds it
+from a section: a str, int or float field is its own key, and a Point3
+field is three <field>_<x|y|z>_<unit> keys.  A str field takes the text as
+given, an int field a base-10 integer and a float field any float, inf and
+nan included: the parameter type refuses a value it cannot honour,
+non-finite ones among them, and Config.cited cites that refusal at the
+key's line.  Unknown sections, unknown keys, duplicate keys, and malformed
+values are hard errors carrying the file line number, so typos never pass
+silently.  All dimensioned keys carry a unit suffix (_m, _ghz, _db, _s, ...).
 """
 
 from __future__ import annotations
 
-from dataclasses import astuple, dataclass, fields, replace
+from contextlib import contextmanager
+from dataclasses import astuple, dataclass, fields
 
 from chantool.blockage import BlockageConfig
 from chantool.core import FieldError, Point3, check_fields
@@ -38,40 +35,47 @@ class ConfigError(ValueError):
         self.line = line
 
 
-def _int(raw: str) -> int:
-    return int(raw, 10)
-
-
 # The Point3 fields of GbsmConfig, each given as three keys
 # <field>_<x|y|z>_<unit>, with its unit suffix.
 _VECTORS = {"tx_velocity": "mps", "rx_velocity": "mps", "tx_position": "m", "rx_position": "m"}
 
-
-def _vector_keys(name: str) -> list[str]:
-    return [f"{name}_{axis}_{_VECTORS[name]}" for axis in "xyz"]
-
-
-def field_key(err: FieldError) -> str:
-    """The key that sets the field err refuses: the field's name, or the
-    <field>_<axis>_<unit> key of a component of a GbsmConfig Point3 field."""
-    return err.field if err.axis is None else _vector_keys(err.field)["xyz".index(err.axis)]
+# The parser of a key by the type of its field; an optional float field,
+# None by default, takes a float too, and so does each Point3 coordinate.
+_PARSERS = {"str": str, "int": int, "float": float, "float | None": float, "Point3": float}
 
 
-def _scalar_fields(*classes) -> dict[str, object]:
-    """A parser per str, int or float field of the dataclasses, keyed by its
-    name; an optional float field, None by default, takes a float too."""
-    parsers = {"str": str, "int": _int, "float": float, "float | None": float}
-    return {f.name: parsers[f.type] for cls in classes for f in fields(cls) if f.type in parsers}
+def _keys_of(name: str) -> list[str]:
+    """The keys that set field name: its own, or a Point3 field's three."""
+    return [f"{name}_{axis}_{_VECTORS[name]}" for axis in "xyz"] if name in _VECTORS else [name]
+
+
+def _keys(*classes) -> dict[str, object]:
+    """A parser per key of the dataclasses' fields; the Point3 fields' keys
+    follow all the others."""
+    walk = sorted((f for cls in classes for f in fields(cls)), key=lambda f: f.name in _VECTORS)
+    return {key: _PARSERS[f.type] for f in walk for key in _keys_of(f.name)}
 
 
 SCHEMA: dict[str, dict[str, object]] = {
-    "blockage": _scalar_fields(BlockageConfig),
-    "gbsm": {
-        **_scalar_fields(GbsmConfig),
-        **{key: float for name in _VECTORS for key in _vector_keys(name)},
-    },
-    "sounder": {"band_fraction": float, **_scalar_fields(LinkBudget, MpcExtractionPolicy)},
+    "blockage": _keys(BlockageConfig),
+    "gbsm": _keys(GbsmConfig),
+    "sounder": {"band_fraction": float, **_keys(LinkBudget, MpcExtractionPolicy)},
 }
+
+
+def build(cls, section: dict[str, object]):
+    """The dataclass cls with each field a key of section sets: a Point3
+    field given any of its keys takes the rest from its default, and a
+    field given none keeps its default.  Keys of other fields are ignored."""
+    values = {}
+    for f in fields(cls):
+        keys = _keys_of(f.name)
+        if f.name in _VECTORS and any(key in section for key in keys):
+            default = astuple(f.default_factory())
+            values[f.name] = Point3(*(section.get(k, d) for k, d in zip(keys, default)))
+        elif f.name in section:
+            values[f.name] = section[f.name]
+    return cls(**values)
 
 
 @dataclass(frozen=True)
@@ -91,6 +95,25 @@ class Config:
         """A ConfigError at the line of the key, or of the section header
         when key is None; line 0 when the file does not have it."""
         return ConfigError(self.path, self.lines.get((section, key), 0), message)
+
+    @contextmanager
+    def cited(self, name: str, required: bool = True):
+        """Yield section name's values, or {} if it is absent and not
+        required; a missing required section is refused at line 0.  A
+        ValueError raised while its parameter objects are built becomes a
+        ConfigError: a FieldError at the line of the key that sets its field
+        or coordinate, by that key if the value is not finite, and any other
+        at the line of the section's header."""
+        section = self.section(name)
+        if section is None and required:
+            raise self.error(name, None, f"missing [{name}] section")
+        try:
+            yield section or {}
+        except FieldError as err:
+            key = err.field if err.axis is None else _keys_of(err.field)["xyz".index(err.axis)]
+            raise self.error(name, key, f"{key} {err.rule}" if err.rule else str(err)) from None
+        except ValueError as err:
+            raise self.error(name, None, str(err)) from None
 
 
 def parse_config(text: str, path: str = "<config>") -> Config:
@@ -138,32 +161,15 @@ def load_config(path: str) -> Config:
         return parse_config(handle.read(), path)
 
 
-# ---------------------------------------------------------------------------
-# Builders: turn validated sections into module-level parameter objects.
-# [blockage] needs none: its section is BlockageConfig's keyword arguments.
-
-
-def _overrides(cls, section: dict[str, object]) -> dict[str, object]:
-    """The section's values for keys that name fields of dataclass cls."""
-    return {f.name: section[f.name] for f in fields(cls) if f.name in section}
-
-
 def gbsm_config(section: dict[str, object]) -> GbsmConfig:
-    base = GbsmConfig()
-    values = _overrides(GbsmConfig, section)
-    for name in _VECTORS:
-        keys = _vector_keys(name)
-        if any(key in section for key in keys):
-            default = astuple(getattr(base, name))
-            values[name] = Point3(*(section.get(k, d) for k, d in zip(keys, default)))
-    return replace(base, **values)
+    return build(GbsmConfig, section)
 
 
 def sounder_settings(
     section: dict[str, object],
 ) -> tuple[LinkBudget, MpcExtractionPolicy, float]:
-    budget = LinkBudget(**_overrides(LinkBudget, section))
-    policy = MpcExtractionPolicy(**_overrides(MpcExtractionPolicy, section))
+    budget = build(LinkBudget, section)
+    policy = build(MpcExtractionPolicy, section)
     band_fraction = float(section.get("band_fraction", DEFAULT_BAND_FRACTION))
     check_fields({"band_fraction": band_fraction}, BAND_FRACTION_RULE)  # before any capture
     return budget, policy, band_fraction

@@ -410,13 +410,10 @@ def _channel_fir(channel: Sequence[Mpc] | CirSnapshot, spec: WaveformSpec) -> np
                 "channel snapshot sample period does not match the waveform spec"
             )
         return np.asarray(channel.samples, dtype=np.complex128)
-    taps = np.zeros(1, dtype=np.complex128)
-    for mpc in channel:
-        bin_idx = int(round(mpc.delay_s * spec.sample_rate_hz))
-        if bin_idx >= taps.size:
-            taps = np.concatenate(
-                [taps, np.zeros(bin_idx + 1 - taps.size, dtype=np.complex128)]
-            )
+    # Sized once by the last bin; repeated bins sum in list order.
+    bins = [int(round(mpc.delay_s * spec.sample_rate_hz)) for mpc in channel]
+    taps = np.zeros(max(bins, default=0) + 1, dtype=np.complex128)
+    for bin_idx, mpc in zip(bins, channel):
         taps[bin_idx] += mpc.amplitude
     return taps
 

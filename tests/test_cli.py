@@ -138,10 +138,15 @@ class TestBlockage:
         assert main(["blockage", "--config", cfg, "--model", "all", "--out", str(out)]) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
-    def test_missing_section_exit_2(self, tmp_path, capsys):
-        cfg = write(tmp_path / "c.ini", "[gbsm]\nseed = 1\n")
-        assert main(["blockage", "--config", cfg, "--out", str(tmp_path / "x.csv")]) == 2
-        assert "missing [blockage]" in capsys.readouterr().err
+    @pytest.mark.parametrize("section, other", [("blockage", "[gbsm]\nseed = 1\n"),
+                                                ("gbsm", BLOCKAGE_INI)], ids=["blockage", "gbsm"])
+    def test_missing_section_exit_2(self, tmp_path, capsys, section, other):
+        # A required section the file lacks is cited at line 0.
+        cfg = write(tmp_path / "c.ini", other)
+        out = tmp_path / "x.out"
+        assert main([section, "--config", cfg, "--out", str(out)]) == 2
+        assert capsys.readouterr() == ("", f"error: {cfg}:0: missing [{section}] section\n")
+        assert not out.exists()
 
     def test_unknown_key_exit_2_with_line(self, tmp_path, capsys):
         cfg = write(tmp_path / "c.ini", "[blockage]\nscenaroi = crossing\n")
@@ -831,6 +836,18 @@ class TestSounder:
         _, stat_bumped = split_tables(bumped)
         delta = float(stat_bumped[0][2]) - float(stat_base[0][2])
         assert delta == pytest.approx(5.0, abs=1e-12)
+
+    def test_absent_sounder_section_keeps_the_defaults(self, tmp_path):
+        # No --config, a config without [sounder] and an empty [sounder]
+        # all run on the defaults.
+        rx, cal = make_captures(tmp_path)
+        outputs = []
+        for n, text in enumerate([None, GBSM_INI, "[sounder]\n"]):
+            config = [] if text is None else ["--config", write(tmp_path / f"{n}.ini", text)]
+            out = tmp_path / f"{n}.csv"
+            assert main(["sounder", "--rx", rx, "--cal", cal, *config, "--out", str(out)]) == 0
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1] == outputs[2]
 
     def test_zero_calibration_exit_2(self, tmp_path, capsys):
         rx, _ = make_captures(tmp_path)

@@ -1,6 +1,7 @@
 """Tests for strict INI configuration parsing."""
 
 import math
+from dataclasses import astuple, fields
 
 import numpy as np
 import pytest
@@ -8,17 +9,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chantool.blockage import BlockageConfig, Cylinder, Screen
-from chantool.cli import _cited
 from chantool.config import (
     SCHEMA,
+    Config,
     ConfigError,
-    field_key,
+    build,
     gbsm_config,
     parse_config,
     sounder_settings,
 )
-from chantool.core import FieldError, Point3
+from chantool.core import Point3
 from chantool.gbsm import GbsmConfig
+from chantool.sounder import DEFAULT_BAND_FRACTION, LinkBudget, MpcExtractionPolicy
 
 
 def float_keys():
@@ -50,8 +52,47 @@ CONFIG_LINES = st.one_of(
 
 # Each section's parameter objects, built from its parsed values as the
 # subcommand reading it builds them.
-BUILDERS = {"blockage": lambda s: BlockageConfig(**s), "gbsm": gbsm_config,
+BUILDERS = {"blockage": lambda s: build(BlockageConfig, s), "gbsm": gbsm_config,
             "sounder": sounder_settings}
+
+
+def default_values(section, *objects):
+    """Each key of section with the default that objects hold for it; a
+    Point3 field's three keys hold its coordinates."""
+    out = {}
+    for obj in objects:
+        for f in fields(obj):
+            value = getattr(obj, f.name)
+            if isinstance(value, Point3):
+                keys = [key for key in SCHEMA[section] if key.startswith(f"{f.name}_")]
+                out.update(zip(keys, astuple(value)))
+            else:
+                out[f.name] = value
+    return out
+
+
+DEFAULTS = {
+    "blockage": default_values("blockage", BlockageConfig()),
+    "gbsm": default_values("gbsm", GbsmConfig()),
+    "sounder": {"band_fraction": DEFAULT_BAND_FRACTION,
+                **default_values("sounder", LinkBudget(), MpcExtractionPolicy())},
+}
+
+
+def cited_key(section, given):
+    """The key at the line Config.cited cites when section's parameter
+    objects refuse its values, read from a file that sets each key of the
+    section on its own line, as given or else at its default.  A [blockage]
+    coordinate the scenario may sweep, None by default, is set only if given."""
+    assert set(DEFAULTS[section]) == set(SCHEMA[section])
+    values = {key: value for key, value in {**DEFAULTS[section], **given}.items()
+              if value is not None}
+    lines = {(section, key): n for n, key in enumerate([None, *values], start=1)}
+    cfg = Config("x.ini", {section: values}, lines)
+    with pytest.raises(ConfigError) as info, cfg.cited(section) as parsed:
+        BUILDERS[section](parsed)
+    return {n: key for (_, key), n in lines.items()}[info.value.line]
+
 
 # Keys of the int fields of GbsmConfig and MpcExtractionPolicy; every other
 # number key is a float.
@@ -177,8 +218,8 @@ class TestParsing:
         for raw in ("inf", "-inf", "nan", "1e999"):
             cfg = parse_config(f"[{section}]\n{key} = {raw}\n", "x.ini")
             assert not math.isfinite(cfg.section(section)[key])
-            with pytest.raises(ConfigError, match=r"^x\.ini:2: "), _cited(cfg, section):
-                BUILDERS[section](cfg.section(section))
+            with pytest.raises(ConfigError, match=r"^x\.ini:2: "), cfg.cited(section) as values:
+                BUILDERS[section](values)
 
     @pytest.mark.parametrize(
         "section, key",
@@ -243,13 +284,13 @@ class TestBuilders:
         assert cfg.n_tx == 1  # untouched default
 
     @pytest.mark.parametrize(
-        "kwargs, key",
+        "given, key",
         [
             ({"n_rx": 0}, "n_rx"),
             ({"rays_per_cluster": 0}, "rays_per_cluster"),
             ({"ray_delay_scale_s": 0.0}, "ray_delay_scale_s"),
-            ({"tx_velocity": Point3(0.0, 0.0, 1.0)}, "tx_velocity_z_mps"),
-            ({"rx_position": Point3(10.0, float("nan"), 1.5)}, "rx_position_y_m"),
+            ({"tx_velocity_z_mps": 1.0}, "tx_velocity_z_mps"),
+            ({"rx_position_y_m": float("nan")}, "rx_position_y_m"),
             # The coordinate the scenario sweeps: refused first, before the
             # size or carrier that the field rules would refuse.
             ({"scenario": "crossing", "lateral_offset_m": 0.0, "screen_width_m": -1.0},
@@ -259,12 +300,10 @@ class TestBuilders:
             ({"scenario": "diagonal"}, "scenario"),
         ],
     )
-    def test_field_refusal_names_its_key(self, kwargs, key):
+    def test_field_refusal_names_its_key(self, given, key):
         # The [blockage] cases name their scenario.
-        section = "blockage" if "scenario" in kwargs else "gbsm"
-        with pytest.raises(FieldError) as info:
-            {"gbsm": GbsmConfig, "blockage": BlockageConfig}[section](**kwargs)
-        assert field_key(info.value) == key
+        section = "blockage" if "scenario" in given else "gbsm"
+        assert cited_key(section, given) == key
         assert key in SCHEMA[section]
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf")], ids=["nan", "inf"])
@@ -273,11 +312,9 @@ class TestBuilders:
         [(s, k) for s, keys in SCHEMA.items() for k in keys if k != "scenario"],
     )
     def test_non_finite_value_refused_by_its_type_names_its_key(self, section, key, value):
-        # The key's own type refuses it with a FieldError naming the key, in
-        # every section.
-        with pytest.raises(FieldError) as info:
-            BUILDERS[section]({key: value})
-        assert field_key(info.value) == key
+        # The key's own type refuses it, and the refusal cites the key's
+        # line, in every section.
+        assert cited_key(section, {key: value}) == key
 
     def test_sounder_builder(self):
         section = parse_config(GOOD, "demo.ini").section("sounder")

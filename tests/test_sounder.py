@@ -507,6 +507,22 @@ class TestCaptureRoundTrip:
         assert np.allclose(rx_a, rx_b, atol=1e-15)
         assert np.array_equal(cal_a, cal_b)
 
+    def test_unordered_and_repeated_delays_sum_per_bin(self):
+        # Paths in any order, two of them in bin 45: the channel is the
+        # snapshot whose bins hold the sums of their paths' amplitudes.
+        spec = SMALL_SPEC
+        fs = spec.sample_rate_hz
+        mpcs = [make_mpc(45 / fs, -8.0, phase=1.1), make_mpc(10 / fs, 0.0),
+                make_mpc(45.2 / fs, -3.0, phase=2.0)]
+        taps = np.zeros(46, dtype=complex)
+        taps[10] = mpcs[1].amplitude
+        taps[45] = mpcs[0].amplitude + mpcs[2].amplitude
+        snap = CirSnapshot(sample_period_s=1.0 / fs, samples=taps)
+        rx_a, cal_a = simulate_capture(mpcs, spec)
+        rx_b, cal_b = simulate_capture(snap, spec)
+        assert np.array_equal(rx_a, rx_b)
+        assert np.array_equal(cal_a, cal_b)
+
     def test_snapshot_sample_period_mismatch(self):
         snap = CirSnapshot(sample_period_s=1e-9, samples=np.ones(3))
         with pytest.raises(ValueError, match="sample period"):
