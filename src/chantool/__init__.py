@@ -23,7 +23,8 @@ _EXPORTS = {
     "core": ("BAND_28", "BAND_32", "BAND_39", "DB_FLOOR", "SPEED_OF_LIGHT", "CirSnapshot",
              "FrequencyBand", "Mpc", "Point3", "derive_substream", "from_db",
              "pdp_from_cir", "to_db"),
-    "gbsm": ("CirSequence", "GbsmConfig", "SizingError", "run_scenario"),
+    "gbsm": ("CirSequence", "CirStream", "GbsmConfig", "SizingError", "run_scenario",
+             "stream_scenario"),
     "pathloss": ("AbgModel", "CiModel", "abg_eval", "abg_fit", "ci_eval",
                  "ci_fit", "ci_preset", "sample_columns"),
     "sounder": ("Calibration", "LinkBudget", "MpcExtractionPolicy", "WaveformSpec",

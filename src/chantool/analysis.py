@@ -20,23 +20,23 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from chantool.core import DB_FLOOR, check_fields, from_db
+from chantool.core import DB_FLOOR, check_fields
 from chantool.gbsm import SizingError
 from chantool.sounder import MpcExtractionPolicy, peak_candidates
 from chantool.sounder import extract_mpcs  # noqa: F401  (perfbench/tracing.py wraps it here)
 
 
 # Byte ceiling on the float64 (snapshots, snapshots) correlation matrix, and
-# through it on the matrix text.  pdp_correlation_matrix holds one such
-# matrix plus its (snapshots, bins) inputs.  analyze then cuts the matrix's
-# upper triangle into the text's row blocks, half its bytes, and drops the
-# matrix, so the peak is that hand-off, 1.5 matrices.  The text formats
-# each distinct value of a row once, and the tokens it keeps for later
-# rows, 24 bytes each and at most n^2/4 of them (6n^2 bytes), wait beside
-# the blocks not yet written, near one matrix at most.  So this one budget
-# bounds both.  Both grow as n^2: 256 MiB admits about 5800 snapshots
-# (roughly 0.38 GiB of peak memory and 0.7 GB of text) and refuses a
-# larger count up front.
+# through it on the matrix text.  analyze correlates with the matrix beside
+# one (snapshots, bins) float64 array of profiles, its peak.  It then cuts
+# the matrix's upper triangle into the text's row blocks from the last row
+# upward, shrinking the matrix after each cut, so the two together stay
+# near one matrix.  The text formats each distinct value of a row once, and
+# the tokens it keeps for later rows, 24 bytes each and at most n^2/4 of
+# them (6n^2 bytes), wait beside the blocks not yet written, near one
+# matrix at most.  So this one budget bounds both.  Both grow as n^2: 256
+# MiB admits about 5800 snapshots (roughly 0.28 GiB of peak memory and
+# 0.7 GB of text) and refuses a larger count up front.
 MAX_CORR_BYTES = 1 << 28
 
 
@@ -65,8 +65,12 @@ class CorrelationMatrix:
         object.__setattr__(self, "values", values)
         if values.ndim != 2 or values.shape[0] != values.shape[1]:
             raise ValueError(f"values must be a square matrix, got shape {values.shape}")
-        # One comparison; its temporary is an n^2 bool array, 1/8 of the matrix.
-        if not np.array_equal(values, values.T):
+        # Compared in strips of n/32 rows, so no n^2 temporary is made.
+        k = max(1, len(values) // 32)
+        if not all(
+            np.array_equal(values[a : a + k], values[:, a : a + k].T)
+            for a in range(0, len(values), k)
+        ):
             raise ValueError("correlation matrix must be exactly symmetric")
         if np.abs(np.diag(values) - 1.0).max() > 1e-12:
             raise ValueError("correlation matrix diagonal must be 1")
@@ -87,21 +91,27 @@ class StationaryReport:
     threshold: float
 
 
-def pdp_correlation_matrix(pdp_db: np.ndarray) -> CorrelationMatrix:
+def pdp_correlation_matrix(pdp_db: np.ndarray, overwrite_pdp: bool = False) -> CorrelationMatrix:
     """Pearson correlation of linear-power PDPs, all pairs of rows.
 
     pdp_db is a (snapshots, delay bins) array in dB, as pdp_from_cir gives
-    for a (time, delay) block of CIR samples.  Degenerate constant vectors
-    correlate 1 with other constants and 0 with everything else.
+    for a (time, delay) block of CIR samples.  With overwrite_pdp, a float64
+    pdp_db is turned into the normalised profiles in place, and its values
+    are garbage afterwards; so the matrix is the one large array allocated.
+    Degenerate constant vectors correlate 1 with other constants and 0 with
+    everything else.
     """
     if np.ndim(pdp_db) != 2:
         raise ValueError(f"PDPs must be 2-D (snapshots, bins), got {np.ndim(pdp_db)}-D")
     if len(pdp_db) < 2:
         raise ValueError("need at least 2 PDPs")
     check_correlation_size(len(pdp_db))
-    # x is centred and scaled in place: the same values as new arrays would
-    # hold, without two more (snapshots, bins) temporaries.
-    x = from_db(pdp_db)
+    # x is made linear, centred and scaled in place: the same values as new
+    # arrays would hold (from_db's 10 ** (x / 10) among them), without more
+    # (snapshots, bins) temporaries.
+    x = np.asarray(pdp_db, dtype=float) if overwrite_pdp else np.array(pdp_db, dtype=float)
+    np.divide(x, 10.0, out=x)
+    np.power(10.0, x, out=x)
     # Constant rows are found before centring, which can leave rounding
     # residue in them (a row of 0.3s over 205 bins).
     constant = (x == x[:, :1]).all(axis=1)
@@ -144,6 +154,7 @@ def los_power_track(
     t0_s: float,
     dt_s: float,
     policy: MpcExtractionPolicy | None = None,
+    start: int = 0,
 ) -> list[tuple[float, float]]:
     """Power of the strongest path inside the earliest-arriving 3-bin
     window, per row of a (time, delay) block of CIR samples.
@@ -152,7 +163,8 @@ def los_power_track(
     first path f and f + 2 when that bin is a path (f + 1 never is), and a
     path's level is 20 log10|s|, bitwise Mpc.power_db.  Rows with no
     detectable paths report the dB floor.  Row t_idx lies at time
-    t0_s + dt_s * t_idx.
+    t0_s + dt_s * (start + t_idx), so a block of rows from start gives the
+    whole array's track for them: every step is row by row.
     """
     if len(samples) < 1:
         raise ValueError("samples are empty")
@@ -165,7 +177,7 @@ def los_power_track(
     in_window = np.stack([mask[rows, first], mask[rows, third] & (third > first)], axis=1)
     amplitudes = np.stack([samples[rows, first], samples[rows, third]], axis=1)
     track = []
-    for t_idx, (paths, amps) in enumerate(zip(in_window.tolist(), amplitudes.tolist())):
+    for t_idx, (paths, amps) in enumerate(zip(in_window.tolist(), amplitudes.tolist()), start):
         levels = (20.0 * math.log10(abs(s)) for s, path in zip(amps, paths) if path)
         track.append((t0_s + dt_s * t_idx, max(levels, default=DB_FLOOR)))
     return track

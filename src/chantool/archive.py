@@ -11,11 +11,12 @@ bytes, and only n_time may be 0.  Values must be finite and are stored at
 float32 precision (about -150 dB quantization noise); the header's times,
 the last snapshot's t0_s + dt_s * (n_time - 1) and the last delay bin's
 sample_period_s * (n_delay - 1) must be finite, and both spacings positive.
-Files are written in blocks of whole time steps of about BLOCK_BYTES.
-open_archive checks every size against the file before the payload, then
-yields it in such blocks through one reused <c8 buffer; read_archive
-collects them into complex128.  staged holds the output rule of every
-file the command line writes, archives and text alike.
+Files are written in blocks of whole time steps of about BLOCK_BYTES, from
+a whole sequence or from a stream's blocks as they are made.  open_archive
+checks every size against the file before the payload, then yields it in
+such blocks through one reused <c8 buffer; read_archive collects them into
+complex128.  staged holds the output rule of every file the command line
+writes, archives and text alike.
 
 Raw capture waveforms reuse the same container with n_tx = n_rx = 1 and
 the sample axis in the delay slot.
@@ -33,7 +34,7 @@ from typing import BinaryIO, NamedTuple
 
 import numpy as np
 
-from chantool.gbsm import CirSequence
+from chantool.gbsm import CirSequence, CirStream
 
 MAGIC = b"CIRB"
 VERSION = 1
@@ -123,22 +124,35 @@ def _finite(block: np.ndarray, t: int, path: str) -> np.ndarray:
     return block
 
 
-def write_archive(path: str, seq: CirSequence) -> int:
-    """Serialize a sequence; returns the byte count written."""
-    n_time, n_tx, n_rx, n_delay = seq.cir.shape
+def write_archive(path: str, seq: CirSequence | CirStream) -> int:
+    """Serialize a sequence, or a stream's blocks as they come; returns the
+    byte count written.  The shape and times are checked and the file is
+    staged before the first block is pulled, so a refused path costs no
+    block; each block is written in pieces of at most BLOCK_BYTES."""
+    if isinstance(seq, CirSequence):  # its cube is the one block
+        seq = CirStream(seq.t0_s, seq.dt_s, seq.sample_period_s, seq.cir.shape, iter([seq.cir]))
+    n_time, n_tx, n_rx, n_delay = seq.shape
     if not 1 <= n_tx <= MAX_ANTENNAS or not 1 <= n_rx <= MAX_ANTENNAS:
         raise ArchiveError(f"antenna counts {n_tx}x{n_rx} do not fit the format")
     if n_time >= 2**32 or not 1 <= n_delay < 2**32:
         raise ArchiveError(f"time x delay {n_time}x{n_delay} does not fit the format")
     times = seq.sample_period_s, seq.t0_s, seq.dt_s
-    ArchiveHeader(seq.cir.shape, *times).check_times(path)
+    ArchiveHeader(seq.shape, *times).check_times(path)
     header = _HEADER.pack(MAGIC, VERSION, n_time, n_tx, n_rx, n_delay, *times)
     step = max(1, BLOCK_BYTES // (8 * n_tx * n_rx * n_delay))
     with staged([path]) as (handle,):
         handle.write(header)
-        for t in range(0, n_time, step):
-            handle.write(_finite(seq.cir[t : t + step].astype("<c8", order="C"), t, path))
-    return _HEADER.size + 8 * seq.cir.size
+        t = 0
+        for block in seq.blocks:
+            if block.shape[1:] != seq.shape[1:] or t + len(block) > n_time:
+                raise ArchiveError(f"{path}: block {block.shape} at step {t} overruns {seq.shape}")
+            for start in range(0, len(block), step):
+                piece = block[start : start + step].astype("<c8", order="C")
+                handle.write(_finite(piece, t + start, path))
+            t += len(block)
+        if t != n_time:
+            raise ArchiveError(f"{path}: the blocks ended after {t} of {n_time} time steps")
+    return _HEADER.size + 8 * math.prod(seq.shape)
 
 
 @contextmanager

@@ -41,7 +41,6 @@ from chantool.analysis import (
 from chantool.archive import (
     MAX_ANTENNAS,
     ArchiveError,
-    ArchiveHeader,
     atomic_write_text,
     open_archive,
     read_archive,  # noqa: F401  (perfbench/tracing.py wraps cli.read_archive)
@@ -50,8 +49,12 @@ from chantool.archive import (
 )
 from chantool.blockage import MODELS, BlockageConfig, sweep_blocker
 from chantool.config import build, gbsm_config, load_config, parse_config, sounder_settings
-from chantool.core import CirSnapshot, check_fields, pdp_from_cir
-from chantool.gbsm import SizingError, run_scenario
+from chantool.core import CirSnapshot, check_fields, levels_db
+from chantool.gbsm import (
+    SizingError,
+    run_scenario,  # noqa: F401  (perfbench/tracing.py wraps cli.run_scenario)
+    stream_scenario,
+)
 from chantool.pathloss import (
     FitOverflowError,
     RankDeficientError,
@@ -195,13 +198,16 @@ def cmd_gbsm(args) -> int:
         gcfg = gbsm_config(section)
         limit = f"at most {MAX_ANTENNAS}, the archive's limit"
         check_fields(gcfg, (limit, lambda v: v <= MAX_ANTENNAS, ("n_tx", "n_rx")))
-    # Extreme values can overflow synthesis to inf or NaN; write_archive
-    # refuses such a cube, and numpy's warnings would only precede that line.
+    # The evolution runs and the run is sized here; write_archive stages
+    # --out before it pulls the first block, so a refused path costs no
+    # synthesis, and each block is written as it is made.  Extreme values
+    # can overflow synthesis to inf or NaN; write_archive refuses such a
+    # block, and numpy's warnings would only precede that line.
     with np.errstate(over="ignore", invalid="ignore"):
-        seq = run_scenario(gcfg)
-    size = write_archive(args.out, seq)
+        run = stream_scenario(gcfg)
+        size = write_archive(args.out, run)
     print(
-        f"{seq.n_time} snapshots, mean clusters {seq.mean_cluster_count:.3f}, "
+        f"{run.n_time} snapshots, mean clusters {run.mean_cluster_count:.3f}, "
         f"{size} bytes"
     )
     return EXIT_OK
@@ -252,28 +258,51 @@ def cmd_sounder(args) -> int:
     return EXIT_OK
 
 
-def _read_pair(path: str) -> tuple[ArchiveHeader, np.ndarray]:
-    """The header and pair (0, 0) of an archive of at least 2 snapshots, as a
-    (time, delay) complex128 array; no other pair is decoded, and no payload
-    at all if the snapshot count would overrun the correlation's byte budget."""
+# analyze decodes each archive block in strips of about this many bytes of
+# complex128, so each strip's temporaries, its copy and the LOS search's,
+# fit where the heap reuses them: whole 1 MiB blocks left about 2 MB more
+# resident beside the correlation matrix on 1500 snapshots of 205 bins.
+DECODE_STRIP_BYTES = 1 << 18
+
+
+def _read_pair(path: str, los: bool) -> tuple[np.ndarray, list[tuple[float, float]]]:
+    """The |s|^2 of pair (0, 0) of an archive of at least 2 snapshots, as
+    one (time, delay) float64 array, and with los its LOS track, decoded one
+    archive block at a time: no other pair is decoded, and no payload at
+    all if the snapshot count would overrun the correlation's byte budget."""
     with open_archive(path) as (header, blocks):
         if header.shape[0] < 2:
             raise ArchiveError(f"{path}: need at least 2 snapshots to analyze")
         check_correlation_size(header.shape[0])
-        samples = np.empty((header.shape[0], header.shape[3]), dtype=np.complex128)
+        power = np.empty((header.shape[0], header.shape[3]))
+        track = []
+        strip = max(1, DECODE_STRIP_BYTES // (16 * header.shape[3]))
         for t, block in blocks:
-            samples[t : t + len(block)] = block[:, 0, 0]
-    return header, samples
+            for a in range(0, len(block), strip):
+                samples = block[a : a + strip, 0, 0].astype(np.complex128)
+                rows = power[t + a : t + a + len(samples)]
+                np.abs(samples, out=rows)
+                np.square(rows, out=rows)
+                if los:
+                    track += los_power_track(samples, header.t0_s, header.dt_s, start=t + a)
+    return power, track
 
 
-def upper_row_blocks(values: np.ndarray) -> list[np.ndarray]:
-    """The upper triangle of a square matrix in the row blocks that
-    symmetric_matrix_rows writes: values[a:a+k, a:] for each a, k = n/32
-    (at least 1), each a copy, so the matrix can be dropped once they are
-    cut.  Together they take about half the matrix's bytes."""
+def upper_row_blocks(held: list[np.ndarray]) -> list[np.ndarray]:
+    """The upper triangle of the square matrix that held holds, in the row
+    blocks that symmetric_matrix_rows writes: values[a:a+k, a:] for each a,
+    k = n/32 (at least 1), each a copy.  The matrix is taken out of held,
+    so that its one reference is here, and cut from the last block upward;
+    after each cut ndarray.resize drops the rows cut, so the matrix and the
+    blocks together stay near the matrix's own bytes."""
+    values = held.pop()
     n = len(values)
     k = max(1, n // 32)
-    return [values[a : a + k, a:].copy() for a in range(0, n, k)]
+    blocks = []
+    for a in reversed(range(0, n, k)):
+        blocks.append(values[a : a + k, a:].copy())
+        values.resize((a, n))
+    return blocks[::-1]
 
 
 def symmetric_matrix_rows(blocks: list[np.ndarray]):
@@ -332,22 +361,22 @@ def cmd_analyze(args) -> int:
     paths = [args.out] + [f"{stem}_{name}{ext or '.csv'}" for name in names[1:]]
     with staged(paths) as handles:
         out = dict(zip(names, handles))
-        header, samples = _read_pair(args.archive)
-        if "los" in out:
-            track = los_power_track(samples, header.t0_s, header.dt_s)
-        pdp_db = pdp_from_cir(samples)
-        del samples  # so the correlation and the matrix text run without them
-        corr = pdp_correlation_matrix(pdp_db)
-        del pdp_db
+        power, track = _read_pair(args.archive, "los" in out)
+        # |s|^2 becomes the PDPs in dB where it lies, and the correlation
+        # makes it linear again in place: beside the matrix it is the one
+        # (snapshots, bins) array.
+        corr = pdp_correlation_matrix(levels_db(power), overwrite_pdp=True)
+        del power
         if "intervals" in out:
             report = stationary_intervals(corr, threshold)
             rows = [f"{start},{end}\n" for start, end in report.intervals]
             out["intervals"].write("".join(["start_index,end_index\n", *rows]).encode())
-        # The text reads only the upper triangle, so the matrix is dropped
-        # once that is cut: it never waits beside the text's tokens.
-        blocks = upper_row_blocks(corr.values)
+        # The text reads only the upper triangle, so the matrix is handed
+        # over and shrinks as its row blocks are cut: it never waits beside
+        # the text's tokens, nor beside half of itself.
+        held = [corr.values]
         del corr
-        out["corr"].writelines(symmetric_matrix_rows(blocks))
+        out["corr"].writelines(symmetric_matrix_rows(upper_row_blocks(held)))
         if "los" in out:
             rows = [f"{_fmt(t)},{_fmt(level)}\n" for t, level in track]
             out["los"].write("".join(["t_s,power_db\n", *rows]).encode())

@@ -56,22 +56,23 @@ def check_fields(obj, *rules) -> None:
 
 def to_db(linear: np.ndarray | float) -> np.ndarray | float:
     """10*log10 with exact zeros clamped to DB_FLOOR."""
-    arr = np.asarray(linear, dtype=float)
-    positive = arr > 0.0
-    return _levels_db(positive, arr[positive])
-
-
-def _levels_db(positive: np.ndarray, values: np.ndarray) -> np.ndarray | float:
-    """to_db of an array whose positive entries, in order, are `values`: one
-    contiguous log10 call turns that fresh array into levels in place, and
-    the output is the only other array of the full size."""
-    np.log10(values, out=values)
-    np.multiply(values, 10.0, out=values)
-    out = np.full(positive.shape, DB_FLOOR)
-    out[positive] = values
+    out = levels_db(np.array(linear, dtype=float))
     if out.ndim == 0:
         return float(out)
     return out
+
+
+def levels_db(power: np.ndarray) -> np.ndarray:
+    """to_db of a float64 array, written over it and returned: one contiguous
+    log10 call turns a fresh array of its positive entries into levels in
+    place, and that is the only other array of the full size."""
+    positive = power > 0.0
+    values = power[positive]
+    np.log10(values, out=values)
+    np.multiply(values, 10.0, out=values)
+    power.fill(DB_FLOOR)
+    power[positive] = values
+    return power
 
 
 def from_db(level_db: np.ndarray | float) -> np.ndarray | float:
@@ -180,13 +181,9 @@ class Mpc:
 def pdp_from_cir(samples: np.ndarray) -> np.ndarray:
     """Power delay profile 10*log10(|s|^2) in dB (zero bins at DB_FLOOR) along
     the delay axis, the last; a (time, delay) block gives one PDP per row."""
-    power = np.asarray(np.abs(samples))  # a fresh array, squared where it lies
+    power = np.asarray(np.abs(samples))  # a fresh array, squared and leveled where it lies
     np.square(power, out=power)
-    power = power.astype(float, copy=False)
-    positive = power > 0.0
-    values = power[positive]
-    del power  # freed before the output is allocated
-    return _levels_db(positive, values)
+    return levels_db(power.astype(float, copy=False))
 
 
 def _substream_key(seed: int, label: str, index: int) -> list[int]:

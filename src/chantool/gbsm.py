@@ -9,28 +9,35 @@ deterministic under the configured seed.
 
 Each step's clusters are one record array (cluster_dtype): a record per
 live cluster holding its id, delay, power, birth weight and a RAY_DTYPE
-subarray of its rays.  run_scenario makes two passes.  The first evolves a
+subarray of its rays.  A run makes two passes.  The first evolves a
 run-level table holding each cluster's record once, cut into segments of
 steps whose live clusters do not change, with a delay row per step.  The
 second synthesizes each segment in time blocks, one synthesize_snapshot
-call over (step, tx, rx, ray).  The cube is byte for byte what calling
-init_clusters, evolve_clusters and synthesize_snapshot once a step gives.
+call over (step, tx, rx, ray).  stream_scenario runs the first and yields
+the second's blocks as they are made, so its memory does not grow with the
+step count beyond the table's delay rows; run_scenario collects them into
+one cube.  That cube is byte for byte what calling init_clusters,
+evolve_clusters and synthesize_snapshot once a step gives.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
 from chantool.core import CARRIER_RULE, SPEED_OF_LIGHT, CirSnapshot, FieldError, FrequencyBand
 from chantool.core import Point3, check_fields, derive_substream, reset_substream
 
-# Byte ceiling on each of run_scenario's allocations, which _budget refuses
-# before they are made: the complex128 (time, tx, rx, delay) cube, the run's
-# cluster table, each cluster draw and one step's synthesis temporaries.
+# Byte ceiling on each of a run's allocations, which _budget refuses before
+# they are made: the run's cluster table, each cluster draw and one step's
+# synthesis temporaries.  It also bounds the complex128 (time, tx, rx, delay)
+# cube, which run_scenario allocates and stream_scenario never does: there
+# it bounds the run's size, twice the archive the command line writes.
 MAX_CIR_BYTES = 2 << 30
 
 # One step's synthesis temporaries, from tracemalloc peaks of one
@@ -38,7 +45,7 @@ MAX_CIR_BYTES = 2 << 30
 # (the LOS or a ray; 65.6 at 8x8), and 32.0-32.4 B per pair and delay bin.
 SYNTH_BYTES_PER_TERM, SYNTH_BYTES_PER_BIN = 168, 33
 
-# run_scenario synthesizes blocks of steps whose temporaries, by that bound,
+# A run synthesizes blocks of steps whose temporaries, by that bound,
 # stay under this many bytes (or one step's): inside MAX_CIR_BYTES, and below
 # where glibc trims the heap after each block (1 MiB cost a 4x4 run 9x the faults).
 BLOCK_BYTES = 512 << 10
@@ -340,6 +347,23 @@ class CirSequence:
         return CirSnapshot(self.sample_period_s, self.cir[t_idx, tx_idx, rx_idx])
 
 
+class CirStream(NamedTuple):
+    """A CirSequence whose cube comes as it is made: its (time, tx, rx,
+    delay) shape, and an iterator, consumed once, of complex128 blocks of
+    consecutive time steps whose lengths sum to shape[0]."""
+
+    t0_s: float
+    dt_s: float
+    sample_period_s: float
+    shape: tuple[int, int, int, int]
+    blocks: Iterator[np.ndarray]
+    mean_cluster_count: float = math.nan
+
+    @property
+    def n_time(self) -> int:
+        return self.shape[0]
+
+
 def _evolution(cfg: GbsmConfig, n_steps: int) -> tuple[np.ndarray, list[tuple]]:
     """Pass 1: the cluster table, one record per cluster drawn at the row of
     its id, and (live ids, next id, a delay row per step) for each segment of
@@ -364,10 +388,12 @@ def _evolution(cfg: GbsmConfig, n_steps: int) -> tuple[np.ndarray, list[tuple]]:
     return np.concatenate(drawn), segments
 
 
-def run_scenario(cfg: GbsmConfig) -> CirSequence:
-    """Full deterministic run: the cluster evolution (pass 1), then each
-    segment synthesized in blocks of steps, one synthesize_snapshot call per
-    block, onto a delay grid sized once for the whole run (pass 2).
+def stream_scenario(cfg: GbsmConfig) -> CirStream:
+    """Full deterministic run: the cluster evolution (pass 1) runs here,
+    and the stream's blocks are pass 2, each segment synthesized in blocks
+    of steps, one synthesize_snapshot call per block, onto a delay grid
+    sized once for the whole run.  No block is made before the first is
+    pulled.
 
     The step count and the grids are floats until _budget has passed them,
     so a size that overflows is refused like one that is merely too large.
@@ -402,15 +428,27 @@ def run_scenario(cfg: GbsmConfig) -> CirSequence:
     _budget(temps, f"synthesizing {rays} rays on {n_bins} delay bins for {pairs} antenna pairs")
     block = max(1, int(BLOCK_BYTES // temps))
 
-    cir = np.zeros((int(steps), cfg.n_tx, cfg.n_rx, n_bins), dtype=np.complex128)
-    t_idx = 0
-    for live, next_id, delays in segments:
-        state = ClusterState(_normalized(table[live]), next_id)
-        for rows in np.split(delays, range(block, len(delays), block)):
-            times = np.arange(t_idx, t_idx + len(rows)) * dt
-            cir[t_idx:t_idx + len(rows)] = synthesize_snapshot(state, cfg, times, n_bins, rows)
-            t_idx += len(rows)
+    def blocks() -> Iterator[np.ndarray]:
+        t_idx = 0
+        for live, next_id, delays in segments:
+            state = ClusterState(_normalized(table[live]), next_id)
+            for rows in np.split(delays, range(block, len(delays), block)):
+                times = np.arange(t_idx, t_idx + len(rows)) * dt
+                yield synthesize_snapshot(state, cfg, times, n_bins, rows)
+                t_idx += len(rows)
 
     # The count sum is exact, so this is bitwise the mean over steps.
     mean_count = sum(live.size * len(delays) for live, _, delays in segments) / steps
-    return CirSequence(0.0, dt, cfg.delay_resolution_s, cir, mean_count)
+    shape = (int(steps), cfg.n_tx, cfg.n_rx, n_bins)
+    return CirStream(0.0, dt, cfg.delay_resolution_s, shape, blocks(), mean_count)
+
+
+def run_scenario(cfg: GbsmConfig) -> CirSequence:
+    """stream_scenario's run, its blocks collected into one cube."""
+    run = stream_scenario(cfg)
+    cir = np.empty(run.shape, dtype=np.complex128)
+    t_idx = 0
+    for block in run.blocks:
+        cir[t_idx : t_idx + len(block)] = block
+        t_idx += len(block)
+    return CirSequence(run.t0_s, run.dt_s, run.sample_period_s, cir, run.mean_cluster_count)

@@ -19,7 +19,7 @@ from chantool.archive import (
     read_archive,
     write_archive,
 )
-from chantool.gbsm import CirSequence
+from chantool.gbsm import CirSequence, CirStream
 
 
 def make_sequence(shape=(3, 2, 4, 16), seed=0, dt=1e-3, period=1.0 / 1.28e9):
@@ -83,6 +83,52 @@ class TestRoundTrip:
         back = read_archive(path)
         assert back.cir.shape == shape
         assert np.array_equal(back.cir, seq.cir.astype(np.complex64))
+
+
+def streamed(seq, lengths):
+    """seq as a CirStream of blocks of the given time lengths."""
+    cuts = np.cumsum(lengths)[:-1]
+    times = seq.t0_s, seq.dt_s, seq.sample_period_s
+    return CirStream(*times, seq.cir.shape, iter(np.split(seq.cir[: sum(lengths)], cuts)))
+
+
+class TestStreamedWrite:
+    @pytest.mark.parametrize(
+        "lengths", [(1000,), (1, 999), (7,) * 142 + (6,), (500, 0, 500)],
+        ids=["one", "one-then-the-rest", "sevens-short-last", "empty-between"],
+    )
+    def test_blocks_write_the_sequence_bytes(self, tmp_path, lengths):
+        seq = make_sequence(shape=(1000, 1, 1, 300), seed=6)
+        whole, parts = str(tmp_path / "whole.cirb"), str(tmp_path / "parts.cirb")
+        assert write_archive(parts, streamed(seq, lengths)) == write_archive(whole, seq)
+        with open(whole, "rb") as a, open(parts, "rb") as b:
+            assert a.read() == b.read()
+
+    def test_refused_path_pulls_no_block(self, tmp_path):
+        def no_blocks():
+            raise AssertionError("a block was pulled")
+            yield
+
+        seq = make_sequence()
+        run = CirStream(seq.t0_s, seq.dt_s, seq.sample_period_s, seq.cir.shape, no_blocks())
+        with pytest.raises(FileNotFoundError):
+            write_archive(str(tmp_path / "missing" / "x.cirb"), run)
+
+    @pytest.mark.parametrize(
+        "n_time, n_delay, lengths, message",
+        [(3, 16, (2,), "blocks ended after 2 of 3 time steps"),
+         (2, 16, (2, 1), r"block \(1, 2, 4, 16\) at step 2 overruns \(2, 2, 4, 16\)"),
+         (3, 15, (3,), r"block \(3, 2, 4, 16\) at step 0 overruns \(3, 2, 4, 15\)")],
+        ids=["ends-early", "runs-past-n_time", "wrong-delay-count"],
+    )
+    def test_blocks_that_miss_the_shape_leave_no_file(
+        self, tmp_path, n_time, n_delay, lengths, message
+    ):
+        run = streamed(make_sequence(shape=(3, 2, 4, 16)), lengths)
+        run = run._replace(shape=(n_time, 2, 4, n_delay))
+        with pytest.raises(ArchiveError, match=message):
+            write_archive(str(tmp_path / "x.cirb"), run)
+        assert os.listdir(tmp_path) == []
 
 
 class TestValidation:

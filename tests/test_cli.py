@@ -50,6 +50,28 @@ def run_child(*args, blas_env=(("OPENBLAS_NUM_THREADS", "1"), ("OMP_NUM_THREADS"
                           capture_output=True, text=True, timeout=120)
 
 
+# A cold run of main(argv) that prints its exit code and its peak RSS in
+# KiB.  The peak is VmHWM, its own address space's high-water mark:
+# ru_maxrss also keeps that of the process it was spawned from, which exec
+# carries over, so there it would read the test process's peak.
+HWM_CHILD = (
+    "import sys\n"
+    "from chantool.cli import main\n"
+    "code = main(sys.argv[1:])\n"
+    "[hwm] = [line for line in open('/proc/self/status') if line.startswith('VmHWM:')]\n"
+    "print(code, hwm.split()[1])\n"
+)
+
+
+def cold_peak_kib(*argv):
+    """The VmHWM in KiB of a cold run of main(argv) that exits 0."""
+    proc = run_child("-c", HWM_CHILD, *argv)
+    assert proc.returncode == 0, proc.stderr
+    code, peak_kib = map(int, proc.stdout.split()[-2:])  # after what main printed
+    assert code == 0
+    return peak_kib
+
+
 def poke_nan(path, step):
     """Overwrite the first real part of time step `step` with a float32 NaN."""
     with open(path, "r+b") as handle:
@@ -513,6 +535,33 @@ class TestGbsm:
         assert main(["gbsm", "--config", alone, "--out", p2]) == 0
         assert open(p1, "rb").read() == open(p2, "rb").read()
 
+    def test_unwritable_out_exit_2_before_any_synthesis(self, tmp_path, capsys, monkeypatch):
+        # The archive is staged after the evolution, before the first block
+        # is synthesized, so a path in a missing directory costs no synthesis.
+        def no_synthesis(*args):
+            raise AssertionError("synthesis ran")
+
+        monkeypatch.setattr(gbsm, "synthesize_snapshot", no_synthesis)
+        cfg = write(tmp_path / "g.ini", GBSM_INI)
+        out = tmp_path / "missing" / "x.cirb"
+        assert main(["gbsm", "--config", cfg, "--out", str(out)]) == 2
+        assert capsys.readouterr() == ("", f"error: [Errno 2] No such file or directory: '{out}'\n")
+        assert os.listdir(tmp_path) == ["g.ini"]
+
+    @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmHWM")
+    def test_peak_rss_independent_of_step_count(self, tmp_path):
+        # Cold 1x1 runs of N and 10N steps: each block is written as it is
+        # synthesized, so the child's peak grows far less than the complex128
+        # cube of the longer run (twice its archive), which a run that kept
+        # the cube grew by (0.99 of it measured; 0.02 streamed).
+        peaks_kib = []
+        for steps in (2000, 20000):
+            cfg = write(tmp_path / f"{steps}.ini", f"[gbsm]\nduration_s = {steps * 62.5e-6!r}\n")
+            out = tmp_path / f"{steps}.cirb"
+            peaks_kib.append(cold_peak_kib("gbsm", "--config", cfg, "--out", str(out)))
+        cube = 2 * (os.path.getsize(out) - 40)
+        assert 1024 * (peaks_kib[1] - peaks_kib[0]) <= 0.1 * cube, peaks_kib
+
     def test_seed_flag_refused(self, tmp_path, capsys):
         # The seed comes from [gbsm] seed alone.
         cfg = write(tmp_path / "g.ini", GBSM_INI)
@@ -530,7 +579,7 @@ class TestGbsm:
         def no_run(gcfg):
             raise AssertionError("scenario ran")
 
-        monkeypatch.setattr(cli, "run_scenario", no_run)
+        monkeypatch.setattr(cli, "stream_scenario", no_run)
         cfg = write(tmp_path / "g.ini", f"[gbsm]\nduration_s = 0.00625\n{key} = 256\n")
         out = tmp_path / "x.cirb"
         assert main(["gbsm", "--config", cfg, "--out", str(out)]) == 2
@@ -544,7 +593,7 @@ class TestGbsm:
         def no_run(gcfg):
             raise AssertionError("scenario ran")
 
-        monkeypatch.setattr(cli, "run_scenario", no_run)
+        monkeypatch.setattr(cli, "stream_scenario", no_run)
         text = "[gbsm]\nduration_s = 0.00625\nrays_per_cluster = 100000000\n"
         cfg = write(tmp_path / "g.ini", text)
         out = tmp_path / "x.cirb"
@@ -953,30 +1002,16 @@ class TestSounder:
     @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmHWM")
     def test_peak_rss_independent_of_capture_count(self, tmp_path):
         # Cold runs on N and 10N captures: the child's peak RSS grows far
-        # less than the added captures would take as complex128.  The peak
-        # is VmHWM, its own address space's high-water mark: ru_maxrss also
-        # keeps that of the process it was spawned from, which exec carries
-        # over, so here it would read this test process's peak.
+        # less than the added captures would take as complex128.
         rx, cal = make_captures(tmp_path)
         seq = read_archive(rx)
-        child = (
-            "import sys\n"
-            "from chantool.cli import main\n"
-            "code = main(sys.argv[1:])\n"
-            "[hwm] = [line for line in open('/proc/self/status') if line.startswith('VmHWM:')]\n"
-            "print(code, hwm.split()[1])\n"
-        )
         peaks_kib = []
         for count in (8, 80):
             rolled = np.concatenate([np.roll(seq.cir, 7 * t, axis=3) for t in range(count)])
             write_archive(rx, CirSequence(0.0, 1.0, seq.sample_period_s, rolled))
             del rolled
             out = str(tmp_path / f"{count}.csv")
-            proc = run_child("-c", child, "sounder", "--rx", rx, "--cal", cal, "--out", out)
-            assert proc.returncode == 0, proc.stderr
-            code, peak_kib = map(int, proc.stdout.split())
-            assert code == 0
-            peaks_kib.append(peak_kib)
+            peaks_kib.append(cold_peak_kib("sounder", "--rx", rx, "--cal", cal, "--out", out))
         added = 16 * 72 * seq.cir.shape[3]
         assert 1024 * (peaks_kib[1] - peaks_kib[0]) <= 0.1 * added, peaks_kib
 
@@ -1036,11 +1071,12 @@ def two_regime_archive(path, change_at=20, n_time=30, n_delay=64):
     return path
 
 
-def noise_archive(path, n_time):
-    """An archive of n_time snapshots of 64 bins of complex Gaussian noise,
-    so every cell of its correlation matrix is distinct."""
+def noise_archive(path, n_time, n_delay=64):
+    """An archive of n_time snapshots of n_delay bins of complex Gaussian
+    noise, so every cell of its correlation matrix is distinct."""
     rng = np.random.default_rng(12)
-    cir = rng.normal(size=(n_time, 1, 1, 64)) + 1j * rng.normal(size=(n_time, 1, 1, 64))
+    shape = (n_time, 1, 1, n_delay)
+    cir = rng.normal(size=shape) + 1j * rng.normal(size=shape)
     write_archive(path, CirSequence(0.0, 1e-3, 1.0 / FS, cir))
     return path
 
@@ -1072,7 +1108,7 @@ class TestMatrixRows:
         for i, j, cell in cells:
             values[i % n, j % n] = values[j % n, i % n] = cell
         expected = [(",".join(map(repr, row)) + "\n").encode() for row in values.tolist()]
-        assert list(cli.symmetric_matrix_rows(cli.upper_row_blocks(values))) == expected
+        assert list(cli.symmetric_matrix_rows(cli.upper_row_blocks([values.copy()]))) == expected
 
     @settings(max_examples=40, deadline=None)
     @given(n=st.sampled_from([16, 17, 33, 64, 97]), seed=st.integers(0, 2**32 - 1))
@@ -1084,7 +1120,7 @@ class TestMatrixRows:
         values = np.array(REPEATED_CELLS)[pick + np.triu(pick, 1).T]
         values[0, 1:3] = values[1:3, 0] = 0.0, -0.0
         expected = [(",".join(map(repr, row)) + "\n").encode() for row in values.tolist()]
-        assert list(cli.symmetric_matrix_rows(cli.upper_row_blocks(values))) == expected
+        assert list(cli.symmetric_matrix_rows(cli.upper_row_blocks([values.copy()]))) == expected
 
     def test_short_last_block(self):
         # Blocks of 200 // 32 = 6 rows: 33 full ones, then one of 2 rows.
@@ -1094,14 +1130,14 @@ class TestMatrixRows:
         for j, cell in zip((0, 5, 6, 197), SPECIAL_CELLS):
             values[199, j] = values[j, 199] = cell
         expected = [(",".join(map(repr, row)) + "\n").encode() for row in values.tolist()]
-        assert list(cli.symmetric_matrix_rows(cli.upper_row_blocks(values))) == expected
+        assert list(cli.symmetric_matrix_rows(cli.upper_row_blocks([values.copy()]))) == expected
 
     def test_asymmetric_matrix_exit_2_without_output(self, tmp_path, capsys, monkeypatch):
         arc = two_regime_archive(str(tmp_path / "two.cirb"))
         correlate = cli.pdp_correlation_matrix
 
-        def skewed(pdp_db):
-            values = correlate(pdp_db).values.copy()
+        def skewed(pdp_db, **kwargs):
+            values = correlate(pdp_db, **kwargs).values.copy()
             values[0, 25] = np.nextafter(values[0, 25], 2.0)
             return CorrelationMatrix(values)
 
@@ -1187,18 +1223,65 @@ class TestAnalyze:
         peak = traced_peak(main, ["analyze", arc, "--out", str(tmp_path / "corr.csv")])
         assert peak <= 2.1 * 8 * n**2
 
+    @pytest.mark.parametrize("bins", [64, 400], ids=["64-bins", "400-bins"])
     @pytest.mark.parametrize("options", [[], ["--stationarity", "--los-track"]],
                              ids=["matrix", "all-outputs"])
-    def test_whole_run_stays_below_the_matrix_and_its_upper_half(
-        self, tmp_path, traced_peak, options
+    def test_whole_run_stays_near_the_matrix_and_one_profile_array(
+        self, tmp_path, traced_peak, options, bins
     ):
-        # The matrix and the row blocks cut from its upper triangle meet
-        # once, at 1.5 matrices; measured 1.56 (1.60 with every output).
-        # Formatting beside the whole matrix measured 1.92.
+        # The peak is the product: the matrix beside the one (snapshots,
+        # bins) float64 array of profiles.  Measured 1.06 of the two at 64
+        # bins and 1.12 at 400 (1.08 and 1.15 with every output).  Cutting
+        # the row blocks beside the whole matrix measured 1.35 at 64 bins,
+        # and holding the decoded samples, the dB profiles and their linear
+        # copy at once 2.08 at 400.
         n = 400
-        arc = noise_archive(str(tmp_path / "noise.cirb"), n)
+        arc = noise_archive(str(tmp_path / "noise.cirb"), n, bins)
         argv = ["analyze", arc, *options, "--out", str(tmp_path / "corr.csv")]
-        assert traced_peak(main, argv) <= 1.7 * 8 * n**2
+        assert traced_peak(main, argv) <= 1.2 * 8 * n * (n + bins)
+
+    @pytest.mark.parametrize(
+        "per_block, per_strip",
+        [(1, None), (2, None), (3, None), (7, None), (None, 3)],
+        ids=["block-1", "block-2", "block-3", "block-7-short-last", "strip-3"],
+    )
+    def test_outputs_independent_of_block_sizes(self, tmp_path, monkeypatch, per_block, per_strip):
+        # Pair (0, 0) of a 2x2 run is decoded one archive block at a time, in
+        # strips, into |s|^2 rows and the LOS track.  Blocks of 1, 2, 3 and 7
+        # of its 40 snapshots (7 leaves a short last block), and strips of 3
+        # rows, write the bytes of the default run, in which one strip holds
+        # them all.
+        cfg = gbsm.GbsmConfig(
+            seed=5, n_tx=2, n_rx=2, rx_velocity=gbsm.Point3(1.5, 0.5, 0.0), k_factor_db=-10.0,
+            birth_rate_hz=2000.0, death_rate_hz=2000.0, duration_s=40 * 62.5e-6,
+        )
+        arc = str(tmp_path / "run.cirb")
+        n_delay = write_archive(arc, gbsm.run_scenario(cfg)) // (8 * 4 * 40)
+        names = ["corr.csv", "corr_intervals.csv", "corr_los.csv"]
+        strips, track = [], cli.los_power_track
+
+        def counted(samples, *args, **kwargs):
+            strips.append(len(samples))
+            return track(samples, *args, **kwargs)
+
+        def outputs(name):
+            (tmp_path / name).mkdir()
+            argv = ["analyze", arc, "--stationarity", "--los-track", "--out"]
+            assert main([*argv, str(tmp_path / name / "corr.csv")]) == 0
+            return [(tmp_path / name / out).read_bytes() for out in names]
+
+        monkeypatch.setattr(cli, "los_power_track", counted)
+        default = outputs("default")
+        assert strips == [40]
+        assert default[1].count(b"\n") > 3  # several intervals
+        strips.clear()
+        if per_block:
+            monkeypatch.setattr(archive, "BLOCK_BYTES", 8 * 4 * n_delay * per_block)
+        if per_strip:
+            monkeypatch.setattr(cli, "DECODE_STRIP_BYTES", 16 * n_delay * per_strip)
+        rows = per_block or per_strip
+        assert outputs("patched") == default
+        assert strips == [rows] * (40 // rows) + [40 % rows] * (40 % rows > 0)
 
     def test_los_track_output(self, tmp_path):
         arc = two_regime_archive(str(tmp_path / "two.cirb"))
